@@ -223,7 +223,9 @@ def mpc_feedback(qp, x, v, warm_start=None):
 
 def feasible_set(qp, row_cap=None):
     """Project the condensed polytope {(mu, theta) : M mu + L theta <= b}
-    onto theta, returning the explicit feasible set in minimal H-rep."""
+    onto theta, returning the explicit feasible set in minimal H-rep (the
+    prune after the last of the N * n_u >= 1 eliminations leaves it
+    minimal)."""
     N, n_u = qp.N, qp.n_u
     stacked = HPolyhedron(np.hstack([qp.M, qp.L]), qp.b)
     keep = list(range(N * n_u, N * n_u + qp.n_x + qp.n_v))
@@ -231,7 +233,7 @@ def feasible_set(qp, row_cap=None):
         projected = stacked.project(keep)
     else:
         projected = stacked.project(keep, row_cap=row_cap)
-    return FeasibleSet(projected.remove_redundancy(), N)
+    return FeasibleSet(projected, N)
 
 
 class _HorizonOracle:

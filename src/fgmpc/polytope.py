@@ -3,9 +3,14 @@
 An HPolyhedron is the set {x : A x <= b}. Instances are immutable; every
 operation returns a new object. Rows are stored scaled to unit infinity
 norm so the global tolerance is scale-free. Projection is Fourier-Motzkin
-elimination with LP-based redundancy removal interleaved after every
-eliminated variable, which is what keeps intermediate row counts alive
-through a 10-step condensed horizon.
+elimination with redundancy removal interleaved after every eliminated
+variable, which is what keeps intermediate row counts alive through a
+10-step condensed horizon. Most redundant rows go without an LP, by
+counting ancestors (Chernikov's rule: after k eliminations, a row built
+from more than k + 1 original rows is redundant). The rest are pruned by
+support LPs against the rows already certified irredundant, and a
+certificate is confirmed by a further LP only when the ray that found it
+hit a lower-dimensional face, the one case where it may be tangent.
 """
 
 import os
@@ -185,11 +190,7 @@ class HPolyhedron:
         """
         if self.nrows == 0:
             return None, np.inf
-        row_norms = np.linalg.norm(self._A, axis=1)
-        A_lp = np.hstack([self._A, row_norms[:, None]])
-        c = np.zeros(self.dim + 1)
-        c[-1] = 1.0
-        res = solve_lp(LpProblem(c, A_lp, self._b))
+        res = _inscribed_ball(self._A, self._b)
         if res.status is Status.INFEASIBLE:
             return None, -np.inf
         if res.status is Status.UNBOUNDED:
@@ -203,17 +204,29 @@ class HPolyhedron:
     def remove_redundancy(self, tol=TOL):
         """Minimal representation: drops every row whose removal provably
         leaves the set unchanged (one support LP per row, early exit)."""
-        A, b = _prune_lp(*_dedup(self._A, self._b), tol=tol)
-        return HPolyhedron(A, b)
+        sel, _ = _dedup(self._A, self._b)
+        A, b = self._A[sel], self._b[sel]
+        kept, _ = _prune_lp(A, b, tol=tol)
+        return HPolyhedron(A[kept], b[kept])
 
     def project(self, keep_indices, row_cap=DEFAULT_ROW_CAP):
         """Orthogonal projection onto the kept coordinates.
 
         Fourier-Motzkin elimination, one variable at a time in greedy
         min-fill order (smallest positive-row x negative-row product), with
-        duplicate and LP redundancy pruning after every elimination. Raises
-        ProjectionBlowupError when an intermediate system would exceed
-        row_cap rows, and ValueError on an empty input.
+        ancestor, duplicate and LP redundancy pruning after every
+        elimination. Raises ProjectionBlowupError when an intermediate
+        system would exceed row_cap rows (counted before any pruning), and
+        ValueError on an empty input.
+
+        Every row carries the set of base rows it combines, its ancestors;
+        the base is the input. After k eliminations a row with more than
+        k + 1 ancestors is redundant (Chernikov's rule) and goes without an
+        LP. The rule relies on every row that touches the projection being
+        present: when duplicate removal drops a row as tight as the one it
+        keeps, or the LP prune drops a row that touches the set without
+        being a facet (a tangent row), the rows that survive become the new
+        base and k restarts at 0.
         """
         keep = [int(i) for i in keep_indices]
         if len(set(keep)) != len(keep):
@@ -227,6 +240,9 @@ class HPolyhedron:
         cols = list(range(self.dim))
         A = np.array(self._A)
         b = np.array(self._b)
+        # anc[r, i]: base row i is an ancestor of row r
+        anc = np.eye(b.size, dtype=bool)
+        depth = 0
         while True:
             elim = [j for j, c in enumerate(cols) if c not in keep]
             if not elim:
@@ -240,10 +256,18 @@ class HPolyhedron:
                          int(np.sum(col < -ZERO_ROW)))
                 if best_score is None or score < best_score:
                     best_j, best_score = j, score
-            A, b = _eliminate(A, b, best_j, row_cap)
+            A, b, anc = _eliminate(A, b, anc, best_j, row_cap)
             del cols[best_j]
-            A, b = _dedup(A, b)
-            A, b = _prune_lp(A, b, tol=TOL)
+            depth += 1
+            few = np.count_nonzero(anc, axis=1) <= depth + 1
+            A, b, anc = A[few], b[few], anc[few]
+            sel, tied = _dedup(A, b)
+            A, b, anc = A[sel], b[sel], anc[sel]
+            kept, tangent = _prune_lp(A, b, tol=TOL)
+            A, b, anc = A[kept], b[kept], anc[kept]
+            if tied or tangent.size:
+                anc = np.eye(b.size, dtype=bool)
+                depth = 0
         # order the surviving columns as requested
         perm = [cols.index(i) for i in keep]
         return HPolyhedron(A[:, perm], b)
@@ -301,18 +325,21 @@ class HPolyhedron:
 
 
 def _dedup(A, b):
-    """Drop duplicate rows (same normalized coefficients), keeping the
-    tightest offset per direction."""
+    """Duplicate removal: rows with the same normalized coefficients keep
+    only the tightest offset. Returns the surviving row indices in input
+    order, and whether a dropped row was as tight as its survivor."""
     m = b.size
     if m <= 1:
-        return A, b
+        return np.arange(m), False
     key = np.round(A * 1e9).astype(np.int64)
     order = np.lexsort((b,) + tuple(key.T))
     K = key[order]
     first = np.ones(m, dtype=bool)
     first[1:] = np.any(K[1:] != K[:-1], axis=1)
-    sel = np.sort(order[first])
-    return A[sel], b[sel]
+    b_sorted = b[order]
+    lead = np.maximum.accumulate(np.where(first, np.arange(m), 0))
+    tied = bool(np.any(~first & (b_sorted <= b_sorted[lead] + TOL)))
+    return np.sort(order[first]), tied
 
 
 def _prune_lp(A, b, tol=TOL):
@@ -322,23 +349,38 @@ def _prune_lp(A, b, tol=TOL):
     only; a support value at or below b_i over that subset is a sound
     redundancy proof, because the subset's polyhedron contains the full
     one. When a test point violates row i instead, the segment from a
-    strict interior point to it crosses the boundary first at an
-    irredundant row, which joins the certified set. With r irredundant
-    rows out of m this costs O(m) LPs of size r instead of size m. Sets
+    strict interior point to it crosses the boundary first at row j, which
+    joins the certified set. With r irredundant rows out of m this costs
+    O(m) LPs of size r instead of size m.
+
+    A certificate j is provably irredundant when the first hit is unique:
+    past the hit point the ray stays inside every other row for a while,
+    and if it gains more than tol on row j before another row binds, the
+    pairwise test below would keep j as well. Only a certificate whose hit
+    ties with another row's within that margin (the ray meets a
+    lower-dimensional face, where j may be tangent) is a suspect, and only
+    suspects are confirmed by the pairwise test against all kept rows. Sets
     without a usable interior point (empty, flat, or containing
-    arbitrarily large balls) fall back to the pairwise scan.
+    arbitrarily large balls) fall back to the pairwise scan of every row.
+
+    Returns the indices of the irredundant rows and of the redundant rows
+    that still touch the set (support value within tol of the offset),
+    both in input order.
     """
     m = b.size
     if m <= 1:
-        return A, b
-    z = _interior_point(A, b)
-    if z is None:
-        return _prune_lp_pairwise(A, b, tol)
+        return np.arange(m), np.zeros(0, dtype=int)
+    ball = _inscribed_ball(A, b)
+    if ball.status is not Status.OPTIMAL or ball.value <= 1e-7:
+        return _prune_lp_pairwise(A, b, range(m), tol)
+    z = ball.x[:-1]
 
     margins = b - A @ z
     certified = []
+    suspect = []
     in_certified = np.zeros(m, dtype=bool)
     redundant = np.zeros(m, dtype=bool)
+    tangent = np.zeros(m, dtype=bool)
     for i in range(m):
         if in_certified[i]:
             continue
@@ -351,48 +393,55 @@ def _prune_lp(A, b, tol=TOL):
                 raise RuntimeError("redundancy LP hit its pivot cap")
             if out == "optimal" and val <= b[i] + tol:
                 redundant[i] = True
+                tangent[i] = val >= b[i] - tol
                 break
             # xs violates row i: the first row crossed on the way from the
-            # interior point is a new irredundant certificate. Certified
-            # rows lie at t >= 1 and row i below 1, so progress is sure.
+            # interior point is a new certificate. Certified rows lie at
+            # t >= 1 and row i below 1, so progress is sure.
             d = xs - z
             den = A @ d
             t = np.full(m, np.inf)
             ok = (den > 1e-12) & ~redundant
             t[ok] = margins[ok] / den[ok]
             j = int(np.argmin(t))
+            # the gain on row j before the next hit; twice tol, so that
+            # rounding in t cannot pass a tie off as a unique hit
+            t_j, t[j] = t[j], np.inf
+            if (np.min(t) - t_j) * den[j] <= 2.0 * tol:
+                suspect.append(j)
             certified.append(j)
             in_certified[j] = True
             if j == i:
                 break
     kept = np.sort(np.asarray(certified, dtype=int))
-    # a certificate can be tangent at a lower-dimensional face; a final
-    # pairwise scan over the (small) survivor set restores minimality
-    return _prune_lp_pairwise(A[kept], b[kept], tol)
+    tangent = np.nonzero(tangent)[0]
+    if suspect:
+        pos = np.searchsorted(kept, np.sort(suspect))
+        k_sub, t_sub = _prune_lp_pairwise(A[kept], b[kept], pos, tol)
+        tangent = np.union1d(tangent, kept[t_sub])
+        kept = kept[k_sub]
+    return kept, tangent
 
 
-def _interior_point(A, b):
-    """A point with strictly positive margin on every row (largest
-    inscribed ball center), or None when no usable one exists."""
+def _inscribed_ball(A, b):
+    """The LP for the largest inscribed ball of {x : A x <= b}: maximize r
+    over a_i x + ||a_i|| r <= b_i. Its solution is (center, radius)."""
     radii = np.linalg.norm(A, axis=1)
-    lp = LpProblem(
-        np.concatenate([np.zeros(A.shape[1]), [1.0]]),
-        np.hstack([A, radii[:, None]]), b)
-    st = solve_lp(lp)
-    if st.status != Status.OPTIMAL or st.value <= 1e-7:
-        return None
-    return st.x[:-1]
+    c = np.zeros(A.shape[1] + 1)
+    c[-1] = 1.0
+    return solve_lp(LpProblem(c, np.hstack([A, radii[:, None]]), b))
 
 
-def _prune_lp_pairwise(A, b, tol=TOL):
-    """Sequential redundancy scan: row i goes when its support value over
-    the remaining rows (plus the relaxed bound b_i + 1, which keeps the LP
-    bounded) stays at or below b_i."""
+def _prune_lp_pairwise(A, b, test, tol=TOL):
+    """Sequential redundancy scan over the rows listed in test (ascending):
+    row i goes when its support value over the remaining rows (plus the
+    relaxed bound b_i + 1, which keeps the LP bounded) stays at or below
+    b_i. Returns the kept row indices and the removed rows that still
+    touch the set, both in input order."""
     m = b.size
-    if m <= 1:
-        return A, b
     keep = np.ones(m, dtype=bool)
-    for i in range(m):
+    tangent = np.zeros(m, dtype=bool)
+    for i in test:
         others = np.nonzero(keep)[0]
         others = others[others != i]
         if others.size == 0:
@@ -402,13 +451,20 @@ def _prune_lp_pairwise(A, b, tol=TOL):
         out, val, _ = support_value(A[i], A_lp, b_lp, stop_above=b[i] + tol)
         if out == "optimal" and val <= b[i] + tol:
             keep[i] = False
+            tangent[i] = val >= b[i] - tol
         elif out == "iteration_limit":
             raise RuntimeError("redundancy LP hit its pivot cap")
-    return A[keep], b[keep]
+    return np.nonzero(keep)[0], np.nonzero(tangent)[0]
 
 
-def _eliminate(A, b, j, row_cap):
-    """One Fourier-Motzkin step removing column j."""
+def _eliminate(A, b, anc, j, row_cap):
+    """One Fourier-Motzkin step removing column j.
+
+    Rows with a zero coefficient pass through; every pair of a positive and
+    a negative row yields their combination. anc[r] marks the base rows
+    that row r combines (its ancestors); a combined row's ancestors are the
+    union of its parents'. Returns the new A, b and anc.
+    """
     col = A[:, j]
     pos = col > ZERO_ROW
     neg = col < -ZERO_ROW
@@ -422,11 +478,15 @@ def _eliminate(A, b, j, row_cap):
     bn = b[neg] / (-col[neg])
     comb = (P[:, None, :] + Ng[None, :, :]).reshape(-1, A.shape[1])
     bcomb = (bp[:, None] + bn[None, :]).ravel()
+    anc_comb = (anc[pos][:, None, :] | anc[neg][None, :, :]).reshape(
+        -1, anc.shape[1])
     A_new = np.vstack([A[zero], comb])
     b_new = np.concatenate([b[zero], bcomb])
+    anc_new = np.vstack([anc[zero], anc_comb])
     A_new = np.delete(A_new, j, axis=1)
     # renormalize and drop vacuous rows; a negative-offset zero row would
     # mean an empty input, which project() has already excluded
     norms = np.max(np.abs(A_new), axis=1) if A_new.size else np.zeros(0)
     keep = norms >= ZERO_ROW
-    return (A_new[keep] / norms[keep, None], b_new[keep] / norms[keep])
+    return (A_new[keep] / norms[keep, None], b_new[keep] / norms[keep],
+            anc_new[keep])

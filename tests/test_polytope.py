@@ -1,11 +1,16 @@
 """Polyhedron operations against brute-force geometric oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import systems
 from oracles import (convex_hull_2d, enumerate_vertices, hull_to_hrep,
                      random_bounded_polytope)
 
+import fgmpc.polytope
+from fgmpc.mpc import condense, feasible_set
 from fgmpc.polytope import (DEFAULT_ROW_CAP, HPolyhedron,
                             ProjectionBlowupError)
 from fgmpc.solver import TOL
@@ -136,6 +141,70 @@ def test_project_matches_vertex_hull_oracle():
         assert Q.contains_set(proj, tol=1e-6), trial
 
 
+def assert_same_polygon(proj, hull):
+    """proj equals the polygon with CCW vertices hull, one row per edge."""
+    Q = HPolyhedron(*hull_to_hrep(hull))
+    assert proj.nrows == hull.shape[0]
+    assert proj.contains_set(Q, tol=1e-6) and Q.contains_set(proj, tol=1e-6)
+
+
+@pytest.mark.parametrize("n, extra, seed",
+                         [(5, 8, 34), (5, 10, 33), (6, 6, 31), (6, 8, 31)])
+def test_project_deep_elimination_matches_hull(n, extra, seed):
+    """Projections to 2-D that eliminate 3 or 4 variables, deep enough for
+    the ancestor rule to drop rows."""
+    rng = np.random.default_rng(seed)
+    A, b = random_bounded_polytope(rng, n, extra)
+    keep = sorted(rng.choice(n, size=2, replace=False).tolist())
+    proj = HPolyhedron(A, b).project(keep)
+    assert_same_polygon(proj, convex_hull_2d(
+        enumerate_vertices(A, b)[:, keep]))
+
+
+def test_project_degenerate_apex():
+    """Square pyramid |x1| + |x2| <= 1 - y, y >= 0, projected onto y. The
+    first elimination leaves y <= 1 only as a row tangent at the apex; the
+    bound must survive the ancestor rule."""
+    A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0],
+                  [-1.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+    b = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+    proj = HPolyhedron(A, b).project([2])
+    order = np.argsort(proj.A[:, 0])
+    np.testing.assert_allclose(proj.A[order, 0], [-1.0, 1.0])
+    np.testing.assert_allclose(proj.b[order], [0.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_project_rotated_cross_polytope(seed):
+    """The cross-polytope {Q y : sum |y_i| <= 1} with Q a random rotation:
+    2^4 rows, every vertex degenerate, and its vertices +-Q e_i are known in
+    closed form."""
+    n = 4
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+    P = HPolyhedron(signs @ Q.T, np.ones(signs.shape[0]))
+    for keep in ([0, 1], [1, 3]):
+        verts = np.vstack([Q.T, -Q.T])[:, keep]
+        assert_same_polygon(P.project(keep), convex_hull_2d(verts))
+
+
+def test_feasible_set_support_lp_count(y2, monkeypatch):
+    """One feasible_set on y2, N = 5. Before ancestor pruning, suspect-only
+    confirmation and the single final prune, this took 4534 support LPs."""
+    qp = condense(y2["plant"], systems.make_design(y2, 5), y2["em"])
+    calls = []
+    real = fgmpc.polytope.support_value
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fgmpc.polytope, "support_value", counted)
+    feasible_set(qp)
+    assert len(calls) <= 4534 // 2
+
+
 def test_project_soundness_sampling():
     rng = np.random.default_rng(55)
     A, b = random_bounded_polytope(rng, 4, 5)
@@ -175,6 +244,51 @@ def test_remove_redundancy_preserves_set():
         P = HPolyhedron(A, b)
         R = P.remove_redundancy()
         assert R.nrows <= P.nrows
+        assert R.contains_set(P) and P.contains_set(R), trial
+
+
+def facet_count(A, b, V):
+    """Distinct facets among the rows of {A x <= b}, whose vertices are V:
+    rows whose vertices span a hyperplane, grouped by that vertex set."""
+    n = A.shape[1]
+    facets = set()
+    for a, bi in zip(A, b):
+        on = np.nonzero(np.abs(V @ a - bi) <= 1e-9 * max(1.0, abs(bi)))[0]
+        if on.size >= n and np.linalg.matrix_rank(
+                np.hstack([V[on], np.ones((on.size, 1))]), tol=1e-9) == n:
+            facets.add(tuple(on))
+    return len(facets)
+
+
+def test_remove_redundancy_weakly_redundant_rows():
+    """Rows that touch the set only at a vertex or along an edge are
+    redundant; exactly the facets must remain. On the octahedron, whose
+    vertices each lie on four facets, rays from the center meet vertices
+    and edges, so certificates tie and need their confirming LP."""
+    octahedron = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    rng = np.random.default_rng(17)
+    for trial in range(12):
+        if trial % 3 == 0:
+            A, b = octahedron, np.ones(8)
+        else:
+            A, b = random_bounded_polytope(rng, 3 + trial % 2, 4)
+        n = A.shape[1]
+        V = enumerate_vertices(A, b)
+        rows, offsets = [A], [b]
+        for _ in range(6):
+            v = V[rng.integers(V.shape[0])]
+            active = np.nonzero(np.abs(A @ v - b) <= 1e-9)[0]
+            if rng.random() < 0.5:
+                # n - 1 rows through a vertex meet along a line through it
+                active = rng.choice(active, size=n - 1, replace=False)
+            a = rng.uniform(0.2, 1.0, size=active.size) @ A[active]
+            rows.append(a[None, :])
+            offsets.append([a @ v])
+        A_all, b_all = np.vstack(rows), np.concatenate(offsets)
+        order = rng.permutation(b_all.size)
+        P = HPolyhedron(A_all[order], b_all[order])
+        R = P.remove_redundancy()
+        assert R.nrows == facet_count(A_all, b_all, V), trial
         assert R.contains_set(P) and P.contains_set(R), trial
 
 
