@@ -17,7 +17,6 @@ import os
 import re
 import statistics
 import sys
-import tempfile
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from fgmpc import governor
 from fgmpc.mpc import FeasibleSet, OcpDesign, condense, feasible_set, \
     n_star
 from fgmpc.plant import ConstraintSpec, LtiPlant, equilibrium_basis
-from fgmpc.polytope import HPolyhedron
+from fgmpc.polytope import HPolyhedron, write_atomic
 from fgmpc.sim import KINDS, Scenario, SimulationError, audit_invariants, \
     metrics, run_closed_loop, write_trajectory_csv
 from fgmpc.synthesis import solve_dare, terminal_set
@@ -266,38 +265,12 @@ def _design(cfg, off, N):
                      cfg.Y)
 
 
-def _atomic_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_text(path, buf.getvalue())
-
-
-def _write_trajectory(log, path):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        write_trajectory_csv(log, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, buf.getvalue())
 
 
 def _format_value(value):
@@ -419,8 +392,8 @@ def cmd_simulate(cfg, out_dir, tol=1e-7, quiet=False):
     all_pass = all(vd.passed for vd in verdicts)
     lines.append("audit_overall={}".format("pass" if all_pass else "fail"))
 
-    _write_trajectory(log, os.path.join(out_dir, "trajectory.csv"))
-    _atomic_text(os.path.join(out_dir, "metrics.txt"),
+    write_trajectory_csv(log, os.path.join(out_dir, "trajectory.csv"))
+    write_atomic(os.path.join(out_dir, "metrics.txt"),
                  "\n".join(lines) + "\n")
     if not quiet:
         print("\n".join(lines))
@@ -452,7 +425,7 @@ def _compare_one(cfg, off, entry, slug, out_dir, default_N):
             tmaxes.append(float(np.max(total)))
         target = governor.r_star(off["spec"].R_eps, sc.r)
         report = metrics(log, target, cfg.Y)
-        _write_trajectory(log, os.path.join(
+        write_trajectory_csv(log, os.path.join(
             out_dir, "trajectory_{}.csv".format(slug)))
         return {"slug": slug, "kind": entry["kind"], "N": N, "ok": True,
                 "rise_steps": report["rise_time_steps"],
@@ -501,7 +474,7 @@ def cmd_compare(cfg, out_dir, quiet=False):
                                             row["N"] or "-", "-", "-", "-",
                                             "-", row["error"]))
     text = "\n".join(table) + "\n"
-    _atomic_text(os.path.join(out_dir, "compare.txt"), text)
+    write_atomic(os.path.join(out_dir, "compare.txt"), text)
 
     ok_rows = [row for row in rows if row["ok"]]
     if ok_rows:

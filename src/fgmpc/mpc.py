@@ -149,7 +149,8 @@ def condense(plant, design, em=None):
         raise ValueError("Y has dimension {} but the plant has {} "
                          "constrained outputs".format(Y.dim, plant.n_y))
 
-    Apow, G = _prediction_maps(plant, N)
+    rows = _HorizonOracle(plant, design, N)
+    Apow, G = rows.Apow, rows.G
 
     # stacked prediction of (xi_1 .. xi_N): Sx x + Su mu
     Sx = Apow[1:].reshape(N * n_x, n_x)
@@ -173,26 +174,7 @@ def condense(plant, design, em=None):
         -2.0 * (Su.T @ Qbar @ Gx_stack + Rbar @ Gu_stack),
     ])
 
-    n_r = Y.nrows
-    YaC = Y.A @ plant.C
-    YaD = Y.A @ plant.D
-    M = np.zeros((N * n_r + T.nrows, N * n_u))
-    L = np.zeros((N * n_r + T.nrows, n_x + n_v))
-    b = np.empty(N * n_r + T.nrows)
-    for i in range(N):
-        rows = slice(i * n_r, (i + 1) * n_r)
-        for j in range(i):
-            M[rows, j * n_u:(j + 1) * n_u] = YaC @ G[i - 1 - j]
-        M[rows, i * n_u:(i + 1) * n_u] = YaD
-        L[rows, :n_x] = YaC @ Apow[i]
-        b[rows] = Y.b
-    tr = slice(N * n_r, None)
-    for j in range(N):
-        M[tr, j * n_u:(j + 1) * n_u] = T.T_x @ G[N - 1 - j]
-    L[tr, :n_x] = T.T_x @ Apow[N]
-    L[tr, n_x:] = T.T_v
-    b[tr] = T.c
-
+    M, L, b = rows.assemble(N)
     return CondensedQp(H, W, M, L, b, n_x, n_u, n_v, design)
 
 
@@ -237,56 +219,58 @@ def feasible_set(qp, row_cap=None):
 
 
 class _HorizonOracle:
-    """Per-horizon feasibility LPs sharing precomputed prediction maps.
+    """Constraint rows M mu + L theta <= b of every horizon up to cap, from
+    per-lag blocks computed once. condense takes the rows of its horizon;
+    n_star and ocp_feasible solve one feasibility LP per probed horizon,
+    which only assembles its rows.
 
-    For a horizon h the constraint rows in mu are the leading sub-blocks of
-    the horizon-cap output rows plus a fresh terminal block, so each probe
-    of the search in n_star only assembles small pieces.
+    Row block i = 0..h-1 constrains the output at step i, whose input mu_j
+    (j < i) enters through YaC A^(i-1-j) B; the terminal block at step h
+    sees mu_j through T_x A^(h-1-j) B.
     """
 
     def __init__(self, plant, design, cap):
-        self.plant = plant
-        self.design = design
-        self.cap = cap
-        self.Apow, self.G = _prediction_maps(plant, max(cap, 1))
-        Y, T = design.Y, design.T
-        self.YaC = Y.A @ plant.C
+        T, Y = design.T, design.Y
+        self.T, self.Y, self.n_u = T, Y, plant.n_u
+        self.Apow, self.G = _prediction_maps(plant, cap)
+        YaC = Y.A @ plant.C
         self.YaD = Y.A @ plant.D
-        self.Yb = Y.b
-        # E[k] multiplies mu_j in the output row block i = j + k + 1
-        self.E = np.array([self.YaC @ self.G[k] for k in range(cap)])
-        self.TG = np.array([design.T.T_x @ self.G[k] for k in range(cap)])
+        self.YG = [YaC @ Gk for Gk in self.G]
+        self.TG = [T.T_x @ Gk for Gk in self.G]
+        self.YA = [YaC @ Ai for Ai in self.Apow[:cap]]
 
-    def rows(self, h):
-        n_r, n_u = self.Yb.size, self.plant.n_u
-        n_t = self.design.T.nrows
-        M = np.zeros((h * n_r + n_t, h * n_u))
+    def assemble(self, h):
+        """(M, L, b) of horizon h: output blocks i = 0..h-1 first, terminal
+        block last."""
+        T, Y, n_u = self.T, self.Y, self.n_u
+        n_r, n_x = Y.nrows, T.n_x
+        M = np.zeros((h * n_r + T.nrows, h * n_u))
+        L = np.zeros((h * n_r + T.nrows, n_x + T.T_v.shape[1]))
+        b = np.empty(h * n_r + T.nrows)
         for i in range(h):
             rows = slice(i * n_r, (i + 1) * n_r)
-            M[rows, i * n_u:(i + 1) * n_u] = self.YaD
             for j in range(i):
-                M[rows, j * n_u:(j + 1) * n_u] = self.E[i - 1 - j]
-        M[h * n_r:] = np.hstack([self.TG[h - 1 - j] for j in range(h)])
-        return M
-
-    def rhs(self, h, x, v):
-        T = self.design.T
-        out = np.empty(h * self.Yb.size + T.nrows)
-        for i in range(h):
-            out[i * self.Yb.size:(i + 1) * self.Yb.size] = \
-                self.Yb - self.YaC @ (self.Apow[i] @ x)
-        out[h * self.Yb.size:] = T.c - T.T_x @ (self.Apow[h] @ x) - T.T_v @ v
-        return out
+                M[rows, j * n_u:(j + 1) * n_u] = self.YG[i - 1 - j]
+            M[rows, i * n_u:(i + 1) * n_u] = self.YaD
+            L[rows, :n_x] = self.YA[i]
+            b[rows] = Y.b
+        tr = slice(h * n_r, None)
+        for j in range(h):
+            M[tr, j * n_u:(j + 1) * n_u] = self.TG[h - 1 - j]
+        L[tr, :n_x] = T.T_x @ self.Apow[h]
+        L[tr, n_x:] = T.T_v
+        b[tr] = T.c
+        return M, L, b
 
     def feasible(self, h, x, v, mu0=None):
         """Returns (feasible, mu, violation) for horizon h at (x, v)."""
-        T = self.design.T
+        theta = np.concatenate([x, v])
         if h == 0:
-            w = np.concatenate([x, v])
-            margin = float(np.max(T.set_xv.A @ w - T.c, initial=0.0))
+            margin = float(np.max(self.T.set_xv.A @ theta - self.T.c,
+                                  initial=0.0))
             return margin <= TOL, np.zeros(0), margin
-        t, mu, outcome = min_violation(self.rows(h), self.rhs(h, x, v),
-                                       x0=mu0)
+        M, L, b = self.assemble(h)
+        t, mu, outcome = min_violation(M, b - L @ theta, x0=mu0)
         if outcome not in ("feasible", "optimal"):
             raise RuntimeError(
                 "feasibility LP failed at horizon {} ({})".format(h, outcome))

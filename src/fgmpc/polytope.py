@@ -38,6 +38,22 @@ class ProjectionBlowupError(RuntimeError):
             " {}".format(rows, cap))
 
 
+def write_atomic(path, text):
+    """Write text to path through a temp file in the same directory and a
+    rename, so an interrupted write never leaves a truncated file behind
+    and a failed one leaves an existing file as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class HPolyhedron:
     """Polyhedron {x : A x <= b} with normalized, finite rows.
 
@@ -279,17 +295,7 @@ class HPolyhedron:
         lines = ["#hrep dim={} rows={}".format(self.dim, self.nrows)]
         for a, bi in zip(self._A, self._b):
             lines.append(" ".join("%.17g" % v for v in a) + " %.17g" % bi)
-        payload = "\n".join(lines) + "\n"
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def read(cls, path):

@@ -13,6 +13,7 @@ is a safety violation, never an expected outcome.
 
 import collections
 import csv
+import io
 import platform
 import time
 
@@ -22,6 +23,7 @@ from fgmpc import governor
 from fgmpc.mpc import OcpInfeasibleError, condense, feasible_set, \
     mpc_feedback
 from fgmpc.plant import equilibrium_basis
+from fgmpc.polytope import write_atomic
 
 KINDS = ("MPC", "MPC+FG", "MPC+CG(LQR)")
 
@@ -300,19 +302,20 @@ def audit_invariants(log, gp, Y, tol=1e-7, v_tol=1e-8):
 
 def write_trajectory_csv(log, path):
     """One line per step: k, x[..], u[..], y[..], z[..], v[..], V, and the
-    solve times converted to microseconds."""
+    solve times converted to microseconds. The file is written atomically."""
     header = ["k"]
     for name, arr in (("x", log.x), ("u", log.u), ("y", log.y),
                       ("z", log.z), ("v", log.v)):
         header += ["{}[{}]".format(name, j) for j in range(arr.shape[1])]
     header += ["V", "t_fg_us", "t_mpc_us"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(log.n_steps):
-            row = [k]
-            for arr in (log.x, log.u, log.y, log.z, log.v):
-                row += [repr(float(val)) for val in arr[k]]
-            row += [repr(float(log.V[k])), repr(float(log.t_fg[k] * 1e6)),
-                    repr(float(log.t_mpc[k] * 1e6))]
-            writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for k in range(log.n_steps):
+        row = [k]
+        for arr in (log.x, log.u, log.y, log.z, log.v):
+            row += [repr(float(val)) for val in arr[k]]
+        row += [repr(float(log.V[k])), repr(float(log.t_fg[k] * 1e6)),
+                repr(float(log.t_mpc[k] * 1e6))]
+        writer.writerow(row)
+    write_atomic(path, buf.getvalue())

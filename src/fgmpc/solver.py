@@ -5,6 +5,12 @@ inequality form (maximize c'x subject to A x <= b, x free), and a dual
 active-set method for strictly convex quadratic programs (minimize
 0.5 x'H x + f'x subject to A x <= b). Both are self-contained on top of
 numpy and are re-entrant: every solve owns its workspace.
+
+The three LP entry points share one simplex driver. Phase 1 of every LP
+is the worst-violation problem min t s.t. A x - t <= b, t >= 0, with a
+single auxiliary column t; min_violation is that problem on its own,
+while solve_lp and support_value go on to phase 2 from the basis it
+leaves. solve_lp reads its duals off the final tableau.
 """
 
 import enum
@@ -104,11 +110,15 @@ class QpProblem:
 # Simplex engine
 # ---------------------------------------------------------------------------
 #
-# The working tableau has one row per constraint plus an objective row, and
-# one column per standard-form variable plus the right-hand side. Variables
-# are x+ (n), x- (n), slacks (m) and, in phase 1 only, artificials. Pivoting
-# is a dense rank-1 update. Entering column: Dantzig rule, switching to
-# Bland's rule after a streak of degenerate pivots so cycling terminates.
+# One tableau serves every LP: one row per constraint plus an objective row,
+# and the columns x+ (n), x- (n), t (1), slacks (m) and the right-hand side.
+# The auxiliary column t has coefficient -1 on every row, so the tableau
+# holds A x - t <= b. Phase 1 minimizes t >= 0 over it: a single pivot of t
+# on the most violated row gives a feasible basis, and {A x <= b} is
+# non-empty iff the minimum is 0. Phase 2 retires t and optimizes the real
+# objective from the basis phase 1 left. Pivoting is a dense rank-1 update.
+# Entering column: Dantzig rule, switching to Bland's rule after a streak of
+# degenerate pivots so cycling terminates.
 
 _DEGENERATE_STREAK = 12
 
@@ -124,7 +134,7 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _iterate(T, basis, ncols, max_pivots, pivots_done, value_cap=None):
+def _iterate(T, basis, max_pivots, pivots_done, value_cap=None):
     """Run simplex pivots on tableau T (minimization, objective in last row).
 
     Returns (outcome, pivots) with outcome one of "optimal", "unbounded",
@@ -139,7 +149,7 @@ def _iterate(T, basis, ncols, max_pivots, pivots_done, value_cap=None):
     while True:
         if value_cap is not None and -T[-1, -1] < value_cap:
             return "cap", pivots
-        red = T[-1, :ncols]
+        red = T[-1, :-1]
         if use_bland:
             neg = np.nonzero(red < -TOL)[0]
             if neg.size == 0:
@@ -172,106 +182,95 @@ def _iterate(T, basis, ncols, max_pivots, pivots_done, value_cap=None):
             return "iteration_limit", pivots
 
 
-def _phase_one(A, b, max_pivots):
-    """Build the standard-form tableau and drive it to a feasible basis.
+def _phase_one(A, b, max_pivots, value_cap=None):
+    """Build the tableau of A x - t <= b and minimize t >= 0 over it.
 
-    Returns (outcome, T, basis, nv, ncols, art_rows, flip, pivots) where nv
-    counts the real standard-form variables (x+, x-, slacks) and columns
-    nv..ncols-1 are phase-1 artificials (already retired on success).
+    Returns (outcome, T, basis, pivots) with an outcome of _iterate. When
+    b >= 0 the slack basis is already feasible and no pivot is made.
     """
     m, n = A.shape
-    flip = np.where(b < 0.0, -1.0, 1.0)
-    art_rows = np.nonzero(b < 0.0)[0]
-    nv = 2 * n + m
-    ncols = nv + art_rows.size
-
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :nv] = flip[:, None] * np.hstack([A, -A, np.eye(m)])
-    T[:m, -1] = flip * b
-    basis = 2 * n + np.arange(m)
-    for j, i in enumerate(art_rows):
-        T[i, nv + j] = 1.0
-        basis[i] = nv + j
-    pivots = 0
-
-    if art_rows.size:
-        # phase 1: minimize the artificial sum
-        T[-1, :] = -T[art_rows, :].sum(axis=0)
-        T[-1, nv:ncols] = 0.0
-        outcome, pivots = _iterate(T, basis, ncols, max_pivots, pivots)
-        if outcome == "iteration_limit":
-            return "iteration_limit", T, basis, nv, ncols, art_rows, flip, pivots
-        if -T[-1, -1] > TOL:
-            return "infeasible", T, basis, nv, ncols, art_rows, flip, pivots
-        # pivot any artificial still in the basis out on a real column
-        for i in np.nonzero(basis >= nv)[0]:
-            cand = np.nonzero(np.abs(T[i, :nv]) > TOL)[0]
-            if cand.size:
-                _pivot(T, basis, i, int(cand[0]))
-                pivots += 1
-        T[:, nv:ncols] = 0.0  # retire artificial columns
-    return "feasible", T, basis, nv, ncols, art_rows, flip, pivots
+    T = np.zeros((m + 1, 2 * n + m + 2))
+    T[:m, :n] = A
+    T[:m, n:2 * n] = -A
+    T[:m, 2 * n] = -1.0
+    T[:m, 2 * n + 1:-1] = np.eye(m)
+    T[:m, -1] = b
+    basis = 2 * n + 1 + np.arange(m)
+    if np.all(b >= 0.0):
+        return "optimal", T, basis, 0
+    # drive t into the basis on the most violated row: rhs becomes b - min(b)
+    T[-1, 2 * n] = 1.0
+    _pivot(T, basis, int(np.argmin(b)), 2 * n)
+    outcome, pivots = _iterate(T, basis, max_pivots, 1, value_cap)
+    return outcome, T, basis, pivots
 
 
-def _extract_x(T, basis, n):
+def _extract(T, basis, n):
+    """The point (x, t) of the current basis; nonbasic variables are 0."""
     x = np.zeros(n)
+    t = 0.0
     for i, j in enumerate(basis):
         if j < n:
             x[j] += T[i, -1]
         elif j < 2 * n:
             x[j - n] -= T[i, -1]
-    return x
+        elif j == 2 * n:
+            t = float(T[i, -1])
+    return x, t
+
+
+def _maximize(a, A, b, max_pivots, value_cap=None):
+    """Both phases for ``maximize a'x s.t. A x <= b``.
+
+    Returns (outcome, T, basis, pivots): "infeasible" when phase 1 leaves
+    t > TOL, else an outcome of _iterate on the phase-2 tableau, whose
+    objective is min -a'x.
+    """
+    n = A.shape[1]
+    outcome, T, basis, pivots = _phase_one(A, b, max_pivots)
+    if outcome == "iteration_limit":
+        return outcome, T, basis, pivots
+    if _extract(T, basis, n)[1] > TOL:
+        return "infeasible", T, basis, pivots
+    # a t still basic (at most TOL) leaves on a real column; then retire its
+    # column, so phase 2 never moves it
+    for i in np.nonzero(basis == 2 * n)[0]:
+        cand = np.nonzero(np.abs(T[i, :-1]) > TOL)[0]
+        cand = cand[cand != 2 * n]
+        if cand.size:
+            _pivot(T, basis, i, int(cand[0]))
+            pivots += 1
+    T[:, 2 * n] = 0.0
+    cost = np.zeros(T.shape[1] - 1)
+    cost[:n] = -a
+    cost[n:2 * n] = a
+    T[-1, :-1] = cost - cost[basis] @ T[:-1, :-1]
+    T[-1, -1] = -(cost[basis] @ T[:-1, -1])
+    outcome, pivots = _iterate(T, basis, max_pivots, pivots, value_cap)
+    return outcome, T, basis, pivots
 
 
 def solve_lp(problem, max_pivots=None):
     """Two-phase primal simplex for ``maximize c'x s.t. A x <= b``.
 
-    Returns a SolveStatus. On OPTIMAL the duals satisfy A'lam = c,
-    lam >= 0 and b'lam = value (strong duality).
+    Phase 1 is the auxiliary problem of min_violation. Returns a
+    SolveStatus. On OPTIMAL the duals, read off the reduced costs of the
+    slack columns, satisfy A'lam = c, lam >= 0 and b'lam = value (strong
+    duality).
     """
     c, A, b = problem.c, problem.A, problem.b
     m, n = A.shape
     if max_pivots is None:
         max_pivots = 50 * (m + n)
-
-    outcome, T, basis, nv, ncols, art_rows, flip, pivots = _phase_one(
-        A, b, max_pivots)
-    if outcome == "iteration_limit":
-        return SolveStatus(Status.ITERATION_LIMIT, iterations=pivots)
-    if outcome == "infeasible":
-        return SolveStatus(Status.INFEASIBLE, iterations=pivots)
-
-    # phase 2: minimize -c'x
-    cost = np.concatenate([-c, c, np.zeros(m + art_rows.size)])
-    T[-1, :ncols] = cost[:ncols] - cost[basis] @ T[:m, :ncols]
-    T[-1, -1] = -(cost[basis] @ T[:m, -1])
-    outcome, pivots = _iterate(T, basis, nv, max_pivots, pivots)
-    if outcome == "unbounded":
-        return SolveStatus(Status.UNBOUNDED, iterations=pivots)
-    if outcome == "iteration_limit":
-        return SolveStatus(Status.ITERATION_LIMIT, iterations=pivots)
-
-    x = _extract_x(T, basis, n)
-    value = float(c @ x)
-
-    # duals from the final basis: w solves B'w = cost_B, y = -w
-    Astd = np.hstack([A, -A, np.eye(m)])
-    B = np.empty((m, m))
-    for i, j in enumerate(basis):
-        if j < nv:
-            B[:, i] = Astd[:, j]
-        else:  # degenerate artificial: original column is +-e_row
-            B[:, i] = 0.0
-            B[art_rows[j - nv], i] = flip[art_rows[j - nv]]
-    try:
-        w = np.linalg.solve(B.T, cost[basis])
-        lam = -w
-        lam[np.abs(lam) < TOL] = 0.0
-    except np.linalg.LinAlgError:
-        lam = None
+    outcome, T, basis, pivots = _maximize(c, A, b, max_pivots)
+    if outcome != "optimal":
+        return SolveStatus(Status(outcome), iterations=pivots)
+    x, _ = _extract(T, basis, n)
+    lam = T[-1, 2 * n + 1:-1].copy()
+    lam[np.abs(lam) < TOL] = 0.0
     active = [int(i) for i in np.nonzero(np.abs(A @ x - b) <= 1e-7)[0]]
-    return SolveStatus(Status.OPTIMAL, x=x, value=value, active_set=active,
-                       lam=lam, iterations=pivots)
+    return SolveStatus(Status.OPTIMAL, x=x, value=float(c @ x),
+                       active_set=active, lam=lam, iterations=pivots)
 
 
 def support_value(a, A, b, stop_above=None, max_pivots=None):
@@ -289,34 +288,23 @@ def support_value(a, A, b, stop_above=None, max_pivots=None):
     m, n = A.shape
     if max_pivots is None:
         max_pivots = 50 * (m + n)
-
-    outcome, T, basis, nv, ncols, art_rows, flip, pivots = _phase_one(
-        A, b, max_pivots)
-    if outcome in ("iteration_limit", "infeasible"):
-        return outcome, None, None
-
-    cost = np.concatenate([-a, a, np.zeros(m + art_rows.size)])
-    T[-1, :ncols] = cost[:ncols] - cost[basis] @ T[:m, :ncols]
-    T[-1, -1] = -(cost[basis] @ T[:m, -1])
     cap = -stop_above if stop_above is not None else None
-    outcome, pivots = _iterate(T, basis, nv, max_pivots, pivots,
-                               value_cap=cap)
-    if outcome in ("unbounded", "iteration_limit"):
+    outcome, T, basis, _ = _maximize(a, A, b, max_pivots, value_cap=cap)
+    if outcome not in ("optimal", "cap"):
         return outcome, None, None
-    x = _extract_x(T, basis, n)
-    value = float(a @ x)
-    return ("above" if outcome == "cap" else "optimal"), value, x
+    x, _ = _extract(T, basis, n)
+    return ("above" if outcome == "cap" else "optimal"), float(a @ x), x
 
 
 def min_violation(A, b, x0=None, max_pivots=None):
-    """Minimize the worst constraint violation t over {(x, t) : A x - t <= b}.
+    """Minimize the worst constraint violation t >= 0 over
+    {(x, t) : A x - t <= b}.
 
-    This is the feasibility (phase-1 style) LP used for emptiness and OCP
-    feasibility queries: the polyhedron {A x <= b} is non-empty iff the
-    optimum satisfies t* <= tol. A feasible basis is available after a single
-    pivot (the t column entering on the most violated row), so no artificial
-    variables are needed. ``x0`` shifts the origin of the search, which warm
-    starts scans over families of related problems.
+    This is the feasibility LP used for emptiness and OCP feasibility
+    queries, and phase 1 of every other LP here: the polyhedron {A x <= b}
+    is non-empty iff the optimum satisfies t* <= tol. ``x0`` shifts the
+    origin of the search, which warm starts scans over families of related
+    problems.
 
     Returns (t_star, x, outcome); outcome "feasible" means the search was
     stopped early because t dropped below tol, in which case t_star is an
@@ -333,42 +321,11 @@ def min_violation(A, b, x0=None, max_pivots=None):
         b = b - A @ shift
     if np.all(b >= -TOL):
         return 0.0, shift.copy(), "feasible"
-
-    # columns: x+(n) x-(n) t+(1) t-(1) slacks(m+1); minimize t = t+ - t-.
-    # An extra row t >= -1 keeps the LP bounded on unbounded polyhedra; the
-    # early exit at t < tol fires long before the floor can bind.
-    mm = m + 1
-    nv = 2 * n + 2 + mm
-    T = np.zeros((mm + 1, nv + 1))
-    T[:m, :n] = A
-    T[:m, n:2 * n] = -A
-    T[:mm, 2 * n] = -1.0
-    T[:mm, 2 * n + 1] = 1.0
-    T[:mm, 2 * n + 2:nv] = np.eye(mm)
-    T[:m, -1] = b
-    T[m, -1] = 1.0
-    T[-1, 2 * n] = 1.0
-    T[-1, 2 * n + 1] = -1.0
-    basis = 2 * n + 2 + np.arange(mm)
-    # drive t into the basis on the most violated row: rhs becomes b - min(b)
-    _pivot(T, basis, int(np.argmin(b)), 2 * n)
-    outcome, pivots = _iterate(T, basis, nv, max_pivots, 1, value_cap=TOL)
-    x = np.zeros(n)
-    t = 0.0
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] += T[i, -1]
-        elif j < 2 * n:
-            x[j - n] -= T[i, -1]
-        elif j == 2 * n:
-            t += T[i, -1]
-        elif j == 2 * n + 1:
-            t -= T[i, -1]
-    if outcome == "cap":
-        return float(t), x + shift, "feasible"
-    if outcome == "optimal":
-        return float(t), x + shift, "optimal"
-    return np.inf, None, outcome
+    outcome, T, basis, _ = _phase_one(A, b, max_pivots, value_cap=TOL)
+    if outcome not in ("optimal", "cap"):
+        return np.inf, None, outcome
+    x, t = _extract(T, basis, n)
+    return t, x + shift, ("feasible" if outcome == "cap" else "optimal")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fgmpc.cli import ConfigError, ScenarioConfig, main
+from fgmpc.cli import ConfigError, ScenarioConfig, cmd_simulate, main
 from fgmpc.polytope import HPolyhedron
 
 
@@ -135,6 +135,35 @@ def test_simulate_governed_run(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 61
     assert rows[0][0] == "k"
+
+
+def test_failed_rename_keeps_existing_outputs(tmp_path, monkeypatch):
+    # a write whose final rename fails raises, leaves no temp file and
+    # leaves the file it would have replaced as it was
+    cfg = write_config(tmp_path, fig2_config(
+        kind="MPC+FG", x0=[-0.9], r=[0.7], budget=20))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    HPolyhedron.from_box([-1.0], [1.0]).write(str(out / "T.hrep"))
+    real_replace = os.replace
+    for name in ("T.hrep", "trajectory.csv", "metrics.txt"):
+        before = (out / name).read_bytes()
+
+        def refuse(src, dst, name=name):
+            if os.path.basename(dst) == name:
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            if name == "T.hrep":
+                HPolyhedron.from_box([-2.0], [2.0]).write(str(out / name))
+            else:
+                cmd_simulate(ScenarioConfig.from_file(cfg), str(out),
+                             quiet=True)
+        assert (out / name).read_bytes() == before, name
+        assert not list(out.glob("*.tmp")), name
 
 
 def test_simulate_outside_roa_exits_nonzero(tmp_path, capsys):

@@ -242,6 +242,8 @@ def test_n_star_monotone_trace(fig2):
     # worst violation shrinks (weakly) as the horizon grows
     assert all(b <= a + 1e-9 for a, b in zip(viols[1:-1], viols[2:]))
     assert viols[-1] <= 1e-8
+    # violations are read from the basic t row, never -0.0 or below zero
+    assert all(v >= 0.0 and math.copysign(1.0, v) > 0.0 for v in viols)
     # one entry per probe, sorted, bracketing the answer
     horizons = [h for h, _ in trace]
     assert all(a < b for a, b in zip(horizons, horizons[1:]))

@@ -1,8 +1,9 @@
 """LP/QP solver tests against independent oracles.
 
-The simplex is checked against brute-force vertex enumeration, the dual
+The simplex is checked against brute-force vertex enumeration and, where
+scipy is installed, against HiGHS on random and degenerate LPs; the dual
 active-set QP against Dykstra's alternating projection and a nested grid
-search, and both against their KKT systems at the advertised tolerances.
+search; and both against their KKT systems at the advertised tolerances.
 """
 
 import itertools
@@ -10,8 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fgmpc.solver import (LpProblem, QpProblem, Status, TOL, min_violation,
-                          solve_lp, solve_qp, support_value)
+from fgmpc.solver import (LpProblem, QpProblem, Status, TOL, _phase_one,
+                          min_violation, solve_lp, solve_qp, support_value)
 
 
 def lp_vertex_oracle(c, A, b):
@@ -227,6 +228,102 @@ def test_min_violation_warm_shift():
     t0, x0, _ = min_violation(A, b)
     t1, x1, out = min_violation(A, b, x0=x0)
     assert out == "feasible" and t1 <= TOL
+
+
+def degenerate_lp(rng):
+    """A small LP that is often degenerate, infeasible or unbounded: random
+    or integer rows, duplicated rows, and right-hand sides of either sign."""
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(1, 12))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        A = rng.normal(size=(m, n))
+        b = rng.normal(size=m)
+    else:
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-2, 3, size=m).astype(float)
+    if kind == 2:
+        dup = rng.integers(0, m, size=int(rng.integers(1, m + 1)))
+        A, b = np.vstack([A, A[dup]]), np.concatenate([b, b[dup]])
+    if kind == 3:
+        b = -np.abs(b)
+    return rng.normal(size=n), A, b
+
+
+def highs_min_violation(A, b):
+    """min t over {(x, t) : A x - t <= b, t >= -1} by HiGHS; the polyhedron
+    {A x <= b} is non-empty iff the minimum is <= 0. The bound on t keeps
+    the LP bounded, so the status of this LP, unlike that of a plain LP on
+    an unbounded polyhedron, is reliable."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = A.shape
+    res = linprog(np.r_[np.zeros(n), 1.0],
+                  A_ub=np.hstack([A, -np.ones((m, 1))]), b_ub=b,
+                  bounds=[(None, None)] * n + [(-1.0, None)], method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def highs_lp(c, A, b):
+    """(status, value) of max c'x s.t. A x <= b, with feasibility decided
+    by highs_min_violation and boundedness by the dual, A'lam = c, lam >= 0,
+    being feasible."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = A.shape
+    if highs_min_violation(A, b) > 1e-9:
+        return Status.INFEASIBLE, None
+    dual = linprog(np.zeros(m), A_eq=A.T, b_eq=c, bounds=(0.0, None),
+                   method="highs")
+    if dual.status == 2:
+        return Status.UNBOUNDED, None
+    assert dual.status == 0, dual.message
+    primal = linprog(-c, A_ub=A, b_ub=b, bounds=(None, None),
+                     method="highs")
+    assert primal.status == 0, primal.message
+    return Status.OPTIMAL, -primal.fun
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_lp_engine_matches_highs(seed):
+    rng = np.random.default_rng(seed)
+    for trial in range(300):
+        c, A, b = degenerate_lp(rng)
+        status, value = highs_lp(c, A, b)
+        res = solve_lp(LpProblem(c, A, b))
+        assert res.status is status, trial
+        out, val, _ = support_value(c, A, b)
+        assert out == status.value, trial
+        if status is Status.OPTIMAL:
+            tol = 1e-7 * (1.0 + abs(value))
+            assert abs(res.value - value) <= tol, trial
+            assert abs(val - value) <= tol, trial
+            check_lp_kkt(c, A, b, res)
+            assert abs(res.value - b @ res.lam) <= 1e-6, trial
+        t_ref = highs_min_violation(A, b)
+        t, x, out = min_violation(A, b)
+        assert np.max(A @ x - b) <= t + 1e-9, trial
+        if t_ref > 1e-9:
+            assert out == "optimal", trial
+            assert abs(t - t_ref) <= 1e-7 * (1.0 + t_ref), trial
+        else:
+            assert out in ("feasible", "optimal") and t <= TOL, trial
+
+
+def test_lp_auxiliary_column_left_basic():
+    # twice the zero row 0'x <= -5e-9 (feasible within TOL): its violation
+    # involves no x, so phase 1 ends with t basic at 5e-9, and the LP can
+    # only be solved after t is pivoted out and its column retired
+    A = np.vstack([np.zeros((2, 2)), np.eye(2), -np.eye(2)])
+    b = np.array([-5e-9, -5e-9, 1.0, 1.0, 1.0, 1.0])
+    _, T, basis, _ = _phase_one(A, b, 100)
+    assert 4 in basis and 0.0 < T[list(basis).index(4), -1] <= TOL
+    c = np.array([1.0, -2.0])
+    res = solve_lp(LpProblem(c, A, b))
+    np.testing.assert_allclose(res.x, [1.0, -1.0], atol=1e-12)
+    assert res.value == pytest.approx(3.0, abs=1e-12)
+    check_lp_kkt(c, A, b, res)
+    out, val, _ = support_value(c, A, b)
+    assert out == "optimal" and val == pytest.approx(3.0, abs=1e-12)
 
 
 def check_qp_kkt(p, res):
