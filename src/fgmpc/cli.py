@@ -10,8 +10,6 @@ fixture behind. Verbs: sets, simulate, compare, nstar.
 
 import argparse
 import concurrent.futures
-import csv
-import io
 import json
 import os
 import re
@@ -24,7 +22,7 @@ from fgmpc import governor
 from fgmpc.mpc import FeasibleSet, OcpDesign, condense, feasible_set, \
     n_star
 from fgmpc.plant import ConstraintSpec, LtiPlant, equilibrium_basis
-from fgmpc.polytope import HPolyhedron, write_atomic
+from fgmpc.polytope import HPolyhedron, write_atomic, write_csv
 from fgmpc.sim import KINDS, Scenario, SimulationError, audit_invariants, \
     metrics, run_closed_loop, write_trajectory_csv
 from fgmpc.synthesis import solve_dare, terminal_set
@@ -265,14 +263,6 @@ def _design(cfg, off, N):
                      cfg.Y)
 
 
-def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_atomic(path, buf.getvalue())
-
-
 def _format_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -351,8 +341,8 @@ def cmd_sets(cfg, out_dir, quiet=False):
     for name, poly in exports.items():
         poly.write(os.path.join(out_dir, name))
     for name, header, pts in csv_exports:
-        _write_csv(os.path.join(out_dir, name), header,
-                   [[repr(float(c)) for c in p] for p in pts])
+        write_csv(os.path.join(out_dir, name), header,
+                  [[repr(float(c)) for c in p] for p in pts])
     if not quiet:
         for name, poly in exports.items():
             print("{}: dim {}, {} rows".format(name, poly.dim, poly.nrows))
@@ -452,8 +442,7 @@ def cmd_compare(cfg, out_dir, quiet=False):
     slugs = ["{}_{}".format(i, re.sub(r"[^a-z0-9]+", "_",
                                       entry["kind"].lower()).strip("_"))
              for i, entry in enumerate(controllers)]
-    workers = int(os.environ.get("FGMPC_THREADS", "0")) \
-        or min(len(controllers), os.cpu_count() or 1)
+    workers = min(len(controllers), os.cpu_count() or 1)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
         rows = list(ex.map(
             lambda pair: _compare_one(cfg, off, pair[0], pair[1], out_dir,
@@ -489,7 +478,7 @@ def cmd_compare(cfg, out_dir, quiet=False):
             for row in ok_rows:
                 line += [repr(float(c)) for c in row["log"].z[k]]
             data.append(line)
-        _write_csv(os.path.join(out_dir, "compare_z.csv"), header, data)
+        write_csv(os.path.join(out_dir, "compare_z.csv"), header, data)
     if not quiet:
         print(text, end="")
     return 0 if all(row["ok"] for row in rows) else 1

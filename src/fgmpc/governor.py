@@ -16,7 +16,7 @@ the MPC.
 
 import numpy as np
 
-from fgmpc.polytope import HPolyhedron
+from fgmpc.polytope import DEFAULT_ROW_CAP, HPolyhedron
 from fgmpc.solver import QpProblem, Status, solve_qp
 
 
@@ -28,7 +28,10 @@ class GovernorProblem:
     """Offline governor data: Gamma_N, R_eps, and their joint set Lambda.
 
     Lambda = Gamma_N intersected with {(x, v) : v in R_eps}; the state
-    dimension is recovered from the two operand dimensions.
+    dimension is recovered from the two operand dimensions. problem is the
+    governor QP min ||v||^2 s.t. Lambda_v v <= Lambda.b, that is at x = 0
+    and r = 0, built once here; fg_step derives each step's instance from
+    it with problem.with_linear.
     """
 
     def __init__(self, gamma, R_eps):
@@ -48,14 +51,8 @@ class GovernorProblem:
             np.hstack([np.zeros((R_eps.nrows, self.n_x)), R_eps.A]),
             R_eps.b)
         self.Lambda = gamma_set.intersect(cylinder).remove_redundancy()
-
-    def slice_rows(self, x):
-        """Rows of the v-only problem at the measured state x."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.n_x:
-            raise ValueError("expected state of size {}".format(self.n_x))
-        A = self.Lambda.A
-        return A[:, self.n_x:], self.Lambda.b - A[:, :self.n_x] @ x
+        self.problem = QpProblem(2.0 * np.eye(self.n_v), np.zeros(self.n_v),
+                                 self.Lambda.A[:, self.n_x:], self.Lambda.b)
 
 
 class GovernorState:
@@ -67,14 +64,12 @@ class GovernorState:
         self.record = None
 
 
-def _closest_in_rows(A_v, rhs, r, state=None,
-                     message="state outside governed ROA"):
-    r = np.asarray(r, dtype=float).ravel()
-    n_v = A_v.shape[1]
+def _closest(problem, state=None, message="state outside governed ROA"):
+    """Solve the distance QP problem (Hessian 2I, f = -2r), warm started
+    from and recorded into state when given, and return its minimizer."""
     warm = None
     if state is not None and state.record is not None:
         warm = state.record.active_set
-    problem = QpProblem(2.0 * np.eye(n_v), -2.0 * r, A_v, rhs)
     st = solve_qp(problem, warm_start=warm)
     if st.status == Status.INFEASIBLE:
         raise RoaError(message)
@@ -87,6 +82,12 @@ def _closest_in_rows(A_v, rhs, r, state=None,
     return st.x.copy()
 
 
+def _distance_qp(A_v, rhs, r):
+    """min ||v - r||^2 s.t. A_v v <= rhs, up to the constant ||r||^2."""
+    f = -2.0 * np.asarray(r, dtype=float)
+    return QpProblem(2.0 * np.eye(A_v.shape[1]), f, A_v, rhs)
+
+
 def fg_step(gp, x, r, state=None):
     """One feasibility-governor step: the admissible reference closest to r.
 
@@ -94,8 +95,12 @@ def fg_step(gp, x, r, state=None):
     in Lambda the result is r* itself (the governor does not interfere).
     The optional state carries the previous active set as a warm start.
     """
-    A_v, rhs = gp.slice_rows(x)
-    return _closest_in_rows(A_v, rhs, r, state=state)
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != gp.n_x:
+        raise ValueError("expected state of size {}".format(gp.n_x))
+    rhs = gp.Lambda.b - gp.Lambda.A[:, :gp.n_x] @ x
+    f = -2.0 * np.asarray(r, dtype=float)
+    return _closest(gp.problem.with_linear(f, rhs), state=state)
 
 
 def cg_step(T, R_eps, x, r, state=None):
@@ -108,19 +113,16 @@ def cg_step(T, R_eps, x, r, state=None):
         raise ValueError("expected state of size {}".format(T.n_x))
     A_v = np.vstack([T.T_v, R_eps.A])
     rhs = np.concatenate([T.c - T.T_x @ x, R_eps.b])
-    return _closest_in_rows(A_v, rhs, r, state=state)
+    return _closest(_distance_qp(A_v, rhs, r), state=state)
 
 
 def r_star(R_eps, r):
     """Projection of the target onto the admissible reference set; the
     value the governed reference converges to in finite time."""
-    return _closest_in_rows(R_eps.A, R_eps.b, r,
-                            message="admissible reference set is empty")
+    return _closest(_distance_qp(R_eps.A, R_eps.b, r),
+                    message="admissible reference set is empty")
 
 
-def roa(gp, row_cap=None):
+def roa(gp, row_cap=DEFAULT_ROW_CAP):
     """Governed region of attraction: the projection of Lambda onto x."""
-    keep = list(range(gp.n_x))
-    if row_cap is None:
-        return gp.Lambda.project(keep)
-    return gp.Lambda.project(keep, row_cap=row_cap)
+    return gp.Lambda.project(list(range(gp.n_x)), row_cap=row_cap)

@@ -20,30 +20,13 @@ feasible horizon search.
 import numpy as np
 
 from fgmpc.plant import equilibrium_basis
-from fgmpc.polytope import HPolyhedron
-from fgmpc.solver import TOL, QpProblem, Status, min_violation, solve_qp
+from fgmpc.polytope import DEFAULT_ROW_CAP, HPolyhedron
+from fgmpc.solver import TOL, QpProblem, Status, check_weight, \
+    min_violation, solve_qp
 
 
 class OcpInfeasibleError(RuntimeError):
     """The optimal control problem has no solution at the queried (x, v)."""
-
-
-def _symmetric_weight(M, name, dim, semidefinite):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape != (dim, dim):
-        raise ValueError("{} must be {}x{}, got {}x{}".format(
-            name, dim, dim, M.shape[0], M.shape[1]))
-    if np.max(np.abs(M - M.T), initial=0.0) > 1e-10:
-        raise ValueError("{} must be symmetric".format(name))
-    if semidefinite:
-        if np.linalg.eigvalsh(M)[0] < -1e-10:
-            raise ValueError("{} must be positive semidefinite".format(name))
-    else:
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise ValueError("{} must be positive definite".format(name))
-    return M
 
 
 class OcpDesign:
@@ -59,13 +42,13 @@ class OcpDesign:
         if self.N < 1:
             raise ValueError("horizon N must be at least 1")
         n_x = T.n_x
-        self.Q = _symmetric_weight(Q, "Q", n_x, semidefinite=True)
-        self.P = _symmetric_weight(P, "P", n_x, semidefinite=True)
+        self.Q, _ = check_weight(Q, "Q", n_x, semidefinite=True)
+        self.P, _ = check_weight(P, "P", n_x, semidefinite=True)
         self.K = np.atleast_2d(np.asarray(K, dtype=float))
         if self.K.shape[1] != n_x:
             raise ValueError("K must have {} columns".format(n_x))
         n_u = self.K.shape[0]
-        self.R = _symmetric_weight(R, "R", n_u, semidefinite=False)
+        self.R, _ = check_weight(R, "R", n_u)
         self.T = T
         self.Y = Y
         for M in (self.Q, self.R, self.P, self.K):
@@ -79,8 +62,11 @@ class CondensedQp:
 
         min 0.5 mu' H mu + (W theta)' mu   s.t.  M mu <= b - L theta,
 
-    with H positive definite. Immutable; concurrent solves on the same
-    object are safe because each solve owns its workspace.
+    with H positive definite. problem is that QP at theta = 0, built once
+    here; each control step derives its instance with problem.with_linear,
+    so H is validated and factorized only at construction. Immutable;
+    concurrent solves on the same object are safe because each solve owns
+    its workspace.
     """
 
     def __init__(self, H, W, M, L, b, n_x, n_u, n_v, design):
@@ -95,6 +81,7 @@ class CondensedQp:
         self.design = design
         for arr in (self.H, self.W, self.M, self.L, self.b):
             arr.setflags(write=False)
+        self.problem = QpProblem(H, np.zeros(H.shape[0]), M, b)
 
     @property
     def N(self):
@@ -191,7 +178,7 @@ def mpc_feedback(qp, x, v, warm_start=None):
         raise ValueError("expected state of size {} and reference of size "
                          "{}".format(qp.n_x, qp.n_v))
     theta = np.concatenate([x, v])
-    problem = QpProblem(qp.H, qp.W @ theta, qp.M, qp.b - qp.L @ theta)
+    problem = qp.problem.with_linear(qp.W @ theta, qp.b - qp.L @ theta)
     st = solve_qp(problem, warm_start=warm_start)
     if st.status == Status.INFEASIBLE:
         raise OcpInfeasibleError(
@@ -203,7 +190,7 @@ def mpc_feedback(qp, x, v, warm_start=None):
     return st.x[:qp.n_u].copy(), st
 
 
-def feasible_set(qp, row_cap=None):
+def feasible_set(qp, row_cap=DEFAULT_ROW_CAP):
     """Project the condensed polytope {(mu, theta) : M mu + L theta <= b}
     onto theta, returning the explicit feasible set in minimal H-rep (the
     prune after the last of the N * n_u >= 1 eliminations leaves it
@@ -211,11 +198,7 @@ def feasible_set(qp, row_cap=None):
     N, n_u = qp.N, qp.n_u
     stacked = HPolyhedron(np.hstack([qp.M, qp.L]), qp.b)
     keep = list(range(N * n_u, N * n_u + qp.n_x + qp.n_v))
-    if row_cap is None:
-        projected = stacked.project(keep)
-    else:
-        projected = stacked.project(keep, row_cap=row_cap)
-    return FeasibleSet(projected, N)
+    return FeasibleSet(stacked.project(keep, row_cap=row_cap), N)
 
 
 class _HorizonOracle:

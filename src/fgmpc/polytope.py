@@ -13,6 +13,8 @@ certificate is confirmed by a further LP only when the ray that found it
 hit a lower-dimensional face, the one case where it may be tangent.
 """
 
+import csv
+import io
 import os
 import tempfile
 
@@ -52,6 +54,15 @@ def write_atomic(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write a header line and the rows as CSV to path, atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
 
 
 class HPolyhedron:

@@ -12,8 +12,6 @@ is a safety violation, never an expected outcome.
 """
 
 import collections
-import csv
-import io
 import platform
 import time
 
@@ -23,7 +21,7 @@ from fgmpc import governor
 from fgmpc.mpc import OcpInfeasibleError, condense, feasible_set, \
     mpc_feedback
 from fgmpc.plant import equilibrium_basis
-from fgmpc.polytope import write_atomic
+from fgmpc.polytope import write_csv
 
 KINDS = ("MPC", "MPC+FG", "MPC+CG(LQR)")
 
@@ -122,9 +120,10 @@ def run_closed_loop(sc, qp=None, gp=None):
     outside Gamma_N (plain MPC).
     """
     plant = sc.plant
-    em = equilibrium_basis(plant)
-    if sc.kind in ("MPC", "MPC+FG") and qp is None:
-        qp = condense(plant, sc.design, em)
+    if sc.kind == "MPC+CG(LQR)":
+        em = equilibrium_basis(plant)
+    elif qp is None:
+        qp = condense(plant, sc.design)
     if sc.kind == "MPC+FG" and gp is None:
         gp = governor.GovernorProblem(feasible_set(qp), sc.spec.R_eps)
 
@@ -145,18 +144,14 @@ def run_closed_loop(sc, qp=None, gp=None):
     for k in range(n):
         if sc.kind == "MPC":
             v = sc.r
-        elif sc.kind == "MPC+FG":
-            tic = time.perf_counter()
-            try:
-                v = governor.fg_step(gp, x, sc.r, state=gov_state)
-            except governor.RoaError as err:
-                raise SimulationError(k, err) from err
-            t_fg[k] = time.perf_counter() - tic
         else:
             tic = time.perf_counter()
             try:
-                v = governor.cg_step(sc.design.T, sc.spec.R_eps, x, sc.r,
-                                     state=gov_state)
+                if sc.kind == "MPC+FG":
+                    v = governor.fg_step(gp, x, sc.r, state=gov_state)
+                else:
+                    v = governor.cg_step(sc.design.T, sc.spec.R_eps, x,
+                                         sc.r, state=gov_state)
             except governor.RoaError as err:
                 raise SimulationError(k, err) from err
             t_fg[k] = time.perf_counter() - tic
@@ -308,14 +303,12 @@ def write_trajectory_csv(log, path):
                       ("z", log.z), ("v", log.v)):
         header += ["{}[{}]".format(name, j) for j in range(arr.shape[1])]
     header += ["V", "t_fg_us", "t_mpc_us"]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
+    rows = []
     for k in range(log.n_steps):
         row = [k]
         for arr in (log.x, log.u, log.y, log.z, log.v):
             row += [repr(float(val)) for val in arr[k]]
         row += [repr(float(log.V[k])), repr(float(log.t_fg[k] * 1e6)),
                 repr(float(log.t_mpc[k] * 1e6))]
-        writer.writerow(row)
-    write_atomic(path, buf.getvalue())
+        rows.append(row)
+    write_csv(path, header, rows)

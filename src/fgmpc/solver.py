@@ -13,6 +13,7 @@ while solve_lp and support_value go on to phase 2 from the basis it
 leaves. solve_lp reads its duals off the final tableau.
 """
 
+import copy
 import enum
 
 import numpy as np
@@ -81,29 +82,67 @@ class LpProblem:
             raise ValueError("LP data must be finite")
 
 
+def check_weight(M, name, dim, semidefinite=False):
+    """Validate a dim x dim weight: symmetric, and positive definite or,
+    with semidefinite, positive semidefinite. Returns the float matrix and
+    its lower Cholesky factor (None for a semidefinite weight)."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape != (dim, dim):
+        raise ValueError("{} must be {}x{}, got {}x{}".format(
+            name, dim, dim, M.shape[0], M.shape[1]))
+    if np.max(np.abs(M - M.T), initial=0.0) > 1e-10:
+        raise ValueError("{} must be symmetric".format(name))
+    if semidefinite:
+        if np.linalg.eigvalsh(M)[0] < -1e-10:
+            raise ValueError("{} must be positive semidefinite".format(name))
+        return M, None
+    try:
+        return M, np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ValueError("{} must be positive definite".format(name))
+
+
 class QpProblem:
-    """minimize 0.5 x'H x + f'x subject to A x <= b, with H symmetric PD."""
+    """minimize 0.5 x'H x + f'x subject to A x <= b, with H symmetric PD.
+
+    H and A are validated once, here, together with what every solve
+    needs of them: J = inv(L)' for the Cholesky factor L of H, and the row
+    norms of A with the rows they scale. These arrays are read-only and
+    shared by every problem that with_linear derives, so a loop that only
+    changes f and b never factorizes H again.
+    """
 
     def __init__(self, H, f, A, b):
-        self.H = np.atleast_2d(np.asarray(H, dtype=float))
         self.f = np.asarray(f, dtype=float).ravel()
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         n = self.f.size
-        if self.H.shape != (n, n):
-            raise ValueError("H must be {}x{}".format(n, n))
-        if self.A.size and self.A.shape[1] != n:
+        H, L = check_weight(H, "H", n)
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if A.shape[1] != n:
             raise ValueError("constraint matrix has {} columns, expected {}"
-                             .format(self.A.shape[1], n))
-        if self.A.shape[0] != self.b.size:
+                             .format(A.shape[1], n))
+        if A.shape[0] != self.b.size:
             raise ValueError("A has {} rows but b has {} entries"
-                             .format(self.A.shape[0], self.b.size))
-        if np.max(np.abs(self.H - self.H.T), initial=0.0) > 1e-10:
-            raise ValueError("H is not symmetric")
-        try:
-            np.linalg.cholesky(self.H)
-        except np.linalg.LinAlgError:
-            raise ValueError("H is not positive definite")
+                             .format(A.shape[0], self.b.size))
+        # read-only views, so the caller's arrays keep their flags
+        self.H, self.A = H.view(), A.view()
+        self.J = np.linalg.inv(L).T  # J J' = H^{-1}
+        self.norms = np.linalg.norm(A, axis=1)
+        self.norms[self.norms < 1e-300] = 1.0
+        self.A_scaled = A / self.norms[:, None]
+        for arr in (self.H, self.A, self.J, self.norms, self.A_scaled):
+            arr.setflags(write=False)
+
+    def with_linear(self, f, b):
+        """The same problem with linear term f and right-hand side b,
+        sharing the validated H and A data; only the sizes are checked."""
+        problem = copy.copy(self)
+        problem.f = np.asarray(f, dtype=float).ravel()
+        problem.b = np.asarray(b, dtype=float).ravel()
+        if (problem.f.size, problem.b.size) != (self.f.size, self.b.size):
+            raise ValueError("f and b must keep their sizes {} and {}"
+                             .format(self.f.size, self.b.size))
+        return problem
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +426,15 @@ def _drop_constraint(J, R, Rinv, q, k):
 
 
 def solve_qp(problem, warm_start=None, max_iterations=None):
-    """Dual active-set method for strictly convex QPs.
+    """Dual active-set method for strictly convex QPs (Goldfarb-Idnani).
 
     Starts from the unconstrained minimum and adds violated constraints one
     at a time, taking dual steps (dropping blocking constraints) whenever a
-    full primal step is blocked. The Cholesky-based factorization of the
-    active-constraint normals is updated incrementally by Givens rotations
-    as constraints enter and leave the active set.
+    full primal step is blocked. The factor J = inv(L)' of H comes from
+    the problem, computed once at its construction; each solve rotates a
+    copy of it. An added constraint is folded into J and the triangular
+    factor R of the active normals by one Householder reflection; Givens
+    rotations re-triangularize R only when a constraint is dropped.
 
     warm_start, when given, is a sequence of constraint indices tried first
     when choosing the violated constraint to add; with few active-set
@@ -406,21 +447,13 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     if max_iterations is None:
         max_iterations = 50 * (m + n) + 10
 
-    L = np.linalg.cholesky(H)
     x = -np.linalg.solve(H, f)
-    if m == 0:
-        val = 0.5 * x @ H @ x + f @ x
-        return SolveStatus(Status.OPTIMAL, x=x, value=float(val),
-                           active_set=[], lam=np.zeros(0), iterations=0)
-
     # row scaling makes the violation comparison scale-free
-    norms = np.linalg.norm(A, axis=1)
-    norms[norms < 1e-300] = 1.0
+    norms, As = problem.norms, problem.A_scaled
     inv_norms = 1.0 / norms
-    As = A / norms[:, None]
     bs = b / norms
 
-    J = np.linalg.inv(L).T.copy()  # J J' = H^{-1}
+    J = problem.J.copy()  # rotated in place by the updates below
     R = np.zeros((n, n))
     Rinv = np.zeros((n, n))  # inverse of the active R block, kept in step
     active = []

@@ -11,6 +11,7 @@ determined.
 import numpy as np
 
 from fgmpc.polytope import HPolyhedron
+from fgmpc.solver import check_weight
 
 _ASSUMPTION_TOL = 1e-8
 _DARE_RESIDUAL = 1e-8
@@ -28,11 +29,6 @@ class RiccatiSolution:
         self.K.setflags(write=False)
 
 
-def _check_symmetric(M, name):
-    if np.max(np.abs(M - M.T), initial=0.0) > 1e-10:
-        raise ValueError("{} must be symmetric".format(name))
-
-
 def solve_dare(A, B, Q, R, max_iterations=_DARE_CAP):
     """Fixed-point solution of P = Q + A'PA - (A'PB)(R + B'PB)^{-1}(B'PA).
 
@@ -43,18 +39,9 @@ def solve_dare(A, B, Q, R, max_iterations=_DARE_CAP):
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     n = A.shape[0]
-    _check_symmetric(Q, "Q")
-    _check_symmetric(R, "R")
-    q_eigs = np.linalg.eigvalsh(Q)
-    if q_eigs[0] < -1e-10:
-        raise ValueError("Q must be positive semidefinite")
-    try:
-        np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        raise ValueError("R must be positive definite")
+    Q, _ = check_weight(Q, "Q", n, semidefinite=True)
+    R, _ = check_weight(R, "R", B.shape[1])
     # detectability of (A, Q): no unobservable mode on/outside the circle
     Qh = _psd_sqrt(Q)
     for lam in np.linalg.eigvals(A):

@@ -1,6 +1,7 @@
 """Closed-loop simulator, metrics report, and invariant audits, checked
 against hand-built logs, fault injection, and randomized governed runs."""
 
+import collections
 import csv
 
 import numpy as np
@@ -193,3 +194,19 @@ def test_trajectory_csv_roundtrip(tmp_path, fig2, fig2_gov):
     np.testing.assert_array_equal(data[:, 2], log.u[:, 0])
     np.testing.assert_array_equal(data[:, 6], log.v[:, 0])
     np.testing.assert_array_equal(data[:, 8], log.t_fg * 1e6)
+
+
+def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
+    """With prebuilt qp and gp, no control step validates or factorizes a
+    Hessian: both QPs were factorized when qp and gp were built."""
+    sc = make_scenario(fig2, 2, "MPC+FG", [-0.9], [0.7], 100)
+    calls = collections.Counter()
+    for name in ("cholesky", "inv"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    log = run_closed_loop(sc, qp=fig2_gov["qp"], gp=fig2_gov["gp"])
+    assert log.n_steps == 100
+    assert calls["cholesky"] == 0 and calls["inv"] == 0

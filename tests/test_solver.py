@@ -480,3 +480,68 @@ def test_qp_warm_start_shortens_path():
     hot = solve_qp(p, warm_start=cold.active_set)
     assert hot.iterations <= cold.iterations
     np.testing.assert_allclose(hot.x, cold.x, atol=1e-10)
+
+
+def assert_same_solve(a, b):
+    assert a.status is b.status
+    np.testing.assert_array_equal(a.x, b.x)
+    assert a.active_set == b.active_set
+    np.testing.assert_array_equal(a.lam, b.lam)
+    assert a.iterations == b.iterations
+
+
+def test_qp_with_linear_matches_fresh_problem():
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        n = int(rng.integers(2, 6))
+        base = random_qp(rng, n, int(rng.integers(1, 6)))
+        prev = solve_qp(base)
+        f = rng.normal(size=n) * 3.0
+        b = base.b + rng.uniform(0.0, 0.5, size=base.b.size)
+        derived = base.with_linear(f, b)
+        fresh = QpProblem(base.H, f, base.A, b)
+        for warm in (None, prev.active_set):
+            assert_same_solve(solve_qp(derived, warm_start=warm),
+                              solve_qp(fresh, warm_start=warm))
+
+
+def test_qp_with_linear_keeps_sizes():
+    p = random_qp(np.random.default_rng(43), 3, 2)
+    with pytest.raises(ValueError, match="sizes"):
+        p.with_linear(np.zeros(4), p.b)
+    with pytest.raises(ValueError, match="sizes"):
+        p.with_linear(p.f, p.b[:-1])
+
+
+def test_qp_cached_factor_is_read_only_and_unchanged_by_solves():
+    rng = np.random.default_rng(47)
+    H_in = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    p = QpProblem(H_in, rng.normal(size=3) * 5.0,
+                  np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))]),
+                  np.full(10, 0.2))
+    assert H_in.flags.writeable  # the caller's array keeps its flags
+    cached = (p.H, p.A, p.J, p.norms, p.A_scaled)
+    before = [arr.copy() for arr in cached]
+    np.testing.assert_allclose(p.J @ p.J.T, np.linalg.inv(H_in), atol=1e-12)
+    first = solve_qp(p)
+    assert first.status is Status.OPTIMAL and first.active_set
+    assert_same_solve(solve_qp(p), first)
+    for arr, snap in zip(cached, before):
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, snap)
+    derived = p.with_linear(-p.f, p.b)
+    assert all(a is b for a, b in zip(
+        (derived.H, derived.A, derived.J, derived.norms, derived.A_scaled),
+        cached))
+
+
+def test_qp_without_constraints():
+    p = QpProblem(np.diag([2.0, 4.0]), [-2.0, -4.0], np.zeros((0, 2)),
+                  np.zeros(0))
+    res = solve_qp(p)
+    assert res.status is Status.OPTIMAL
+    np.testing.assert_array_equal(res.x, [1.0, 1.0])
+    assert res.value == -3.0
+    assert res.lam.shape == (0,)
+    assert res.active_set == []
+    assert res.iterations == 0
