@@ -57,11 +57,13 @@ class GovernorProblem:
 
 class GovernorState:
     """Carries the applied reference and the last solve record between
-    steps of one control loop (used to warm start the next solve)."""
+    steps of one control loop (used to warm start the next solve), and
+    the command-governor QP that cg_step builds on its first step."""
 
     def __init__(self, v=None):
         self.v = None if v is None else np.asarray(v, dtype=float).ravel()
         self.record = None
+        self.cg_problem = None  # (T, R_eps, QpProblem) of cg_step
 
 
 def _closest(problem, state=None, message="state outside governed ROA"):
@@ -107,13 +109,23 @@ def cg_step(T, R_eps, x, r, state=None):
     """Command-governor baseline: same projection, over the terminal set.
 
     The admissible pairs are (x, v) in T with v in R_eps; the paired
-    control law is the terminal LQR law rather than the MPC."""
+    control law is the terminal LQR law rather than the MPC. Its rows
+    vstack([T.T_v, R_eps.A]) do not depend on x or r, so the QP is built
+    once per state (once per control loop) and each step derives its
+    instance with with_linear, as fg_step does.
+    """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != T.n_x:
         raise ValueError("expected state of size {}".format(T.n_x))
-    A_v = np.vstack([T.T_v, R_eps.A])
     rhs = np.concatenate([T.c - T.T_x @ x, R_eps.b])
-    return _closest(_distance_qp(A_v, rhs, r), state=state)
+    cached = None if state is None else state.cg_problem
+    if cached is None or cached[0] is not T or cached[1] is not R_eps:
+        A_v = np.vstack([T.T_v, R_eps.A])
+        cached = (T, R_eps, _distance_qp(A_v, rhs, np.zeros(A_v.shape[1])))
+        if state is not None:
+            state.cg_problem = cached
+    f = -2.0 * np.asarray(r, dtype=float)
+    return _closest(cached[2].with_linear(f, rhs), state=state)
 
 
 def r_star(R_eps, r):

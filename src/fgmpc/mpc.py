@@ -205,7 +205,8 @@ class _HorizonOracle:
     """Constraint rows M mu + L theta <= b of every horizon up to cap, from
     per-lag blocks computed once. condense takes the rows of its horizon;
     n_star and ocp_feasible solve one feasibility LP per probed horizon,
-    which only assembles its rows.
+    which only assembles its rows. feasible keeps the rows of the last
+    horizon it assembled, so repeated queries at one horizon reuse them.
 
     Row block i = 0..h-1 constrains the output at step i, whose input mu_j
     (j < i) enters through YaC A^(i-1-j) B; the terminal block at step h
@@ -221,6 +222,7 @@ class _HorizonOracle:
         self.YG = [YaC @ Gk for Gk in self.G]
         self.TG = [T.T_x @ Gk for Gk in self.G]
         self.YA = [YaC @ Ai for Ai in self.Apow[:cap]]
+        self._last = (None, None)  # (h, (M, L, b)) of the last feasible
 
     def assemble(self, h):
         """(M, L, b) of horizon h: output blocks i = 0..h-1 first, terminal
@@ -252,7 +254,10 @@ class _HorizonOracle:
             margin = float(np.max(self.T.set_xv.A @ theta - self.T.c,
                                   initial=0.0))
             return margin <= TOL, np.zeros(0), margin
-        M, L, b = self.assemble(h)
+        last = self._last
+        if last[0] != h:
+            last = self._last = (h, self.assemble(h))
+        M, L, b = last[1]
         t, mu, outcome = min_violation(M, b - L @ theta, x0=mu0)
         if outcome not in ("feasible", "optimal"):
             raise RuntimeError(
@@ -260,14 +265,29 @@ class _HorizonOracle:
         return t <= TOL, mu, t
 
 
+# (plant, design, horizon, oracle) of the last ocp_feasible call
+_ocp_memo = (None, None, None, None)
+
+
 def ocp_feasible(plant, design, x, v, horizon):
     """Feasibility of the horizon-specific problem at (x, v) by a direct
-    phase-1 LP (horizon 0 reduces to terminal-set membership)."""
+    phase-1 LP (horizon 0 reduces to terminal-set membership).
+
+    The rows are built once per (plant, design, horizon): the oracle of
+    the last call is kept, keyed on the identity of the plant and the
+    design (both are treated as immutable), so a scan over many points
+    assembles them once.
+    """
+    global _ocp_memo
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     x = np.asarray(x, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    oracle = _HorizonOracle(plant, design, max(horizon, 1))
+    memo_plant, memo_design, memo_horizon, oracle = _ocp_memo
+    if (memo_plant is not plant or memo_design is not design
+            or memo_horizon != horizon):
+        oracle = _HorizonOracle(plant, design, max(horizon, 1))
+        _ocp_memo = (plant, design, horizon, oracle)
     ok, _, _ = oracle.feasible(horizon, x, v)
     return ok
 

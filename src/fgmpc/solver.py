@@ -6,11 +6,14 @@ active-set method for strictly convex quadratic programs (minimize
 0.5 x'H x + f'x subject to A x <= b). Both are self-contained on top of
 numpy and are re-entrant: every solve owns its workspace.
 
-The three LP entry points share one simplex driver. Phase 1 of every LP
-is the worst-violation problem min t s.t. A x - t <= b, t >= 0, with a
-single auxiliary column t; min_violation is that problem on its own,
-while solve_lp and support_value go on to phase 2 from the basis it
-leaves. solve_lp reads its duals off the final tableau.
+The three LP entry points share one simplex driver on a short tableau:
+one row per constraint plus the objective row, and one column per
+nonbasic variable (n free x, the auxiliary t) plus the right-hand side,
+so a tall LP (m >> n) never carries an m x m slack block. Phase 1 of
+every LP is the worst-violation problem min t s.t. A x - t <= b, t >= 0;
+min_violation is that problem on its own, while solve_lp and
+support_value go on to phase 2 from the basis it leaves. solve_lp reads
+its duals off the final tableau.
 """
 
 import copy
@@ -149,32 +152,46 @@ class QpProblem:
 # Simplex engine
 # ---------------------------------------------------------------------------
 #
-# One tableau serves every LP: one row per constraint plus an objective row,
-# and the columns x+ (n), x- (n), t (1), slacks (m) and the right-hand side.
-# The auxiliary column t has coefficient -1 on every row, so the tableau
-# holds A x - t <= b. Phase 1 minimizes t >= 0 over it: a single pivot of t
-# on the most violated row gives a feasible basis, and {A x <= b} is
-# non-empty iff the minimum is 0. Phase 2 retires t and optimizes the real
-# objective from the basis phase 1 left. Pivoting is a dense rank-1 update.
-# Entering column: Dantzig rule, switching to Bland's rule after a streak of
-# degenerate pivots so cycling terminates.
+# Every LP runs on one short (condensed) tableau of the system
+# A x - t + s = b, with x free (n), the auxiliary t >= 0 and one slack
+# s_i >= 0 per row. It keeps one row per constraint plus the objective row,
+# but only the n + 1 nonbasic columns and the right-hand side. Two label
+# arrays name the variables: basis (one per row) and nonbasic (one per
+# column), with labels x_j = j, t = n and s_i = n + 1 + i. Row i reads
+# basis[i] = T[i, -1] - sum_j T[i, j] nonbasic[j]; the objective row holds
+# the reduced costs and minus the objective value.
+#
+# The t column has -1 on every row. Phase 1 minimizes t over it: a single
+# pivot of t on the most violated row gives a feasible basis, and
+# {A x <= b} is non-empty iff the minimum is 0. Phase 2 retires t (zeroes
+# its column) and optimizes the real objective from the basis phase 1
+# left. A nonbasic x_j may enter in either direction, ranked by |d_j|; a
+# basic x_j never leaves, so x passes through zero in one exchange. An
+# exchange is a dense rank-1 update of the (m + 1) x (n + 2) tableau.
+# Entering column: Dantzig rule, switching to Bland's rule after a streak
+# of degenerate pivots so cycling terminates. Both take the first of tied
+# candidates in the order x_j upwards (by j), x_j downwards, t, slacks.
+# The leaving row is the one with the smallest basis label among tied
+# ratios.
 
 _DEGENERATE_STREAK = 12
 
 
-def _pivot(T, basis, row, col):
+def _pivot(T, basis, nonbasic, row, col):
+    """Exchange the basic variable of row with the nonbasic one of col."""
     piv = T[row, col]
-    T[row] = T[row] / piv
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+    T[row] /= piv
+    T -= colvals[:, None] * T[row]
+    np.multiply(colvals, -1.0 / piv, out=T[:, col])
+    T[row, col] = 1.0 / piv
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _iterate(T, basis, max_pivots, pivots_done, value_cap=None):
-    """Run simplex pivots on tableau T (minimization, objective in last row).
+def _iterate(T, basis, nonbasic, max_pivots, pivots_done, value_cap=None):
+    """Run simplex exchanges on the short tableau T (minimization,
+    objective in the last row).
 
     Returns (outcome, pivots) with outcome one of "optimal", "unbounded",
     "iteration_limit", "cap". The current objective value is -T[-1, -1].
@@ -182,32 +199,43 @@ def _iterate(T, basis, max_pivots, pivots_done, value_cap=None):
     it (used for feasibility checks and bound tests).
     """
     m = T.shape[0] - 1
+    n = T.shape[1] - 2
+    free = nonbasic < n  # nonbasic x columns, which enter either way
+    n_free = int(np.count_nonzero(free))
+    bounded = basis >= n  # rows whose basic variable may leave
+    red, rhs = T[-1, :-1], T[:m, -1]  # views, kept current by _pivot
     pivots = pivots_done
     degen = 0
     use_bland = False
     while True:
         if value_cap is not None and -T[-1, -1] < value_cap:
             return "cap", pivots
-        red = T[-1, :-1]
+        score = np.where(free, -np.abs(red), red) if n_free else red
         if use_bland:
-            neg = np.nonzero(red < -TOL)[0]
-            if neg.size == 0:
+            cand = (score < -TOL).nonzero()[0]
+            if cand.size == 0:
                 return "optimal", pivots
-            col = int(neg[0])
         else:
-            col = int(np.argmin(red))
-            if red[col] >= -TOL:
+            col = int(score.argmin())
+            if score[col] >= -TOL:
                 return "optimal", pivots
-        colvals = T[:m, col]
-        pos = colvals > TOL
-        if not np.any(pos):
+            cand = (score == score[col]).nonzero()[0]
+        if cand.size > 1:
+            # the first in the order x_j upwards, x_j downwards, t, slacks
+            up = free[cand] & (red[cand] < 0.0)
+            col = int(cand[(nonbasic[cand] + n * ~up).argmin()])
+        else:
+            col = int(cand[0])
+        # the column of the entering variable in its improving direction
+        colvals = T[:m, col] if red[col] < 0.0 else -T[:m, col]
+        rows = ((colvals > TOL) & bounded).nonzero()[0]
+        if rows.size == 0:
             return "unbounded", pivots
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / colvals[pos]
+        ratios = rhs[rows] / colvals[rows]
         rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + TOL)[0]
+        ties = rows[ratios <= rmin + TOL]
         # deterministic leaving choice: smallest basis label among ties
-        row = int(ties[np.argmin(basis[ties])])
+        row = int(ties[basis[ties].argmin()])
         if rmin <= TOL:
             degen += 1
             if degen >= _DEGENERATE_STREAK:
@@ -215,97 +243,105 @@ def _iterate(T, basis, max_pivots, pivots_done, value_cap=None):
         else:
             degen = 0
             use_bland = False
-        _pivot(T, basis, row, col)
+        if free[col]:
+            # x_j stays basic for good; the bounded variable leaving takes
+            # its column
+            free[col] = False
+            n_free -= 1
+            bounded[row] = False
+        _pivot(T, basis, nonbasic, row, col)
         pivots += 1
         if pivots >= max_pivots:
             return "iteration_limit", pivots
 
 
 def _phase_one(A, b, max_pivots, value_cap=None):
-    """Build the tableau of A x - t <= b and minimize t >= 0 over it.
+    """Build the short tableau of A x - t <= b and minimize t >= 0 over it.
 
-    Returns (outcome, T, basis, pivots) with an outcome of _iterate. When
-    b >= 0 the slack basis is already feasible and no pivot is made.
+    Returns (outcome, T, basis, nonbasic, pivots) with an outcome of
+    _iterate. When b >= 0 the slack basis is already feasible and no pivot
+    is made.
     """
     m, n = A.shape
-    T = np.zeros((m + 1, 2 * n + m + 2))
+    T = np.empty((m + 1, n + 2))
     T[:m, :n] = A
-    T[:m, n:2 * n] = -A
-    T[:m, 2 * n] = -1.0
-    T[:m, 2 * n + 1:-1] = np.eye(m)
+    T[:m, n] = -1.0
     T[:m, -1] = b
-    basis = 2 * n + 1 + np.arange(m)
-    if np.all(b >= 0.0):
-        return "optimal", T, basis, 0
+    T[-1] = 0.0
+    basis = np.arange(n + 1, n + 1 + m)
+    nonbasic = np.arange(n + 1)
+    if (b >= 0.0).all():
+        return "optimal", T, basis, nonbasic, 0
     # drive t into the basis on the most violated row: rhs becomes b - min(b)
-    T[-1, 2 * n] = 1.0
-    _pivot(T, basis, int(np.argmin(b)), 2 * n)
-    outcome, pivots = _iterate(T, basis, max_pivots, 1, value_cap)
-    return outcome, T, basis, pivots
+    T[-1, n] = 1.0
+    _pivot(T, basis, nonbasic, int(b.argmin()), n)
+    outcome, pivots = _iterate(T, basis, nonbasic, max_pivots, 1, value_cap)
+    return outcome, T, basis, nonbasic, pivots
 
 
 def _extract(T, basis, n):
     """The point (x, t) of the current basis; nonbasic variables are 0."""
-    x = np.zeros(n)
-    t = 0.0
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] += T[i, -1]
-        elif j < 2 * n:
-            x[j - n] -= T[i, -1]
-        elif j == 2 * n:
-            t = float(T[i, -1])
-    return x, t
+    xt = np.zeros(n + 1)
+    rows = (basis <= n).nonzero()[0]
+    xt[basis[rows]] = T[rows, -1]
+    return xt[:n], float(xt[n])
 
 
 def _maximize(a, A, b, max_pivots, value_cap=None):
     """Both phases for ``maximize a'x s.t. A x <= b``.
 
-    Returns (outcome, T, basis, pivots): "infeasible" when phase 1 leaves
-    t > TOL, else an outcome of _iterate on the phase-2 tableau, whose
-    objective is min -a'x.
+    Returns (outcome, T, basis, nonbasic, pivots): "infeasible" when phase
+    1 leaves t > TOL, else an outcome of _iterate on the phase-2 tableau,
+    whose objective is min -a'x.
     """
     n = A.shape[1]
-    outcome, T, basis, pivots = _phase_one(A, b, max_pivots)
+    outcome, T, basis, nonbasic, pivots = _phase_one(A, b, max_pivots)
     if outcome == "iteration_limit":
-        return outcome, T, basis, pivots
-    if _extract(T, basis, n)[1] > TOL:
-        return "infeasible", T, basis, pivots
-    # a t still basic (at most TOL) leaves on a real column; then retire its
-    # column, so phase 2 never moves it
-    for i in np.nonzero(basis == 2 * n)[0]:
-        cand = np.nonzero(np.abs(T[i, :-1]) > TOL)[0]
-        cand = cand[cand != 2 * n]
+        return outcome, T, basis, nonbasic, pivots
+    t_col = (nonbasic == n).nonzero()[0]
+    if t_col.size == 0:
+        i = int((basis == n).nonzero()[0][0])
+        if T[i, -1] > TOL:
+            return "infeasible", T, basis, nonbasic, pivots
+        # a t still basic (at most TOL) leaves on a real column
+        cand = (np.abs(T[i, :-1]) > TOL).nonzero()[0]
         if cand.size:
-            _pivot(T, basis, i, int(cand[0]))
+            t_col = int(cand[nonbasic[cand].argmin()])
+            _pivot(T, basis, nonbasic, i, t_col)
             pivots += 1
-    T[:, 2 * n] = 0.0
-    cost = np.zeros(T.shape[1] - 1)
+    # retire t's column, so phase 2 never moves it
+    T[:, t_col] = 0.0
+    # phase-2 costs by label: -a on x, 0 on t and the slacks
+    cost = np.zeros(T.shape[0] + n)
     cost[:n] = -a
-    cost[n:2 * n] = a
-    T[-1, :-1] = cost - cost[basis] @ T[:-1, :-1]
-    T[-1, -1] = -(cost[basis] @ T[:-1, -1])
-    outcome, pivots = _iterate(T, basis, max_pivots, pivots, value_cap)
-    return outcome, T, basis, pivots
+    cost_b = cost[basis]
+    T[-1, :-1] = cost[nonbasic] - cost_b @ T[:-1, :-1]
+    T[-1, -1] = -(cost_b @ T[:-1, -1])
+    outcome, pivots = _iterate(T, basis, nonbasic, max_pivots, pivots,
+                               value_cap)
+    return outcome, T, basis, nonbasic, pivots
 
 
 def solve_lp(problem, max_pivots=None):
     """Two-phase primal simplex for ``maximize c'x s.t. A x <= b``.
 
-    Phase 1 is the auxiliary problem of min_violation. Returns a
-    SolveStatus. On OPTIMAL the duals, read off the reduced costs of the
-    slack columns, satisfy A'lam = c, lam >= 0 and b'lam = value (strong
+    Runs on the short tableau, with x free. Phase 1 is the auxiliary
+    problem of min_violation. Returns a SolveStatus. On OPTIMAL the duals,
+    read off the reduced costs of the nonbasic slacks (a basic slack has
+    dual 0), satisfy A'lam = c, lam >= 0 and b'lam = value (strong
     duality).
     """
     c, A, b = problem.c, problem.A, problem.b
     m, n = A.shape
     if max_pivots is None:
         max_pivots = 50 * (m + n)
-    outcome, T, basis, pivots = _maximize(c, A, b, max_pivots)
+    outcome, T, basis, nonbasic, pivots = _maximize(c, A, b, max_pivots)
     if outcome != "optimal":
         return SolveStatus(Status(outcome), iterations=pivots)
     x, _ = _extract(T, basis, n)
-    lam = T[-1, 2 * n + 1:-1].copy()
+    lam = np.zeros(m)
+    slack_cols = (nonbasic > n).nonzero()[0]
+    lam[nonbasic[slack_cols] - (n + 1)] = T[-1, slack_cols]
     lam[np.abs(lam) < TOL] = 0.0
     active = [int(i) for i in np.nonzero(np.abs(A @ x - b) <= 1e-7)[0]]
     return SolveStatus(Status.OPTIMAL, x=x, value=float(c @ x),
@@ -328,7 +364,7 @@ def support_value(a, A, b, stop_above=None, max_pivots=None):
     if max_pivots is None:
         max_pivots = 50 * (m + n)
     cap = -stop_above if stop_above is not None else None
-    outcome, T, basis, _ = _maximize(a, A, b, max_pivots, value_cap=cap)
+    outcome, T, basis, _, _ = _maximize(a, A, b, max_pivots, value_cap=cap)
     if outcome not in ("optimal", "cap"):
         return outcome, None, None
     x, _ = _extract(T, basis, n)
@@ -337,13 +373,14 @@ def support_value(a, A, b, stop_above=None, max_pivots=None):
 
 def min_violation(A, b, x0=None, max_pivots=None):
     """Minimize the worst constraint violation t >= 0 over
-    {(x, t) : A x - t <= b}.
+    {(x, t) : A x - t <= b}, x free.
 
     This is the feasibility LP used for emptiness and OCP feasibility
     queries, and phase 1 of every other LP here: the polyhedron {A x <= b}
-    is non-empty iff the optimum satisfies t* <= tol. ``x0`` shifts the
-    origin of the search, which warm starts scans over families of related
-    problems.
+    is non-empty iff the optimum satisfies t* <= tol. Its short tableau
+    holds (m + 1) x (n + 2) entries, so a tall LP (m >> n) costs no
+    m x m block. ``x0`` shifts the origin of the search, which warm starts
+    scans over families of related problems.
 
     Returns (t_star, x, outcome); outcome "feasible" means the search was
     stopped early because t dropped below tol, in which case t_star is an
@@ -358,9 +395,9 @@ def min_violation(A, b, x0=None, max_pivots=None):
     if x0 is not None:
         shift = np.asarray(x0, dtype=float).ravel()
         b = b - A @ shift
-    if np.all(b >= -TOL):
+    if (b >= -TOL).all():
         return 0.0, shift.copy(), "feasible"
-    outcome, T, basis, _ = _phase_one(A, b, max_pivots, value_cap=TOL)
+    outcome, T, basis, _, _ = _phase_one(A, b, max_pivots, value_cap=TOL)
     if outcome not in ("optimal", "cap"):
         return np.inf, None, outcome
     x, t = _extract(T, basis, n)

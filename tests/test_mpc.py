@@ -8,6 +8,7 @@ import pytest
 
 import systems
 
+from fgmpc import mpc
 from fgmpc.mpc import (CondensedQp, FeasibleSet, OcpDesign,
                        OcpInfeasibleError, condense, feasible_set,
                        mpc_feedback, n_star, ocp_feasible)
@@ -210,6 +211,37 @@ def test_ocp_feasible_outside_state_bounds(fig2):
         assert not ocp_feasible(plant, design, [5.0], [0.0], horizon)
     with pytest.raises(ValueError, match="nonnegative"):
         ocp_feasible(plant, design, [0.0], [0.0], -1)
+
+
+def test_ocp_feasible_builds_rows_once_per_problem(monkeypatch, fig2):
+    """Repeated queries on one (plant, design, horizon) build one oracle
+    and assemble its rows once; a new design or horizon builds again, and
+    the answers match those of a fresh oracle."""
+    plant, em = fig2["plant"], fig2["em"]
+    built, assembled = [], []
+    real_init = mpc._HorizonOracle.__init__
+    real_assemble = mpc._HorizonOracle.assemble
+
+    def init(self, *args):
+        built.append(args[-1])
+        real_init(self, *args)
+
+    def assemble(self, h):
+        assembled.append(h)
+        return real_assemble(self, h)
+
+    monkeypatch.setattr(mpc._HorizonOracle, "__init__", init)
+    monkeypatch.setattr(mpc._HorizonOracle, "assemble", assemble)
+    design = systems.make_design(fig2, 2)
+    grid = [(x, v) for x in (-1.0, -0.2, 0.4, 1.1) for v in (-0.5, 0.0, 0.7)]
+    first = [ocp_feasible(plant, design, [x], [v], 2) for x, v in grid]
+    assert built == [2] and assembled == [2]
+    assert any(first) and not all(first)
+    other = systems.make_design(fig2, 2)
+    again = [ocp_feasible(plant, other, [x], [v], 2) for x, v in grid]
+    assert again == first and built == [2, 2]
+    ocp_feasible(plant, other, em.x_bar([0.5]), [0.5], 3)
+    assert built == [2, 2, 3] and assembled == [2, 2, 3]
 
 
 def test_n_star_trivial_and_boundary(fig2):

@@ -9,7 +9,7 @@ import pytest
 
 import systems
 
-from fgmpc.governor import roa
+from fgmpc.governor import cg_step, roa
 from fgmpc.sim import (Scenario, SimulationError, TrajectoryLog,
                        audit_invariants, metrics, run_closed_loop,
                        write_trajectory_csv)
@@ -196,10 +196,8 @@ def test_trajectory_csv_roundtrip(tmp_path, fig2, fig2_gov):
     np.testing.assert_array_equal(data[:, 8], log.t_fg * 1e6)
 
 
-def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
-    """With prebuilt qp and gp, no control step validates or factorizes a
-    Hessian: both QPs were factorized when qp and gp were built."""
-    sc = make_scenario(fig2, 2, "MPC+FG", [-0.9], [0.7], 100)
+def count_factorizations(monkeypatch):
+    """A Counter of the np.linalg cholesky and inv calls made from here on."""
     calls = collections.Counter()
     for name in ("cholesky", "inv"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name,
@@ -207,6 +205,30 @@ def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
+    """With prebuilt qp and gp, no control step validates or factorizes a
+    Hessian: both QPs were factorized when qp and gp were built."""
+    sc = make_scenario(fig2, 2, "MPC+FG", [-0.9], [0.7], 100)
+    calls = count_factorizations(monkeypatch)
     log = run_closed_loop(sc, qp=fig2_gov["qp"], gp=fig2_gov["gp"])
     assert log.n_steps == 100
     assert calls["cholesky"] == 0 and calls["inv"] == 0
+
+
+def test_command_governor_loop_builds_its_qp_once(monkeypatch, fig2):
+    """An MPC+CG(LQR) loop factorizes the command-governor Hessian on its
+    first step only (one cholesky and one inv); the one other inv is the
+    equilibrium map of the LQR law. Every step matches a cg_step made
+    without state to 1e-9 (that one is cold started)."""
+    sc = make_scenario(fig2, 2, "MPC+CG(LQR)", [-0.2], [0.6], 100)
+    calls = count_factorizations(monkeypatch)
+    log = run_closed_loop(sc)
+    assert log.n_steps == 100
+    assert calls["cholesky"] == 1 and calls["inv"] == 2
+    T, R_eps = sc.design.T, sc.spec.R_eps
+    for x, v in zip(log.x, log.v):
+        np.testing.assert_allclose(cg_step(T, R_eps, x, sc.r), v,
+                                   atol=1e-9)

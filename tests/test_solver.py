@@ -7,12 +7,16 @@ search; and both against their KKT systems at the advertised tolerances.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fgmpc.solver import (LpProblem, QpProblem, Status, TOL, _phase_one,
-                          min_violation, solve_lp, solve_qp, support_value)
+import fgmpc.solver
+
+from fgmpc.solver import (LpProblem, QpProblem, Status, TOL, _maximize,
+                          _phase_one, min_violation, solve_lp, solve_qp,
+                          support_value)
 
 
 def lp_vertex_oracle(c, A, b):
@@ -315,15 +319,137 @@ def test_lp_auxiliary_column_left_basic():
     # only be solved after t is pivoted out and its column retired
     A = np.vstack([np.zeros((2, 2)), np.eye(2), -np.eye(2)])
     b = np.array([-5e-9, -5e-9, 1.0, 1.0, 1.0, 1.0])
-    _, T, basis, _ = _phase_one(A, b, 100)
-    assert 4 in basis and 0.0 < T[list(basis).index(4), -1] <= TOL
+    t = A.shape[1]  # the label of t on the short tableau
+    _, T, basis, _, _ = _phase_one(A, b, 100)
+    assert t in basis and 0.0 < T[list(basis).index(t), -1] <= TOL
     c = np.array([1.0, -2.0])
+    # phase 2 pivots t out and zeroes its column
+    _, T, basis, nonbasic, _ = _maximize(c, A, b, 100)
+    assert t in nonbasic and not np.any(T[:, list(nonbasic).index(t)])
     res = solve_lp(LpProblem(c, A, b))
     np.testing.assert_allclose(res.x, [1.0, -1.0], atol=1e-12)
     assert res.value == pytest.approx(3.0, abs=1e-12)
     check_lp_kkt(c, A, b, res)
     out, val, _ = support_value(c, A, b)
     assert out == "optimal" and val == pytest.approx(3.0, abs=1e-12)
+
+
+def test_lp_beale_cycling_ends_on_bland_switch(monkeypatch):
+    # Beale's LP (1955): max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4 over x >= 0
+    # and three rows. Its degenerate vertex at 0 makes Dantzig's rule
+    # cycle; the switch to Bland's rule after a degenerate streak ends it.
+    c = np.array([0.75, -20.0, 0.5, -6.0])
+    A = np.vstack([[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                    [0.0, 0.0, 1.0, 0.0]], -np.eye(4)])
+    b = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    res = solve_lp(LpProblem(c, A, b), max_pivots=200)
+    assert res.status is Status.OPTIMAL
+    np.testing.assert_allclose(res.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert res.value == pytest.approx(1.25, abs=1e-12)
+    check_lp_kkt(c, A, b, res)
+    monkeypatch.setattr(fgmpc.solver, "_DEGENERATE_STREAK", 10 ** 9)
+    res = solve_lp(LpProblem(c, A, b), max_pivots=200)
+    assert res.status is Status.ITERATION_LIMIT
+
+
+def test_lp_free_variable_enters_negative():
+    # max -x over -3 <= x <= 5: x leaves 0 downwards in one exchange and
+    # stays basic at -3, its own sign free
+    A = np.array([[1.0], [-1.0]])
+    b = np.array([5.0, 3.0])
+    c = np.array([-1.0])
+    res = solve_lp(LpProblem(c, A, b))
+    assert res.status is Status.OPTIMAL and res.iterations == 1
+    np.testing.assert_array_equal(res.x, [-3.0])
+    np.testing.assert_array_equal(res.lam, [0.0, 1.0])
+    _, T, basis, nonbasic, _ = _maximize(c, A, b, 10)
+    assert list(basis).count(0) == 1 and 0 not in nonbasic
+    assert T[list(basis).index(0), -1] == -3.0
+
+
+def test_lp_free_variable_passes_through_zero():
+    # phase 1 leaves x1 basic at 1 (on x1 + x2 >= 1); max -x1 then moves it
+    # to -3 in a single exchange with x2 entering. A split x1 = x+ - x-
+    # with x+ >= 0 needs a second one to pass zero.
+    A = np.array([[-1.0, -1.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
+    b = np.array([-1.0, 10.0, 3.0, 5.0])
+    c = np.array([-1.0, 0.0])
+    _, T, basis, _, pivots = _phase_one(A, b, 10)
+    assert pivots == 2 and T[list(basis).index(0), -1] == 1.0
+    res = solve_lp(LpProblem(c, A, b))
+    assert res.status is Status.OPTIMAL and res.iterations == 3
+    np.testing.assert_allclose(res.x, [-3.0, 4.0], atol=1e-12)
+    check_lp_kkt(c, A, b, res)
+
+
+def tall_lp(rng):
+    """An LP with m >= 20 n rows: a bounded one (box plus cuts), one whose
+    rows all recede along x1 (unbounded for c1 > 0), or random or integer
+    rows with right-hand sides of either sign, often infeasible."""
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(20 * n, 30 * n + 1))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return random_bounded_lp(rng, n, m - 2 * n)
+    c = rng.normal(size=n)
+    if kind == 1:
+        A = rng.normal(size=(m, n))
+        A[:, 0] = -np.abs(A[:, 0])
+        b = rng.normal(size=m)
+        c[0] = abs(c[0]) + 0.1
+    elif kind == 2:
+        A = rng.normal(size=(m, n))
+        b = rng.normal(size=m) + 1.0
+    else:
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-1, 3, size=m).astype(float)
+    return c, A, b
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_tall_lp_engine_matches_highs(seed):
+    rng = np.random.default_rng(seed)
+    statuses = set()
+    for trial in range(60):
+        c, A, b = tall_lp(rng)
+        assert A.shape[0] >= 20 * A.shape[1]
+        status, value = highs_lp(c, A, b)
+        statuses.add(status)
+        res = solve_lp(LpProblem(c, A, b))
+        assert res.status is status, trial
+        out, val, _ = support_value(c, A, b)
+        assert out == status.value, trial
+        if status is Status.OPTIMAL:
+            tol = 1e-7 * (1.0 + abs(value))
+            assert abs(res.value - value) <= tol, trial
+            assert abs(val - value) <= tol, trial
+            check_lp_kkt(c, A, b, res)
+        t_ref = highs_min_violation(A, b)
+        t, x, out = min_violation(A, b)
+        assert np.max(A @ x - b) <= t + 1e-9, trial
+        if t_ref > 1e-9:
+            assert out == "optimal", trial
+            assert abs(t - t_ref) <= 1e-7 * (1.0 + t_ref), trial
+        else:
+            assert out in ("feasible", "optimal") and t <= TOL, trial
+    assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
+
+
+def test_min_violation_memory_is_the_short_tableau():
+    # 1,200 rows and 120 columns: the short tableau is 1,201 x 122 doubles
+    # (1.2 MB), one with slack columns 1,201 x 1,442 (14 MB)
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(1200, 120))
+    b = rng.normal(size=1200) - 0.5
+    tracemalloc.start()
+    try:
+        t, x, out = min_violation(A, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == "optimal" and t > 1.0
+    assert np.max(A @ x - b) <= t + 1e-9
+    assert peak < 4e6
 
 
 def check_qp_kkt(p, res):
