@@ -169,7 +169,7 @@ def mpc_feedback(qp, x, v, warm_start=None):
     """Solve the condensed QP at (x, v) and return (u, solve record).
 
     u is the first input block of the unique minimizer. warm_start is an
-    optional sequence of constraint indices tried first by the QP solver
+    optional sequence of constraint indices that hot-starts the QP solver
     (typically the previous step's active set).
     """
     x = np.asarray(x, dtype=float).ravel()

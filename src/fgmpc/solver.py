@@ -43,7 +43,8 @@ class SolveStatus:
     value : float or None
         Optimal objective value (max c'x for LPs, min 0.5x'Hx + f'x for QPs).
     active_set : list of int
-        Indices of constraints active at the optimizer.
+        Indices of constraints active at the optimizer, in increasing
+        order.
     lam : numpy.ndarray or None
         Inequality multipliers (length m, zero off the active set). For LPs
         these are the duals of the maximization problem, so b'lam == value
@@ -409,74 +410,118 @@ def min_violation(A, b, x0=None, max_pivots=None):
 # ---------------------------------------------------------------------------
 
 
-def _add_constraint(J, R, d, q):
+def _invert_column(R, Rinv, q):
+    """Extend Rinv, the inverse of the upper triangle R[:q, :q], to the
+    inverse of R[:q + 1, :q + 1] (one back-substitution column)."""
+    if q:
+        Rinv[:q, q] = -(Rinv[:q, :q] @ R[:q, q]) / R[q, q]
+    Rinv[q, q] = 1.0 / R[q, q]
+
+
+def _add_constraint(J, R, Rinv, d, q):
     """Append the projected normal d as column q of R, rotating J along.
 
     One Householder reflection on components q..n-1 collapses the tail of
     d onto position q; applying the same reflection to the trailing
     columns of J keeps J J' = H^{-1} intact (a rank-one BLAS update, much
-    cheaper than a cascade of Givens rotations).
+    cheaper than a cascade of Givens rotations). Rinv gains column q.
     """
     sub = d[q:]
     tail = np.linalg.norm(sub[1:])
-    if tail <= 1e-300:
-        R[:q + 1, q] = d[:q + 1]
-        return
-    alpha = -np.hypot(sub[0], tail) if sub[0] >= 0.0 else \
-        np.hypot(sub[0], tail)
-    w = sub.copy()
-    w[0] -= alpha
-    w /= np.linalg.norm(w)
-    Jw = J[:, q:] @ w
-    J[:, q:] -= 2.0 * np.outer(Jw, w)
-    d[q] = alpha
-    d[q + 1:] = 0.0
+    if tail > 1e-300:
+        alpha = -np.hypot(sub[0], tail) if sub[0] >= 0.0 else \
+            np.hypot(sub[0], tail)
+        w = sub.copy()
+        w[0] -= alpha
+        w /= np.linalg.norm(w)
+        Jw = J[:, q:] @ w
+        J[:, q:] -= 2.0 * np.outer(Jw, w)
+        d[q] = alpha
+        d[q + 1:] = 0.0
     R[:q + 1, q] = d[:q + 1]
+    _invert_column(R, Rinv, q)
 
 
 def _drop_constraint(J, R, Rinv, q, k):
     """Remove column k from the active-set factor R, re-triangularizing.
 
-    Rinv is maintained alongside: deleting row k of the old inverse gives
-    a left inverse of the shortened R, and applying the transposed Givens
-    rotations to its columns turns that into the inverse of the new R.
+    Shifting the later columns left leaves the block R[k:q, k:q-1] upper
+    Hessenberg. One QR of that block, Q_b' B = R_b, restores the triangle,
+    and the same orthogonal Q_b applied to J[:, k:q] keeps J J' = H^{-1}
+    and J[:, :q-1]' N = R for the kept normals N. Rinv follows: deleting
+    row k of the old inverse gives a left inverse of the shortened R, and
+    multiplying its columns k..q-1 by Q_b turns that into the inverse of
+    the new R.
     """
     R[:, k:q - 1] = R[:, k + 1:q]
     R[:, q - 1] = 0.0
     Rinv[k:q - 1, :q] = Rinv[k + 1:q, :q]
     Rinv[q - 1, :q] = 0.0
-    for j in range(k, q - 1):
-        a, bb = R[j, j], R[j + 1, j]
-        if abs(bb) > 1e-300:
-            r = np.hypot(a, bb)
-            cth, sth = a / r, bb / r
-            row1 = R[j, j:q - 1] * cth + R[j + 1, j:q - 1] * sth
-            row2 = -R[j, j:q - 1] * sth + R[j + 1, j:q - 1] * cth
-            R[j, j:q - 1], R[j + 1, j:q - 1] = row1, row2
-            R[j + 1, j] = 0.0
-            col1 = J[:, j] * cth + J[:, j + 1] * sth
-            col2 = -J[:, j] * sth + J[:, j + 1] * cth
-            J[:, j], J[:, j + 1] = col1, col2
-            icol1 = Rinv[:q - 1, j] * cth + Rinv[:q - 1, j + 1] * sth
-            icol2 = -Rinv[:q - 1, j] * sth + Rinv[:q - 1, j + 1] * cth
-            Rinv[:q - 1, j], Rinv[:q - 1, j + 1] = icol1, icol2
+    if k < q - 1:
+        Qb, R[k:q, k:q - 1] = np.linalg.qr(R[k:q, k:q - 1], mode="complete")
+        J[:, k:q] = J[:, k:q] @ Qb
+        Rinv[:q - 1, k:q] = Rinv[:q - 1, k:q] @ Qb
+    Rinv[:, q - 1] = 0.0
+
+
+def _factorize(J0, normals):
+    """The factors of a working set in one batch: a QR of J0' N, with the
+    scaled normals as the rows of normals, gives J = J0 Q and R (n x n,
+    zero beyond column q), so that J[:, :q]' N = R and J J' = H^{-1}.
+    A single nonzero normal takes the add path's one reflection instead,
+    which costs a third of the LAPACK call at the governor's sizes."""
+    n, q = J0.shape[0], normals.shape[0]
+    G = J0.T @ normals.T
+    R = np.zeros((n, n))
+    if q == 1 and G.any():
+        J = J0.copy()
+        _add_constraint(J, R, np.zeros((n, n)), G[:, 0], 0)
+        return J, R
+    Q, R[:, :q] = np.linalg.qr(G, mode="complete")
+    return J0 @ Q, R
+
+
+def _equality_solve(J, R, x0, normals, rhs):
+    """Minimizer and multipliers of the QP with the working set held at
+    equality (normals x = rhs), from its factors J and R, and the inverse
+    Rinv of R's leading block. With x0 the unconstrained minimizer,
+    lam = (R'R)^{-1} (N x0 - rhs) and x = x0 - J[:, :q] R^{-T} (N x0 - rhs).
+    """
+    n, q = J.shape[0], normals.shape[0]
+    Rinv = np.zeros((n, n))
+    for j in range(q):
+        _invert_column(R, Rinv, j)
+    w = Rinv[:q, :q].T @ (normals @ x0 - rhs)
+    return x0 - J[:, :q] @ w, Rinv[:q, :q] @ w, Rinv
 
 
 def solve_qp(problem, warm_start=None, max_iterations=None):
     """Dual active-set method for strictly convex QPs (Goldfarb-Idnani).
 
-    Starts from the unconstrained minimum and adds violated constraints one
-    at a time, taking dual steps (dropping blocking constraints) whenever a
-    full primal step is blocked. The factor J = inv(L)' of H comes from
-    the problem, computed once at its construction; each solve rotates a
-    copy of it. An added constraint is folded into J and the triangular
-    factor R of the active normals by one Householder reflection; Givens
-    rotations re-triangularize R only when a constraint is dropped.
+    The method moves between dual-feasible pairs: x minimizes the
+    objective with the active constraints held at equality, and their
+    multipliers are nonnegative. Violated constraints are added one at a time, with dual
+    steps (dropping blocking constraints) whenever a full primal step is
+    blocked, until x is feasible. The factor J = inv(L)' of H comes from
+    the problem, computed once at its construction; each solve works on a
+    rotated copy J = J0 Q, with R the triangular factor of J0' N for the
+    active normals N. An added constraint is folded into J and R by one
+    Householder reflection, a dropped one by one QR of the Hessenberg
+    block it leaves.
 
-    warm_start, when given, is a sequence of constraint indices tried first
-    when choosing the violated constraint to add; with few active-set
-    changes between consecutive solves this keeps the path short. The
-    minimizer is unique regardless (H is positive definite).
+    warm_start, when given, is a candidate active set (typically the
+    previous solve's) that hot-starts the factorization: its distinct
+    indices, sorted, are factorized in one batch (a QR of J0' N) and the
+    QP is solved with them held at equality; indices with negative
+    multipliers are removed and the rest factorized again, until every
+    multiplier is nonnegative. The iterations go on from that pair. A
+    candidate set of more than n indices or with dependent normals falls
+    back to the cold start at the unconstrained minimum.
+
+    The minimizer is unique (H is positive definite), and the returned x
+    and lam come from the same equality solve on the sorted final active
+    set, so their bits depend only on the problem and that set: a warm
+    and a cold solve that end on the same set agree exactly.
     """
     H, f, A, b = problem.H, problem.f, problem.A, problem.b
     n = f.size
@@ -484,20 +529,35 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     if max_iterations is None:
         max_iterations = 50 * (m + n) + 10
 
-    x = -np.linalg.solve(H, f)
+    # LU, not -J (J'f): for H = 2I only this returns an admissible r exactly
+    x0 = -np.linalg.solve(H, f)
     # row scaling makes the violation comparison scale-free
     norms, As = problem.norms, problem.A_scaled
     inv_norms = 1.0 / norms
     bs = b / norms
 
-    J = problem.J.copy()  # rotated in place by the updates below
-    R = np.zeros((n, n))
-    Rinv = np.zeros((n, n))  # inverse of the active R block, kept in step
-    active = []
-    lam = np.zeros(0)
-    warm = [int(i) for i in warm_start] if warm_start is not None else []
-    warm_mask = np.zeros(m, dtype=bool)
-    warm_mask[warm] = True
+    warm = sorted({int(i) for i in warm_start}) if warm_start is not None \
+        else []
+    if warm and not 0 <= warm[0] <= warm[-1] < m:
+        raise ValueError("warm start indices must lie in [0, {})".format(m))
+
+    active = list(warm) if len(warm) <= n else []
+    while active:
+        J, R = _factorize(problem.J, As[active])
+        pivots = np.abs(R.diagonal()[:len(active)])
+        if (pivots <= 1e-10 * pivots.max()).any():
+            active = []  # dependent normals: cold start
+            break
+        x, lam, Rinv = _equality_solve(J, R, x0, As[active], bs[active])
+        keep = lam >= 0.0
+        if keep.all():
+            break
+        active = [i for i, kept in zip(active, keep) if kept]
+    if not active:
+        x, lam = x0, np.zeros(0)
+        J = problem.J.copy()  # rotated in place by the updates below
+        R = np.zeros((n, n))
+        Rinv = np.zeros((n, n))  # inverse of the active R block
 
     iters = 0
     while True:
@@ -509,16 +569,21 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
             s_raw[active] = 0.0
         viol = s_raw > TOL
         if not np.any(viol):
+            if iters:
+                # recompute from the sorted set, whatever path reached it
+                active.sort()
+                x, lam = x0, np.zeros(0)
+                if active:
+                    J, R = _factorize(problem.J, As[active])
+                    x, lam, _ = _equality_solve(J, R, x0, As[active],
+                                                bs[active])
             lam_full = np.zeros(m)
-            for k, idx in enumerate(active):
-                lam_full[idx] = lam[k] / norms[idx]
+            lam_full[active] = lam / norms[active]
             val = 0.5 * x @ H @ x + f @ x
             return SolveStatus(Status.OPTIMAL, x=x, value=float(val),
                                active_set=list(active), lam=lam_full,
                                iterations=iters)
-        cand = np.nonzero(viol & warm_mask)[0]
-        if cand.size == 0:
-            cand = np.nonzero(viol)[0]
+        cand = np.nonzero(viol)[0]
         p = int(cand[np.argmax(s[cand])])
         npl = As[p]
         u = 0.0  # multiplier of the incoming constraint
@@ -561,10 +626,7 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
             u = u + t
             if x_step is not None and t == t2 and t <= t1:
                 # full step: constraint p becomes active
-                _add_constraint(J, R, d, q)
-                if q:
-                    Rinv[:q, q] = -(Rinv[:q, :q] @ R[:q, q]) / R[q, q]
-                Rinv[q, q] = 1.0 / R[q, q]
+                _add_constraint(J, R, Rinv, d, q)
                 active.append(p)
                 lam = np.append(lam, u)
                 break

@@ -6,6 +6,7 @@ active-set QP against Dykstra's alternating projection and a nested grid
 search; and both against their KKT systems at the advertised tolerances.
 """
 
+import collections
 import itertools
 import tracemalloc
 
@@ -14,9 +15,10 @@ import pytest
 
 import fgmpc.solver
 
-from fgmpc.solver import (LpProblem, QpProblem, Status, TOL, _maximize,
-                          _phase_one, min_violation, solve_lp, solve_qp,
-                          support_value)
+from fgmpc.solver import (LpProblem, QpProblem, Status, TOL,
+                          _drop_constraint, _factorize, _invert_column,
+                          _maximize, _phase_one, min_violation, solve_lp,
+                          solve_qp, support_value)
 
 
 def lp_vertex_oracle(c, A, b):
@@ -671,3 +673,115 @@ def test_qp_without_constraints():
     assert res.lam.shape == (0,)
     assert res.active_set == []
     assert res.iterations == 0
+
+
+def check_qp_kkt_tight(p, res, tol=1e-9):
+    """Stationarity, primal and dual feasibility and complementarity of a
+    QP solve, each to tol."""
+    assert res.status is Status.OPTIMAL
+    assert np.max(np.abs(p.H @ res.x + p.f + p.A.T @ res.lam)) <= tol
+    assert np.max(p.A @ res.x - p.b) <= tol
+    assert np.min(res.lam) >= 0.0
+    assert np.max(np.abs(res.lam * (p.A @ res.x - p.b))) <= tol
+    off = np.ones(p.b.size, dtype=bool)
+    off[res.active_set] = False
+    assert not res.lam[off].any()
+
+
+def equality_multipliers(p, rows):
+    """Multipliers of the QP with rows held at equality, from the dense
+    KKT system (independent of the solver's factors)."""
+    N = p.A[rows]
+    q = len(rows)
+    K = np.block([[p.H, N.T], [N, np.zeros((q, q))]])
+    return np.linalg.solve(K, np.concatenate([-p.f, p.b[rows]]))[p.f.size:]
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_qp_hot_start_matches_cold_solve(seed):
+    """Hot starts from exact, repeated, oversized, dependent, wrong and
+    empty warm sets end on the cold solve's active set with bit-equal x,
+    lam and value, on random QPs where some rows are exact duplicates."""
+    rng = np.random.default_rng(seed)
+    kinds = collections.Counter()
+    for trial in range(40):
+        n = int(rng.integers(2, 7))
+        base = random_qp(rng, n, int(rng.integers(2, 8)))
+        dup = rng.choice(base.b.size, size=2, replace=False)
+        p = QpProblem(base.H, base.f, np.vstack([base.A, base.A[dup]]),
+                      np.concatenate([base.b, base.b[dup]]))
+        partner = dict(zip(dup.tolist(), range(base.b.size, p.b.size)))
+        cold = solve_qp(p)
+        check_qp_kkt_tight(p, cold)
+        act = cold.active_set
+        assert act == sorted(act)
+        inactive = [i for i in range(p.b.size) if i not in act]
+        # the copies tie with their rows and are never chosen by a cold
+        # solve, so the warm sets below use them only as dependent normals
+        rows = [i for i in inactive if i < base.b.size]
+        warms = {"exact": act, "repeated": act[::-1] + act,
+                 "oversized": act + inactive[:n + 1 - len(act)],
+                 "empty": [], "random": rng.choice(
+                     base.b.size, size=int(rng.integers(1, n + 1)),
+                     replace=False).tolist()}
+        paired = [i for i in act if i in partner]
+        if paired:
+            warms["dependent"] = act + [partner[paired[0]]]
+        extra = sorted(act + rng.choice(rows, size=min(
+            2, len(rows), n - len(act)), replace=False).tolist())
+        if len(extra) > len(act) \
+                and np.linalg.matrix_rank(p.A[extra]) == len(extra) \
+                and np.min(equality_multipliers(p, extra)) < 0.0:
+            warms["negative"] = extra
+        for kind, warm in warms.items():
+            hot = solve_qp(p, warm_start=warm)
+            check_qp_kkt_tight(p, hot)
+            assert hot.active_set == act, (trial, kind)
+            np.testing.assert_array_equal(hot.x, cold.x)
+            np.testing.assert_array_equal(hot.lam, cold.lam)
+            assert hot.value == cold.value
+            kinds[kind] += 1
+        if act:
+            assert solve_qp(p, warm_start=act).iterations == 0
+            assert solve_qp(p, warm_start=act * 2).iterations == 0
+    # every kind of warm set was exercised
+    assert min(kinds.values()) > 0 and len(kinds) == 7, kinds
+
+
+def test_qp_warm_start_indices_are_checked():
+    p = random_qp(np.random.default_rng(53), 3, 2)
+    with pytest.raises(ValueError, match="warm start"):
+        solve_qp(p, warm_start=[0, p.b.size])
+    with pytest.raises(ValueError, match="warm start"):
+        solve_qp(p, warm_start=[-1])
+
+
+@pytest.mark.parametrize("q", [1, 4, 7])
+def test_drop_constraint_retriangularizes_at_every_k(q):
+    """Dropping any column k of a batch factorization of q normals leaves
+    a triangular R with its inverse, J J' = H^{-1} and J' N = R for the
+    kept normals."""
+    rng = np.random.default_rng(59 + q)
+    n = 7
+    M = rng.normal(size=(n, n))
+    p = QpProblem(M @ M.T + np.eye(n), np.zeros(n),
+                  rng.normal(size=(q, n)), np.ones(q))
+    J0, R0 = _factorize(p.J, p.A_scaled)
+    Rinv0 = np.zeros((n, n))
+    for j in range(q):
+        _invert_column(R0, Rinv0, j)
+    np.testing.assert_allclose(J0[:, :q].T @ p.A_scaled.T, R0[:q, :q],
+                               atol=1e-12)
+    for k in range(q):
+        J, R, Rinv = J0.copy(), R0.copy(), Rinv0.copy()
+        _drop_constraint(J, R, Rinv, q, k)
+        kept = np.delete(p.A_scaled, k, axis=0)
+        assert not np.tril(R[:q - 1, :q - 1], -1).any()
+        assert not R[q - 1:].any() and not R[:, q - 1:].any()
+        np.testing.assert_allclose(Rinv[:q - 1, :q - 1] @ R[:q - 1, :q - 1],
+                                   np.eye(q - 1), atol=1e-10)
+        np.testing.assert_allclose(J @ J.T, J0 @ J0.T, atol=1e-12)
+        np.testing.assert_allclose(J[:, :q - 1].T @ kept.T,
+                                   R[:q - 1, :q - 1], atol=1e-12)
+        # the freed column and the rest of J are orthogonal to kept normals
+        np.testing.assert_allclose(J[:, q - 1:].T @ kept.T, 0.0, atol=1e-12)

@@ -1,0 +1,141 @@
+"""Alternated parent/change pairs of the benchmark, and the gain rule.
+
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE \
+        --workload long_horizon --workload governed_loop --seed 23 \
+        --claim long_horizon:op_s --change "what changed" \
+        --out BENCH_name.json
+
+PARENT_TREE and CHANGE_TREE are two source trees, each holding its own
+``perfbench/run.py`` and ``src/fgmpc``. A pair runs
+``perfbench/run.py --workload W --seed S --trace 0`` once in each tree,
+from that tree's root, at perfbench's own run length, one after the
+other; the side that runs first alternates from pair to pair, so a drift
+of the host's speed falls on both sides alike. Every workload gets ten
+pairs. Every end-to-end metric of the parent's
+``BENCHMARK.json`` is reported per workload: the runs, their median and
+quartiles, how many pairs the change won, and the change of the median
+against the metric's regression bound.
+
+The claim (``--claim WORKLOAD:METRIC``) is met when the change wins at
+least nine of the ten pairs, ties counting for neither side, the medians
+differ by more than the parent's interquartile range, and no larger
+share of the workload's operations fails than at the parent.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+PAIRS = 10
+WINS_NEEDED = 9
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change_tree")
+    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
+    p.add_argument("--change", default="", help="one line on the change")
+    p.add_argument("--out", required=True)
+    return p.parse_args(argv)
+
+
+def run_once(tree, workload, seed):
+    """One benchmark run in tree; returns its result record."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError("{} in {} exited {}".format(
+            " ".join(cmd), tree, proc.returncode))
+    return json.loads(lines[-1])
+
+
+def summary(runs):
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"q1": round(q1, 4), "median": round(median, 4),
+            "q3": round(q3, 4), "runs": [round(v, 4) for v in runs]}
+
+
+def compare(parent, change, better, bound):
+    """Both sides of one metric, the change's wins and its median change
+    against the regression bound (a fraction of the parent's median)."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    ps, cs = summary(parent), summary(change)
+    worse = sign * (cs["median"] - ps["median"]) / ps["median"]
+    return {"parent": ps, "change": cs, "change_wins": wins,
+            "median_worse_by": round(worse, 4), "bound": bound,
+            "within_bound": worse <= bound}
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change_tree}
+    report = {"change": args.change,
+              "host": "{} CPUs, {} {}, Python {}".format(
+                  os.cpu_count(), platform.system(), platform.machine(),
+                  platform.python_version()),
+              "command": "python3 perfbench/run.py --workload W --seed {} "
+                         "--trace 0, alternated parent/change pairs, the "
+                         "side that runs first alternating".format(args.seed),
+              "pairs": {}}
+    for workload in args.workload:
+        runs = {side: [] for side in sides}
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else \
+                ("change", "parent")
+            for side in order:
+                res = run_once(sides[side], workload, args.seed)
+                runs[side].append(res)
+                print("{} pair {} {}: op_s {:.4f}, {} of {} failed".format(
+                    workload, i, side, res["metrics"]["op_s"]["value"],
+                    res["failed"], res["attempted"]), flush=True)
+        entry = {"pairs": PAIRS,
+                 "failed": {side: sum(r["failed"] for r in runs[side])
+                            for side in sides},
+                 "attempted": {side: sum(r["attempted"] for r in runs[side])
+                               for side in sides}}
+        for name, spec in metrics.items():
+            values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                      for side in sides}
+            entry[name] = compare(values["parent"], values["change"],
+                                  spec["better"], spec["bound"])
+        report["pairs"][workload] = entry
+    if args.claim:
+        workload, name = args.claim.split(":")
+        m = report["pairs"][workload][name]
+        sign = 1.0 if metrics[name]["better"] == "lower" else -1.0
+        gap = sign * (m["parent"]["median"] - m["change"]["median"])
+        iqr = m["parent"]["q3"] - m["parent"]["q1"]
+        ops = report["pairs"][workload]
+        share = {side: ops["failed"][side] / max(ops["attempted"][side], 1)
+                 for side in sides}
+        report["claim"] = {
+            "metric": name, "workload": workload,
+            "rule": "change wins >= {}/{} pairs, the median gap exceeds the "
+                    "parent's interquartile range and no larger share of "
+                    "operations fails".format(WINS_NEEDED, PAIRS),
+            "met": m["change_wins"] >= WINS_NEEDED and gap > iqr
+                   and share["change"] <= share["parent"],
+            "wins": m["change_wins"], "median_gap": round(gap, 4),
+            "parent_iqr": round(iqr, 4),
+            "failed_share": {side: round(v, 4) for side, v in share.items()}}
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(json.dumps(report.get("claim", {})))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
