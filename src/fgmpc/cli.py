@@ -41,21 +41,31 @@ def _fail(field, problem):
     raise ConfigError("config field '{}': {}".format(field, problem))
 
 
-def _matrix(raw, field):
+def _floats(raw, field, problem):
+    """raw as a float array; the ConfigError names the field and the
+    problem when raw is not numeric, and says so when a number is not
+    finite (JSON's NaN and Infinity, or an integer beyond the float
+    range)."""
     try:
         arr = np.array(raw, dtype=float)
+    except OverflowError:
+        _fail(field, "must be finite")
     except (TypeError, ValueError):
-        _fail(field, "must be a rectangular nested array of numbers")
+        _fail(field, problem)
+    if not np.all(np.isfinite(arr)):
+        _fail(field, "must be finite")
+    return arr
+
+
+def _matrix(raw, field):
+    arr = _floats(raw, field, "must be a rectangular nested array of numbers")
     if arr.ndim != 2 or arr.size == 0:
         _fail(field, "must be a non-empty two-dimensional array")
     return arr
 
 
 def _vector(raw, field):
-    try:
-        arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        _fail(field, "must be an array of numbers")
+    arr = _floats(raw, field, "must be an array of numbers")
     if arr.ndim != 1 or arr.size == 0:
         _fail(field, "must be a non-empty flat array of numbers")
     return arr
@@ -64,7 +74,7 @@ def _vector(raw, field):
 def _number(raw, field):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         _fail(field, "must be a number")
-    return float(raw)
+    return float(_floats(raw, field, "must be a number"))
 
 
 def _integer(raw, field, minimum):
@@ -227,7 +237,7 @@ class ScenarioConfig:
             where = "slices[{}]".format(i)
             if isinstance(entry, (int, float)) and not isinstance(entry,
                                                                   bool):
-                val = np.array([float(entry)])
+                val = np.array([_number(entry, where)])
             else:
                 val = _vector(entry, where)
             if val.size != self.plant.n_z:

@@ -52,8 +52,8 @@ class LtiPlant:
         n_z = self.E.shape[0]
         self.F = _as_matrix(F, "F", rows=n_z, cols=n_u)
         self.ts = float(ts)
-        if self.ts <= 0.0:
-            raise ValueError("sample time must be positive")
+        if not (np.isfinite(self.ts) and self.ts > 0.0):
+            raise ValueError("sample time must be positive and finite")
         for M in (self.A, self.B, self.C, self.D, self.E, self.F):
             M.setflags(write=False)
 

@@ -7,10 +7,13 @@ elimination with redundancy removal interleaved after every eliminated
 variable, which is what keeps intermediate row counts alive through a
 10-step condensed horizon. Most redundant rows go without an LP, by
 counting ancestors (Chernikov's rule: after k eliminations, a row built
-from more than k + 1 original rows is redundant). The rest are pruned by
-support LPs against the rows already certified irredundant, and a
-certificate is confirmed by a further LP only when the ray that found it
-hit a lower-dimensional face, the one case where it may be tangent.
+from more than k + 1 original rows is redundant). A row that the last
+prune kept and that passes an elimination unchanged (a zero coefficient on
+the eliminated variable) is still a facet, so it is kept without an LP.
+The rest are pruned by support LPs against the rows already certified
+irredundant, and a certificate is confirmed by a further LP only when the
+ray that found it hit a lower-dimensional face, the one case where it may
+be tangent.
 """
 
 import csv
@@ -254,6 +257,13 @@ class HPolyhedron:
         keeps, or the LP prune drops a row that touches the set without
         being a facet (a tangent row), the rows that survive become the new
         base and k restarts at 0.
+
+        A row that the previous prune kept and that passes an elimination
+        unchanged is a pass-through facet: it needs no LP. Some point of
+        the previous set's other rows violates it, and the projection of
+        that point satisfies every new row but this one, because the new
+        rows without it are exactly the elimination of the other rows. The
+        first elimination seeds no row, since the input was never pruned.
         """
         keep = [int(i) for i in keep_indices]
         if len(set(keep)) != len(keep):
@@ -270,6 +280,8 @@ class HPolyhedron:
         # anc[r, i]: base row i is an ancestor of row r
         anc = np.eye(b.size, dtype=bool)
         depth = 0
+        # the input was never pruned, so no row is a known facet yet
+        pruned = False
         while True:
             elim = [j for j, c in enumerate(cols) if c not in keep]
             if not elim:
@@ -283,15 +295,17 @@ class HPolyhedron:
                          int(np.sum(col < -ZERO_ROW)))
                 if best_score is None or score < best_score:
                     best_j, best_score = j, score
-            A, b, anc = _eliminate(A, b, anc, best_j, row_cap)
+            A, b, anc, passed = _eliminate(A, b, anc, best_j, row_cap)
             del cols[best_j]
             depth += 1
+            facet = passed & pruned
             few = np.count_nonzero(anc, axis=1) <= depth + 1
-            A, b, anc = A[few], b[few], anc[few]
+            A, b, anc, facet = A[few], b[few], anc[few], facet[few]
             sel, tied = _dedup(A, b)
-            A, b, anc = A[sel], b[sel], anc[sel]
-            kept, tangent = _prune_lp(A, b, tol=TOL)
+            A, b, anc, facet = A[sel], b[sel], anc[sel], facet[sel]
+            kept, tangent = _prune_lp(A, b, np.nonzero(facet)[0], tol=TOL)
             A, b, anc = A[kept], b[kept], anc[kept]
+            pruned = True
             if tied or tangent.size:
                 anc = np.eye(b.size, dtype=bool)
                 depth = 0
@@ -359,7 +373,7 @@ def _dedup(A, b):
     return np.sort(order[first]), tied
 
 
-def _prune_lp(A, b, tol=TOL):
+def _prune_lp(A, b, facets=(), tol=TOL):
     """LP redundancy removal, output-sensitive.
 
     Rows are tested against the set of already-certified irredundant rows
@@ -379,6 +393,8 @@ def _prune_lp(A, b, tol=TOL):
     suspects are confirmed by the pairwise test against all kept rows. Sets
     without a usable interior point (empty, flat, or containing
     arbitrarily large balls) fall back to the pairwise scan of every row.
+    The rows listed in facets are known to be irredundant: they start out
+    certified and are never tested.
 
     Returns the indices of the irredundant rows and of the redundant rows
     that still touch the set (support value within tol of the offset),
@@ -388,14 +404,16 @@ def _prune_lp(A, b, tol=TOL):
     if m <= 1:
         return np.arange(m), np.zeros(0, dtype=int)
     ball = _inscribed_ball(A, b)
+    facets = np.asarray(facets, dtype=int)
+    in_certified = np.zeros(m, dtype=bool)
+    in_certified[facets] = True
     if ball.status is not Status.OPTIMAL or ball.value <= 1e-7:
-        return _prune_lp_pairwise(A, b, range(m), tol)
+        return _prune_lp_pairwise(A, b, np.nonzero(~in_certified)[0], tol)
     z = ball.x[:-1]
 
     margins = b - A @ z
-    certified = []
+    certified = [int(i) for i in facets]
     suspect = []
-    in_certified = np.zeros(m, dtype=bool)
     redundant = np.zeros(m, dtype=bool)
     tangent = np.zeros(m, dtype=bool)
     for i in range(m):
@@ -480,7 +498,8 @@ def _eliminate(A, b, anc, j, row_cap):
     Rows with a zero coefficient pass through; every pair of a positive and
     a negative row yields their combination. anc[r] marks the base rows
     that row r combines (its ancestors); a combined row's ancestors are the
-    union of its parents'. Returns the new A, b and anc.
+    union of its parents'. Returns the new A, b and anc, and a mask of the
+    rows that passed through.
     """
     col = A[:, j]
     pos = col > ZERO_ROW
@@ -500,10 +519,11 @@ def _eliminate(A, b, anc, j, row_cap):
     A_new = np.vstack([A[zero], comb])
     b_new = np.concatenate([b[zero], bcomb])
     anc_new = np.vstack([anc[zero], anc_comb])
+    passed = np.arange(b_new.size) < int(np.sum(zero))
     A_new = np.delete(A_new, j, axis=1)
     # renormalize and drop vacuous rows; a negative-offset zero row would
     # mean an empty input, which project() has already excluded
     norms = np.max(np.abs(A_new), axis=1) if A_new.size else np.zeros(0)
     keep = norms >= ZERO_ROW
     return (A_new[keep] / norms[keep, None], b_new[keep] / norms[keep],
-            anc_new[keep])
+            anc_new[keep], passed[keep])

@@ -94,6 +94,8 @@ def check_weight(M, name, dim, semidefinite=False):
     if M.shape != (dim, dim):
         raise ValueError("{} must be {}x{}, got {}x{}".format(
             name, dim, dim, M.shape[0], M.shape[1]))
+    if not np.all(np.isfinite(M)):
+        raise ValueError("{} must be finite".format(name))
     if np.max(np.abs(M - M.T), initial=0.0) > 1e-10:
         raise ValueError("{} must be symmetric".format(name))
     if semidefinite:

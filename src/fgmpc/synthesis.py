@@ -127,9 +127,10 @@ def terminal_set(plant, em, rs, Y, eps, max_layers=_TERMINAL_CAP):
     with output y = (C - D K) x + D (G_u + K G_x) v. The set collects the
     output constraint propagated through every forward step, plus the
     steady-state constraint tightened to (1 - eps) Y, which makes the
-    iteration finitely determined. Layer t+1 is added only while it is not
-    already implied (containment LP test); rows are normalized and pruned
-    each round.
+    iteration finitely determined (Gilbert & Tan, 1991). Each row of layer
+    t+1 is tested once, by one support LP over the set so far, and only the
+    rows that cut the set are added; the first layer with no such row ends
+    the iteration at t* = t, and the rows are pruned once, at the end.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
@@ -148,14 +149,18 @@ def terminal_set(plant, em, rs, Y, eps, max_layers=_TERMINAL_CAP):
     current = HPolyhedron(
         np.vstack([Y.A @ ss_rows, Y.A @ Ymat]),
         np.concatenate([(1.0 - eps) * Y.b, Y.b]),
-    ).remove_redundancy()
+    )
 
     power = A_cl
     for t in range(max_layers):
         layer = HPolyhedron(Y.A @ Ymat @ power, Y.b)
-        if layer.contains_set(current):
-            return TerminalSet(current, n_x, t)
-        current = current.intersect(layer).remove_redundancy()
+        cuts = [i for i in range(layer.nrows)
+                if not HPolyhedron(layer.A[i:i + 1], layer.b[i:i + 1])
+                .contains_set(current)]
+        if not cuts:
+            return TerminalSet(current.remove_redundancy(), n_x, t)
+        current = current.intersect(HPolyhedron(layer.A[cuts],
+                                                 layer.b[cuts]))
         power = power @ A_cl
     raise RuntimeError("terminal set not finitely determined within {} "
                        "layers".format(max_layers))

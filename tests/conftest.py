@@ -1,4 +1,5 @@
-"""Session-scoped fixtures for the expensive offline constructions."""
+"""Session-scoped fixtures for the expensive offline constructions, and
+a counter of support LPs."""
 
 import pytest
 
@@ -44,3 +45,20 @@ def y2():
 @pytest.fixture(scope="session")
 def y3():
     return systems.y3_bundle()
+
+
+@pytest.fixture
+def support_lps(monkeypatch):
+    """The list that gets one entry per support LP solved through
+    fgmpc.polytope from here on; its length is the count."""
+    import fgmpc.polytope
+
+    calls = []
+    real = fgmpc.polytope.support_value
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fgmpc.polytope, "support_value", counted)
+    return calls

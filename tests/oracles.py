@@ -84,3 +84,39 @@ def random_bounded_polytope(rng, n, extra):
     cut_b = cuts @ interior + rng.uniform(0.15, 1.2, size=extra)
     return (np.vstack([box_a, cuts]),
             np.concatenate([box_b, cut_b]))
+
+
+def highs_support(c, A, b):
+    """max c'x over {A x <= b} by HiGHS (scipy): +inf when unbounded.
+    Raises on an infeasible set. Callers skip the test without scipy."""
+    from scipy.optimize import linprog
+
+    res = linprog(-np.asarray(c, dtype=float), A_ub=A, b_ub=b,
+                  bounds=(None, None), method="highs")
+    if res.status == 3:
+        return np.inf
+    if res.status != 0:
+        raise RuntimeError("HiGHS: {}".format(res.message))
+    return -res.fun
+
+
+def implied_rows(A, b, A_by, b_by, tol=1e-8):
+    """Mask of the rows of {A x <= b} implied by {A_by x <= b_by}: the
+    support of each row over the second set stays within tol of its
+    offset. Rows are scaled to unit infinity norm first."""
+    scale = np.max(np.abs(A), axis=1)
+    return np.array([highs_support(a / s, A_by, b_by) <= bi / s + tol
+                     for a, bi, s in zip(A, b, scale)], dtype=bool)
+
+
+def irredundant_rows(A, b, tol=1e-8):
+    """Mask of the rows of {A x <= b} that the other rows do not imply;
+    row i is relaxed to b_i + 1 in its own test so that the LP stays
+    bounded."""
+    out = np.zeros(b.size, dtype=bool)
+    for i in range(b.size):
+        b_relaxed = b.copy()
+        b_relaxed[i] += 1.0
+        s = np.max(np.abs(A[i]))
+        out[i] = highs_support(A[i] / s, A, b_relaxed) > b[i] / s + tol
+    return out

@@ -65,6 +65,52 @@ def test_config_rejects_missing_and_malformed_fields():
         ScenarioConfig(fig2_config(controllers=[{"kind": "PID"}]))
 
 
+# sets the first number of each field of fig2_config(x0=.., r=.., slices=..)
+NUMBER_AT = {
+    "Q": lambda cfg, v: cfg.update(Q=[[v]]),
+    "R": lambda cfg, v: cfg.update(R=[[v]]),
+    "plant.ts": lambda cfg, v: cfg["plant"].update(ts=v),
+    "plant.A": lambda cfg, v: cfg["plant"].update(A=[[v]]),
+    "x0": lambda cfg, v: cfg.update(x0=[v]),
+    "r": lambda cfg, v: cfg.update(r=[v]),
+    "eps": lambda cfg, v: cfg.update(eps=v),
+    "Y.lower": lambda cfg, v: cfg["Y"].update(lower=[v, -0.25]),
+    "slices[0]": lambda cfg, v: cfg.update(slices=[v]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NUMBER_AT))
+def test_config_rejects_non_finite_numbers(tmp_path, field):
+    """JSON's NaN and Infinity parse as floats, and an integer literal
+    beyond the float range as an int; each must be rejected by a
+    ConfigError naming the field, before any computation starts."""
+    for value, token in ((float("nan"), "NaN"), (float("inf"), "Infinity"),
+                         (10 ** 400, "1" + "0" * 400)):
+        cfg = fig2_config(x0=[0.1], r=[0.2], slices=[0.0])
+        NUMBER_AT[field](cfg, value)
+        path = write_config(tmp_path, cfg)
+        with open(path) as fh:
+            assert token in fh.read()
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_file(path)
+        assert "'{}': must be finite".format(field) in str(err.value)
+
+
+def test_sets_and_simulate_exit_nonzero_on_non_finite(tmp_path, capsys):
+    cfg = fig2_config()
+    cfg["plant"]["ts"] = float("inf")
+    path = write_config(tmp_path, cfg)
+    assert main(["sets", "--config", path, "--out",
+                 str(tmp_path / "sets"), "--quiet"]) == 1
+    assert "'plant.ts': must be finite" in capsys.readouterr().err
+    path = write_config(tmp_path, fig2_config(
+        kind="MPC+FG", x0=[float("nan")], r=[0.2], budget=5))
+    assert main(["simulate", "--config", path, "--out",
+                 str(tmp_path / "sim"), "--quiet"]) == 1
+    assert "'x0': must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sim")
+
+
 def test_config_json_syntax_diagnostic(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "plant": [,]\n}')

@@ -46,6 +46,14 @@ def test_dimensions_and_validation():
                  E=[[1.0]], F=[[0.0]])
 
 
+def test_non_finite_sample_time_rejected():
+    for ts in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sample time"):
+            LtiPlant(
+                A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], E=[[1.0]],
+                F=[[0.0]], ts=ts)
+
+
 def test_unstabilizable_rejected():
     # the unstable mode at 2 is disconnected from the input
     with pytest.raises(ValueError, match="stabilizable"):

@@ -189,20 +189,73 @@ def test_project_rotated_cross_polytope(seed):
         assert_same_polygon(P.project(keep), convex_hull_2d(verts))
 
 
-def test_feasible_set_support_lp_count(y2, monkeypatch):
+@pytest.mark.parametrize("n, seed", [(4, 3), (4, 5), (5, 7), (5, 11)])
+def test_project_pass_through_facets_are_sound(n, seed, monkeypatch):
+    """Rows that pass an elimination unchanged are kept without an LP only
+    when the previous prune certified them. The input carries redundant
+    rows with zero coefficients on every eliminated variable, some of them
+    tangent (they touch the shadow at a vertex), so the first prune drops
+    them and restarts the ancestor count before a step that seeds
+    certified rows. The projection must still be the minimal hull."""
+    rng = np.random.default_rng(seed)
+    A, b = random_bounded_polytope(rng, n, 4)
+    keep = sorted(rng.choice(n, size=2, replace=False).tolist())
+    V = enumerate_vertices(A, b)
+    hull = convex_hull_2d(V[:, keep])
+    rows, offsets = [A], [b]
+    for k in range(hull.shape[0]):
+        # a normal strictly between the two edges at hull vertex k: the
+        # row touches the shadow only there
+        w = hull[k]
+        out = (w - hull[k - 1]) / np.linalg.norm(w - hull[k - 1]) + \
+            (w - hull[(k + 1) % hull.shape[0]]) / np.linalg.norm(
+                w - hull[(k + 1) % hull.shape[0]])
+        a = np.zeros(n)
+        a[keep] = out
+        rows.append(a[None, :])
+        offsets.append([a[keep] @ w + (0.0 if k % 2 == 0 else 0.05)])
+    for _ in range(3):
+        # zero only on one eliminated variable, loose
+        a = rng.normal(size=n)
+        a[rng.choice([j for j in range(n) if j not in keep])] = 0.0
+        rows.append(a[None, :])
+        offsets.append([np.max(V @ a) + 0.1])
+    order = rng.permutation(sum(r.shape[0] for r in rows))
+    A_all = np.vstack(rows)[order]
+    b_all = np.concatenate(offsets)[order]
+
+    calls = []
+    real = fgmpc.polytope._prune_lp
+
+    def recorded(A, b, facets=(), tol=TOL):
+        kept, tangent = real(A, b, facets, tol=tol)
+        calls.append((len(facets), tangent.size))
+        return kept, tangent
+
+    monkeypatch.setattr(fgmpc.polytope, "_prune_lp", recorded)
+    proj = HPolyhedron(A_all, b_all).project(keep)
+    assert_same_polygon(proj, hull)
+    # the first prune seeds nothing and finds tangent rows; a later one
+    # seeds certified rows
+    assert calls[0][0] == 0 and calls[0][1] > 0
+    assert any(seeded for seeded, _ in calls[1:])
+
+
+def test_feasible_set_support_lp_count(y2, support_lps):
     """One feasible_set on y2, N = 5. Before ancestor pruning, suspect-only
     confirmation and the single final prune, this took 4534 support LPs."""
     qp = condense(y2["plant"], systems.make_design(y2, 5), y2["em"])
-    calls = []
-    real = fgmpc.polytope.support_value
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(fgmpc.polytope, "support_value", counted)
+    calls = support_lps
     feasible_set(qp)
     assert len(calls) <= 4534 // 2
+
+
+def test_feasible_set_support_lp_count_y1(y1, support_lps):
+    """One feasible_set on y1, N = 10: 3,020 support LPs. Re-testing the
+    rows that pass an elimination unchanged took 3,386."""
+    qp = condense(y1["plant"], systems.make_design(y1, 10), y1["em"])
+    feasible_set(qp)
+    assert len(support_lps) <= 3100
 
 
 def test_project_soundness_sampling():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import systems
+from oracles import implied_rows, irredundant_rows
 
 from fgmpc.plant import equilibrium_basis, steady_state_ref_set
 from fgmpc.polytope import HPolyhedron
@@ -54,6 +55,18 @@ def test_dare_validation():
     with pytest.raises(ValueError, match="detectable"):
         solve_dare([[2.0, 0.0], [0.0, 0.5]], np.eye(2),
                    np.diag([0.0, 1.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("name", ["Q", "R"])
+def test_dare_rejects_non_finite_weights(name):
+    """A NaN weight used to pass the symmetry test and fail later in an
+    SVD (Q) or after the whole Riccati iteration cap (R)."""
+    for value in (float("nan"), float("inf")):
+        weights = {"Q": [[1.0]], "R": [[1.0]]}
+        weights[name] = [[value]]
+        with pytest.raises(ValueError, match="{} must be finite".format(
+                name)):
+            solve_dare([[0.5]], [[1.0]], weights["Q"], weights["R"])
 
 
 def test_dare_iteration_cap():
@@ -152,6 +165,16 @@ def test_terminal_set_deadbeat_determination():
     assert T.t_star <= 1
 
 
+def test_terminal_set_support_lp_count(y1, support_lps):
+    """T on y1 (82 rows, t* = 30): one LP per row of each new layer and
+    one final prune, 268 support LPs. Re-pruning the whole set after
+    every layer took 1,698."""
+    plant, em, rs, Y = (y1[k] for k in ("plant", "em", "rs", "Y"))
+    T = terminal_set(plant, em, rs, Y, y1["eps"])
+    assert (T.nrows, T.t_star) == (82, 30)
+    assert len(support_lps) <= 300
+
+
 def test_terminal_set_layer_cap(y1):
     plant, em, rs, Y = (y1[k] for k in ("plant", "em", "rs", "Y"))
     assert y1["T"].t_star >= 1
@@ -159,3 +182,55 @@ def test_terminal_set_layer_cap(y1):
     with pytest.raises(RuntimeError, match="finitely determined"):
         terminal_set(plant, em, rs, Y, y1["eps"],
                      max_layers=y1["T"].t_star)
+
+
+def terminal_layers(bundle, eps, count):
+    """The steady-state rows and the output layers 0..count-1 of the
+    reference-augmented loop, straight from the definitions, unpruned.
+    Vacuous zero rows are left out."""
+    plant, em, rs, Y = (bundle[k] for k in ("plant", "em", "rs", "Y"))
+    K = rs.K
+    n_x, n_v = plant.n_x, em.n_v
+    L_v = em.G_u + K @ em.G_x
+    A_aug = np.block([[plant.A - plant.B @ K, plant.B @ L_v],
+                      [np.zeros((n_v, n_x)), np.eye(n_v)]])
+    Ymat = np.hstack([plant.C - plant.D @ K, plant.D @ L_v])
+    ss = np.hstack([np.zeros((plant.n_y, n_x)),
+                    plant.C @ em.G_x + plant.D @ em.G_u])
+
+    def nonzero(A, b):
+        live = np.max(np.abs(A), axis=1) > 1e-12
+        return A[live], b[live]
+
+    layers, power = [], np.eye(n_x + n_v)
+    for _ in range(count):
+        layers.append(nonzero(Y.A @ Ymat @ power, Y.b))
+        power = A_aug @ power
+    return nonzero(Y.A @ ss, (1.0 - eps) * Y.b), layers
+
+
+def stack(parts):
+    return (np.vstack([A for A, _ in parts]),
+            np.concatenate([b for _, b in parts]))
+
+
+@pytest.mark.parametrize("name, eps", [("fig2", 0.05), ("y1", 0.01),
+                                       ("y3", 0.01)])
+def test_terminal_set_matches_highs_oracle(name, eps, request):
+    """T against HiGHS on the unpruned layers: the same set, determined at
+    t*, and minimal."""
+    pytest.importorskip("scipy")
+    bundle = request.getfixturevalue(name)
+    T = bundle["T"]
+    t = T.t_star
+    A, b = T.set_xv.A, T.set_xv.b
+    ss, layers = terminal_layers(bundle, eps, t + 2)
+    S_A, S_b = stack([ss] + layers[:t + 1])
+    # the same set, by mutual implication row by row
+    assert np.all(implied_rows(S_A, S_b, A, b))
+    assert np.all(implied_rows(A, b, S_A, S_b))
+    # determined at t*: layer t*+1 adds nothing, layer t* does
+    assert np.all(implied_rows(*layers[t + 1], A, b))
+    assert not np.all(implied_rows(*layers[t], *stack([ss] + layers[:t])))
+    # minimal: no row of T is implied by the others
+    assert np.all(irredundant_rows(A, b))

@@ -16,10 +16,20 @@ pairs. Every end-to-end metric of the parent's
 quartiles, how many pairs the change won, and the change of the median
 against the metric's regression bound.
 
+After the pairs, each tree runs the workload once more with
+``--trace 1``. Its count-, rows- and bytes-unit metrics (LPs, pivots, QP
+iterations, rows at each stage, bytes written) are deterministic, so they
+are written side by side, and every one that differs between the trees is
+marked.
+
 The claim (``--claim WORKLOAD:METRIC``) is met when the change wins at
 least nine of the ten pairs, ties counting for neither side, the medians
 differ by more than the parent's interquartile range, and no larger
 share of the workload's operations fails than at the parent.
+
+A run that reports ``correct: false`` with no failed operation (a broken
+tracer guard, a set-up that is not deterministic, outputs that differ
+between operations) stops the tool with that run's report.
 """
 
 import argparse
@@ -32,6 +42,7 @@ import sys
 
 PAIRS = 10
 WINS_NEEDED = 9
+COUNT_UNITS = ("count", "rows", "bytes")
 
 
 def parse_args(argv):
@@ -46,16 +57,39 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def run_once(tree, workload, seed):
+def run_once(tree, workload, seed, trace=0):
     """One benchmark run in tree; returns its result record."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--trace", "0"]
+           "--workload", workload, "--seed", str(seed), "--trace",
+           str(trace)]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError("{} in {} exited {}".format(
             " ".join(cmd), tree, proc.returncode))
-    return json.loads(lines[-1])
+    res = json.loads(lines[-1])
+    if not res["correct"] and res["failed"] == 0:
+        raise RuntimeError("{} in {} is not correct with no failed "
+                           "operation:\n{}".format(" ".join(cmd), tree,
+                                                   "\n".join(lines[:-1])))
+    return res
+
+
+def counts(parent, change):
+    """The count-, rows- and bytes-unit metrics of two traced runs side by
+    side, each marked when the two differ."""
+    out = {}
+    for name in sorted(set(parent["metrics"]) | set(change["metrics"])):
+        p = parent["metrics"].get(name)
+        c = change["metrics"].get(name)
+        unit = (p or c)["unit"]
+        if unit not in COUNT_UNITS:
+            continue
+        pv = p["value"] if p else None
+        cv = c["value"] if c else None
+        out[name] = {"unit": unit, "parent": pv, "change": cv,
+                     "differs": pv != cv}
+    return out
 
 
 def summary(runs):
@@ -87,7 +121,8 @@ def main(argv=None):
                   platform.python_version()),
               "command": "python3 perfbench/run.py --workload W --seed {} "
                          "--trace 0, alternated parent/change pairs, the "
-                         "side that runs first alternating".format(args.seed),
+                         "side that runs first alternating; then --trace 1 "
+                         "once per tree for the counts".format(args.seed),
               "pairs": {}}
     for workload in args.workload:
         runs = {side: [] for side in sides}
@@ -110,6 +145,14 @@ def main(argv=None):
                       for side in sides}
             entry[name] = compare(values["parent"], values["change"],
                                   spec["better"], spec["bound"])
+        traced = {side: run_once(sides[side], workload, args.seed, trace=1)
+                  for side in sides}
+        entry["traced_correct"] = {side: traced[side]["correct"]
+                                   for side in sides}
+        entry["counts"] = counts(traced["parent"], traced["change"])
+        print("{} traced: {} counts differ".format(
+            workload, sum(c["differs"] for c in entry["counts"].values())),
+            flush=True)
         report["pairs"][workload] = entry
     if args.claim:
         workload, name = args.claim.split(":")
