@@ -192,9 +192,8 @@ def mpc_feedback(qp, x, v, warm_start=None):
 
 def feasible_set(qp, row_cap=DEFAULT_ROW_CAP):
     """Project the condensed polytope {(mu, theta) : M mu + L theta <= b}
-    onto theta, returning the explicit feasible set in minimal H-rep (the
-    prune after the last of the N * n_u >= 1 eliminations leaves it
-    minimal)."""
+    onto theta, returning the explicit feasible set in minimal H-rep.
+    row_cap bounds the facets of the projection's inner hull."""
     N, n_u = qp.N, qp.n_u
     stacked = HPolyhedron(np.hstack([qp.M, qp.L]), qp.b)
     keep = list(range(N * n_u, N * n_u + qp.n_x + qp.n_v))

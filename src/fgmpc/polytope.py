@@ -2,29 +2,33 @@
 
 An HPolyhedron is the set {x : A x <= b}. Instances are immutable; every
 operation returns a new object. Rows are stored scaled to unit infinity
-norm so the global tolerance is scale-free. Projection is Fourier-Motzkin
-elimination with redundancy removal interleaved after every eliminated
-variable, which is what keeps intermediate row counts alive through a
-10-step condensed horizon. Most redundant rows go without an LP, by
-counting ancestors (Chernikov's rule: after k eliminations, a row built
-from more than k + 1 original rows is redundant). A row that the last
-prune kept and that passes an elimination unchanged (a zero coefficient on
-the eliminated variable) is still a facet, so it is kept without an LP.
-The rest are pruned by support LPs against the rows already certified
-irredundant, and a certificate is confirmed by a further LP only when the
-ray that found it hit a lower-dimensional face, the one case where it may
-be tangent.
+norm so the global tolerance is scale-free.
+
+Projection is the convex hull method (Lassez and Lassez, 1992): support
+LPs over the input, in directions on the kept coordinates, grow an inner
+hull of the image until an LP in the normal direction of each hull facet
+confirms it. Its cost follows the number of facets of the image, not the
+number of eliminated coordinates: about three warm-started LPs per facet,
+all on one simplex tableau. The row of a confirmed facet comes from the
+duals of its LP, a nonnegative combination of input rows, so structural
+zeros stay exact.
+
+Redundancy removal tests rows by support LPs against the rows already
+certified irredundant, and a certificate is confirmed by a further LP only
+when the ray that found it hit a lower-dimensional face, the one case
+where it may be tangent.
 """
 
 import csv
 import io
+import itertools
 import os
 import tempfile
 
 import numpy as np
 
-from fgmpc.solver import (LpProblem, Status, TOL, min_violation, solve_lp,
-                          support_value)
+from fgmpc.solver import (LpProblem, Status, SupportLp, TOL, min_violation,
+                          solve_lp, support_value)
 
 # rows whose coefficient vector is numerically zero carry no geometry
 ZERO_ROW = 1e-12
@@ -33,14 +37,15 @@ DEFAULT_ROW_CAP = 100_000
 
 
 class ProjectionBlowupError(RuntimeError):
-    """Raised when the intermediate row count exceeds the configured cap."""
+    """Raised when the inner hull of a projection has more facets than the
+    configured cap."""
 
     def __init__(self, rows, cap):
         self.rows = rows
         self.cap = cap
         super().__init__(
-            "projection intractable: {} intermediate rows exceed the cap of"
-            " {}".format(rows, cap))
+            "projection intractable: {} hull facets exceed the cap of {}"
+            .format(rows, cap))
 
 
 def write_atomic(path, text):
@@ -234,36 +239,35 @@ class HPolyhedron:
     def remove_redundancy(self, tol=TOL):
         """Minimal representation: drops every row whose removal provably
         leaves the set unchanged (one support LP per row, early exit)."""
-        sel, _ = _dedup(self._A, self._b)
-        A, b = self._A[sel], self._b[sel]
-        kept, _ = _prune_lp(A, b, tol=tol)
-        return HPolyhedron(A[kept], b[kept])
+        return HPolyhedron(*_minimal(self._A, self._b, tol))
 
     def project(self, keep_indices, row_cap=DEFAULT_ROW_CAP):
-        """Orthogonal projection onto the kept coordinates.
+        """Orthogonal projection onto the kept coordinates, by the convex
+        hull method (Lassez and Lassez, 1992).
 
-        Fourier-Motzkin elimination, one variable at a time in greedy
-        min-fill order (smallest positive-row x negative-row product), with
-        ancestor, duplicate and LP redundancy pruning after every
-        elimination. Raises ProjectionBlowupError when an intermediate
-        system would exceed row_cap rows (counted before any pruning), and
-        ValueError on an empty input.
+        Support LPs over this set, in directions on the kept coordinates,
+        give points of the projection; their convex hull is an inner
+        approximation, grown by beneath-beyond insertion. Each hull facet
+        is tested by one LP in its normal direction: a point beyond the
+        facet joins the hull, otherwise the facet is a facet of the
+        projection. A hull facet whose vertices all lie on an already
+        confirmed plane is confirmed without an LP. Every LP has the same
+        constraints, so phase 1 runs once and each LP starts from the
+        basis the previous one left (SupportLp). The LPs number about
+        three per facet of the projection, whatever the number of
+        eliminated coordinates.
 
-        Every row carries the set of base rows it combines, its ancestors;
-        the base is the input. After k eliminations a row with more than
-        k + 1 ancestors is redundant (Chernikov's rule) and goes without an
-        LP. The rule relies on every row that touches the projection being
-        present: when duplicate removal drops a row as tight as the one it
-        keeps, or the LP prune drops a row that touches the set without
-        being a facet (a tangent row), the rows that survive become the new
-        base and k restarts at 0.
+        The row of a confirmed facet is lam'A restricted to the kept
+        columns, with offset lam'b, for the duals lam of its LP: a
+        nonnegative combination of input rows whose other columns cancel,
+        as a Fourier-Motzkin row is, so a coefficient that is zero in
+        every row it combines stays exactly 0.0. A final redundancy pass
+        leaves the minimal representation.
 
-        A row that the previous prune kept and that passes an elimination
-        unchanged is a pass-through facet: it needs no LP. Some point of
-        the previous set's other rows violates it, and the projection of
-        that point satisfies every new row but this one, because the new
-        rows without it are exactly the elimination of the other rows. The
-        first elimination seeds no row, since the input was never pruned.
+        When every coordinate is kept the rows are only permuted, without
+        a support LP. Raises ValueError on an empty input, and on an image
+        that is unbounded or not full-dimensional (naming the direction);
+        ProjectionBlowupError when the hull has more than row_cap facets.
         """
         keep = [int(i) for i in keep_indices]
         if len(set(keep)) != len(keep):
@@ -274,44 +278,10 @@ class HPolyhedron:
                                  .format(i, self.dim))
         if self.is_empty():
             raise ValueError("cannot project an empty polyhedron")
-        cols = list(range(self.dim))
-        A = np.array(self._A)
-        b = np.array(self._b)
-        # anc[r, i]: base row i is an ancestor of row r
-        anc = np.eye(b.size, dtype=bool)
-        depth = 0
-        # the input was never pruned, so no row is a known facet yet
-        pruned = False
-        while True:
-            elim = [j for j, c in enumerate(cols) if c not in keep]
-            if not elim:
-                break
-            # greedy min-fill: eliminate the variable with the smallest
-            # positive x negative row-count product
-            best_j, best_score = None, None
-            for j in elim:
-                col = A[:, j]
-                score = (int(np.sum(col > ZERO_ROW)) *
-                         int(np.sum(col < -ZERO_ROW)))
-                if best_score is None or score < best_score:
-                    best_j, best_score = j, score
-            A, b, anc, passed = _eliminate(A, b, anc, best_j, row_cap)
-            del cols[best_j]
-            depth += 1
-            facet = passed & pruned
-            few = np.count_nonzero(anc, axis=1) <= depth + 1
-            A, b, anc, facet = A[few], b[few], anc[few], facet[few]
-            sel, tied = _dedup(A, b)
-            A, b, anc, facet = A[sel], b[sel], anc[sel], facet[sel]
-            kept, tangent = _prune_lp(A, b, np.nonzero(facet)[0], tol=TOL)
-            A, b, anc = A[kept], b[kept], anc[kept]
-            pruned = True
-            if tied or tangent.size:
-                anc = np.eye(b.size, dtype=bool)
-                depth = 0
-        # order the surviving columns as requested
-        perm = [cols.index(i) for i in keep]
-        return HPolyhedron(A[:, perm], b)
+        if len(keep) == self.dim:
+            return HPolyhedron(self._A[:, keep], self._b)
+        return HPolyhedron(*_minimal(*_hull_facets(self._A, self._b, keep,
+                                                   row_cap)))
 
     # -- file format --------------------------------------------------------
 
@@ -355,25 +325,31 @@ class HPolyhedron:
         return cls(arr[:, :dim], arr[:, dim])
 
 
+def _minimal(A, b, tol=TOL):
+    """The irredundant rows of {x : A x <= b} (rows scaled to unit
+    infinity norm): duplicates first, then the LP prune."""
+    sel = _dedup(A, b)
+    A, b = A[sel], b[sel]
+    kept = _prune_lp(A, b, tol)
+    return A[kept], b[kept]
+
+
 def _dedup(A, b):
     """Duplicate removal: rows with the same normalized coefficients keep
     only the tightest offset. Returns the surviving row indices in input
-    order, and whether a dropped row was as tight as its survivor."""
+    order."""
     m = b.size
     if m <= 1:
-        return np.arange(m), False
+        return np.arange(m)
     key = np.round(A * 1e9).astype(np.int64)
     order = np.lexsort((b,) + tuple(key.T))
     K = key[order]
     first = np.ones(m, dtype=bool)
     first[1:] = np.any(K[1:] != K[:-1], axis=1)
-    b_sorted = b[order]
-    lead = np.maximum.accumulate(np.where(first, np.arange(m), 0))
-    tied = bool(np.any(~first & (b_sorted <= b_sorted[lead] + TOL)))
-    return np.sort(order[first]), tied
+    return np.sort(order[first])
 
 
-def _prune_lp(A, b, facets=(), tol=TOL):
+def _prune_lp(A, b, tol=TOL):
     """LP redundancy removal, output-sensitive.
 
     Rows are tested against the set of already-certified irredundant rows
@@ -393,29 +369,22 @@ def _prune_lp(A, b, facets=(), tol=TOL):
     suspects are confirmed by the pairwise test against all kept rows. Sets
     without a usable interior point (empty, flat, or containing
     arbitrarily large balls) fall back to the pairwise scan of every row.
-    The rows listed in facets are known to be irredundant: they start out
-    certified and are never tested.
 
-    Returns the indices of the irredundant rows and of the redundant rows
-    that still touch the set (support value within tol of the offset),
-    both in input order.
+    Returns the indices of the irredundant rows, in input order.
     """
     m = b.size
     if m <= 1:
-        return np.arange(m), np.zeros(0, dtype=int)
+        return np.arange(m)
     ball = _inscribed_ball(A, b)
-    facets = np.asarray(facets, dtype=int)
-    in_certified = np.zeros(m, dtype=bool)
-    in_certified[facets] = True
     if ball.status is not Status.OPTIMAL or ball.value <= 1e-7:
-        return _prune_lp_pairwise(A, b, np.nonzero(~in_certified)[0], tol)
+        return _prune_lp_pairwise(A, b, range(m), tol)
     z = ball.x[:-1]
 
     margins = b - A @ z
-    certified = [int(i) for i in facets]
+    in_certified = np.zeros(m, dtype=bool)
+    certified = []
     suspect = []
     redundant = np.zeros(m, dtype=bool)
-    tangent = np.zeros(m, dtype=bool)
     for i in range(m):
         if in_certified[i]:
             continue
@@ -428,7 +397,6 @@ def _prune_lp(A, b, facets=(), tol=TOL):
                 raise RuntimeError("redundancy LP hit its pivot cap")
             if out == "optimal" and val <= b[i] + tol:
                 redundant[i] = True
-                tangent[i] = val >= b[i] - tol
                 break
             # xs violates row i: the first row crossed on the way from the
             # interior point is a new certificate. Certified rows lie at
@@ -449,13 +417,10 @@ def _prune_lp(A, b, facets=(), tol=TOL):
             if j == i:
                 break
     kept = np.sort(np.asarray(certified, dtype=int))
-    tangent = np.nonzero(tangent)[0]
     if suspect:
         pos = np.searchsorted(kept, np.sort(suspect))
-        k_sub, t_sub = _prune_lp_pairwise(A[kept], b[kept], pos, tol)
-        tangent = np.union1d(tangent, kept[t_sub])
-        kept = kept[k_sub]
-    return kept, tangent
+        kept = kept[_prune_lp_pairwise(A[kept], b[kept], pos, tol)]
+    return kept
 
 
 def _inscribed_ball(A, b):
@@ -471,11 +436,8 @@ def _prune_lp_pairwise(A, b, test, tol=TOL):
     """Sequential redundancy scan over the rows listed in test (ascending):
     row i goes when its support value over the remaining rows (plus the
     relaxed bound b_i + 1, which keeps the LP bounded) stays at or below
-    b_i. Returns the kept row indices and the removed rows that still
-    touch the set, both in input order."""
-    m = b.size
-    keep = np.ones(m, dtype=bool)
-    tangent = np.zeros(m, dtype=bool)
+    b_i. Returns the kept row indices, in input order."""
+    keep = np.ones(b.size, dtype=bool)
     for i in test:
         others = np.nonzero(keep)[0]
         others = others[others != i]
@@ -486,44 +448,119 @@ def _prune_lp_pairwise(A, b, test, tol=TOL):
         out, val, _ = support_value(A[i], A_lp, b_lp, stop_above=b[i] + tol)
         if out == "optimal" and val <= b[i] + tol:
             keep[i] = False
-            tangent[i] = val >= b[i] - tol
         elif out == "iteration_limit":
             raise RuntimeError("redundancy LP hit its pivot cap")
-    return np.nonzero(keep)[0], np.nonzero(tangent)[0]
+    return np.nonzero(keep)[0]
 
 
-def _eliminate(A, b, anc, j, row_cap):
-    """One Fourier-Motzkin step removing column j.
+def _initial_simplex(support, d):
+    """d + 1 affinely independent points of the image: support points in
+    the directions +-e_i, chosen greedily by their distance to the affine
+    hull of those already chosen, topped up by the support points in both
+    directions orthogonal to that hull when none is farther than TOL.
+    Raises ValueError when those are no farther either: the image is flat
+    along that direction."""
+    seeds = [support(s * e)[1] for e in np.eye(d) for s in (1.0, -1.0)]
+    simplex = [seeds[0]]
+    basis = np.zeros((0, d))  # orthonormal directions of the affine hull
+    while len(simplex) <= d:
+        res = np.array(seeds) - simplex[0]
+        res -= (res @ basis.T) @ basis
+        dist = np.linalg.norm(res, axis=1)
+        j = int(np.argmax(dist))
+        if dist[j] > TOL:
+            simplex.append(seeds[j])
+            basis = np.vstack([basis, res[j] / dist[j]])
+            continue
+        w = np.linalg.svd(np.vstack([basis, np.zeros((1, d))]))[2][-1]
+        w /= np.max(np.abs(w))
+        new = [support(s * w)[1] for s in (1.0, -1.0)]
+        if np.max(np.abs((np.array(new) - simplex[0]) @ w)) <= TOL:
+            raise ValueError("cannot project: the image is not "
+                             "full-dimensional, it is flat along "
+                             "direction {}".format((w + 0.0).tolist()))
+        seeds += new
+    return np.array(simplex)
 
-    Rows with a zero coefficient pass through; every pair of a positive and
-    a negative row yields their combination. anc[r] marks the base rows
-    that row r combines (its ancestors); a combined row's ancestors are the
-    union of its parents'. Returns the new A, b and anc, and a mask of the
-    rows that passed through.
-    """
-    col = A[:, j]
-    pos = col > ZERO_ROW
-    neg = col < -ZERO_ROW
-    zero = ~(pos | neg)
-    n_new = int(np.sum(zero)) + int(np.sum(pos)) * int(np.sum(neg))
-    if n_new > row_cap:
-        raise ProjectionBlowupError(n_new, row_cap)
-    P = A[pos] / col[pos, None]
-    bp = b[pos] / col[pos]
-    Ng = A[neg] / (-col[neg, None])
-    bn = b[neg] / (-col[neg])
-    comb = (P[:, None, :] + Ng[None, :, :]).reshape(-1, A.shape[1])
-    bcomb = (bp[:, None] + bn[None, :]).ravel()
-    anc_comb = (anc[pos][:, None, :] | anc[neg][None, :, :]).reshape(
-        -1, anc.shape[1])
-    A_new = np.vstack([A[zero], comb])
-    b_new = np.concatenate([b[zero], bcomb])
-    anc_new = np.vstack([anc[zero], anc_comb])
-    passed = np.arange(b_new.size) < int(np.sum(zero))
-    A_new = np.delete(A_new, j, axis=1)
-    # renormalize and drop vacuous rows; a negative-offset zero row would
-    # mean an empty input, which project() has already excluded
-    norms = np.max(np.abs(A_new), axis=1) if A_new.size else np.zeros(0)
-    keep = norms >= ZERO_ROW
-    return (A_new[keep] / norms[keep, None], b_new[keep] / norms[keep],
-            anc_new[keep], passed[keep])
+
+def _plane(P, center):
+    """The plane through the d points P (rows) as (normal, offset), the
+    normal scaled to unit infinity norm and pointing away from center."""
+    if P.shape[1] == 1:
+        n = np.ones(1)
+    else:
+        n = np.linalg.svd(P[1:] - P[0])[2][-1]
+    if n @ (center - P[0]) > 0.0:
+        n = -n
+    n /= np.max(np.abs(n))
+    return n, float(np.max(P @ n))
+
+
+def _hull_facets(A, b, keep, row_cap):
+    """The facet rows of the projection of {x : A x <= b} onto keep, by
+    the convex hull method (see HPolyhedron.project). One facet may come
+    with more than one row."""
+    d = len(keep)
+    lp = SupportLp(A, b)
+
+    def support(c):
+        """An optimal support LP of the image in direction c, and the
+        point of the image it found."""
+        full = np.zeros(A.shape[1])
+        full[keep] = c
+        st = lp.maximize(full)
+        if st.status is Status.UNBOUNDED:
+            raise ValueError("cannot project: the image is unbounded along"
+                             " direction {}".format((c + 0.0).tolist()))
+        if not st.optimal:
+            raise RuntimeError("hull LP failed: {}".format(st.status.value))
+        return st, st.x[keep]
+
+    V = list(_initial_simplex(support, d))
+    center = np.mean(V, axis=0)  # stays inside the growing hull
+    facets = {}  # key: (sorted vertex indices, outward normal, offset)
+    todo = []  # keys of the facets to test, tested last in first out
+    keys = itertools.count()
+    rows, offsets = np.zeros((0, d)), np.zeros(0)
+
+    def add_facet(verts):
+        key = next(keys)
+        n, h = _plane(np.array([V[v] for v in verts]), center)
+        facets[key] = (tuple(sorted(verts)), n, h)
+        todo.append(key)
+
+    for k in range(d + 1):
+        add_facet([v for v in range(d + 1) if v != k])
+    while todo:
+        key = todo.pop()
+        if key not in facets:
+            continue
+        verts, n, h = facets[key]
+        P = np.array([V[v] for v in verts])
+        if np.any(np.max(np.abs(rows @ P.T - offsets[:, None]), axis=1)
+                  <= TOL):
+            continue  # on a confirmed plane
+        st, y = support(n)
+        if n @ y <= h + TOL:
+            # the dual row (lam'A[:, keep], lam'b), at unit infinity norm
+            a = st.lam @ A[:, keep]
+            scale = np.max(np.abs(a))
+            rows = np.vstack([rows, a / scale])
+            offsets = np.append(offsets, st.lam @ b / scale)
+            facets[key] = (verts, n, max(h, float(n @ y)))
+            continue
+        # y is beyond this facet: every facet that sees y gives way to the
+        # cone from y over their horizon, the ridges only one of them has
+        V.append(y)
+        ridges = {}
+        for k in [k for k, (_, m, g) in facets.items() if m @ y > g + TOL]:
+            vs = facets.pop(k)[0]
+            for i in range(d):
+                r = vs[:i] + vs[i + 1:]
+                ridges[r] = ridges.get(r, 0) + 1
+        for r, count in ridges.items():
+            if count == 1:
+                add_facet(list(r) + [len(V) - 1])
+        if len(facets) > row_cap:
+            raise ProjectionBlowupError(len(facets), row_cap)
+    return rows, offsets

@@ -6,14 +6,17 @@ active-set method for strictly convex quadratic programs (minimize
 0.5 x'H x + f'x subject to A x <= b). Both are self-contained on top of
 numpy and are re-entrant: every solve owns its workspace.
 
-The three LP entry points share one simplex driver on a short tableau:
+The LP entry points share one simplex engine on a short tableau:
 one row per constraint plus the objective row, and one column per
 nonbasic variable (n free x, the auxiliary t) plus the right-hand side,
 so a tall LP (m >> n) never carries an m x m slack block. Phase 1 of
 every LP is the worst-violation problem min t s.t. A x - t <= b, t >= 0;
 min_violation is that problem on its own, while solve_lp and
 support_value go on to phase 2 from the basis it leaves. solve_lp reads
-its duals off the final tableau.
+its duals off the final tableau. SupportLp serves a sequence of
+objectives over one constraint set: phase 1 runs once, and each objective
+is priced into the tableau the previous one left, so it starts from that
+basis.
 """
 
 import copy
@@ -290,6 +293,41 @@ def _extract(T, basis, n):
     return xt[:n], float(xt[n])
 
 
+def _retire_t(T, basis, nonbasic, n):
+    """End phase 1 on the short tableau T: take t out of the basis and
+    zero its column, so phase 2 never moves it.
+
+    Returns the pivots made (0 or 1), or None when phase 1 left t > TOL
+    (the set is empty).
+    """
+    t_col = (nonbasic == n).nonzero()[0]
+    pivots = 0
+    if t_col.size == 0:
+        i = int((basis == n).nonzero()[0][0])
+        if T[i, -1] > TOL:
+            return None
+        # a t still basic (at most TOL) leaves on a real column
+        cand = (np.abs(T[i, :-1]) > TOL).nonzero()[0]
+        if cand.size:
+            t_col = int(cand[nonbasic[cand].argmin()])
+            _pivot(T, basis, nonbasic, i, t_col)
+            pivots = 1
+    T[:, t_col] = 0.0
+    return pivots
+
+
+def _set_objective(T, basis, nonbasic, a):
+    """Write the phase-2 objective min -a'x into the last row of T, priced
+    out against the current basis (costs by label: -a on x, 0 on t and
+    the slacks)."""
+    n = a.size
+    cost = np.zeros(T.shape[0] + n)
+    cost[:n] = -a
+    cost_b = cost[basis]
+    T[-1, :-1] = cost[nonbasic] - cost_b @ T[:-1, :-1]
+    T[-1, -1] = -(cost_b @ T[:-1, -1])
+
+
 def _maximize(a, A, b, max_pivots, value_cap=None):
     """Both phases for ``maximize a'x s.t. A x <= b``.
 
@@ -297,50 +335,23 @@ def _maximize(a, A, b, max_pivots, value_cap=None):
     1 leaves t > TOL, else an outcome of _iterate on the phase-2 tableau,
     whose objective is min -a'x.
     """
-    n = A.shape[1]
     outcome, T, basis, nonbasic, pivots = _phase_one(A, b, max_pivots)
     if outcome == "iteration_limit":
         return outcome, T, basis, nonbasic, pivots
-    t_col = (nonbasic == n).nonzero()[0]
-    if t_col.size == 0:
-        i = int((basis == n).nonzero()[0][0])
-        if T[i, -1] > TOL:
-            return "infeasible", T, basis, nonbasic, pivots
-        # a t still basic (at most TOL) leaves on a real column
-        cand = (np.abs(T[i, :-1]) > TOL).nonzero()[0]
-        if cand.size:
-            t_col = int(cand[nonbasic[cand].argmin()])
-            _pivot(T, basis, nonbasic, i, t_col)
-            pivots += 1
-    # retire t's column, so phase 2 never moves it
-    T[:, t_col] = 0.0
-    # phase-2 costs by label: -a on x, 0 on t and the slacks
-    cost = np.zeros(T.shape[0] + n)
-    cost[:n] = -a
-    cost_b = cost[basis]
-    T[-1, :-1] = cost[nonbasic] - cost_b @ T[:-1, :-1]
-    T[-1, -1] = -(cost_b @ T[:-1, -1])
-    outcome, pivots = _iterate(T, basis, nonbasic, max_pivots, pivots,
-                               value_cap)
+    retired = _retire_t(T, basis, nonbasic, A.shape[1])
+    if retired is None:
+        return "infeasible", T, basis, nonbasic, pivots
+    _set_objective(T, basis, nonbasic, a)
+    outcome, pivots = _iterate(T, basis, nonbasic, max_pivots,
+                               pivots + retired, value_cap)
     return outcome, T, basis, nonbasic, pivots
 
 
-def solve_lp(problem, max_pivots=None):
-    """Two-phase primal simplex for ``maximize c'x s.t. A x <= b``.
-
-    Runs on the short tableau, with x free. Phase 1 is the auxiliary
-    problem of min_violation. Returns a SolveStatus. On OPTIMAL the duals,
-    read off the reduced costs of the nonbasic slacks (a basic slack has
-    dual 0), satisfy A'lam = c, lam >= 0 and b'lam = value (strong
-    duality).
-    """
-    c, A, b = problem.c, problem.A, problem.b
+def _optimum(T, basis, nonbasic, c, A, b, pivots):
+    """The OPTIMAL SolveStatus of an optimal phase-2 tableau. The duals
+    are read off the reduced costs of the nonbasic slacks (a basic slack
+    has dual 0)."""
     m, n = A.shape
-    if max_pivots is None:
-        max_pivots = 50 * (m + n)
-    outcome, T, basis, nonbasic, pivots = _maximize(c, A, b, max_pivots)
-    if outcome != "optimal":
-        return SolveStatus(Status(outcome), iterations=pivots)
     x, _ = _extract(T, basis, n)
     lam = np.zeros(m)
     slack_cols = (nonbasic > n).nonzero()[0]
@@ -349,6 +360,60 @@ def solve_lp(problem, max_pivots=None):
     active = [int(i) for i in np.nonzero(np.abs(A @ x - b) <= 1e-7)[0]]
     return SolveStatus(Status.OPTIMAL, x=x, value=float(c @ x),
                        active_set=active, lam=lam, iterations=pivots)
+
+
+def solve_lp(problem, max_pivots=None):
+    """Two-phase primal simplex for ``maximize c'x s.t. A x <= b``.
+
+    Runs on the short tableau, with x free. Phase 1 is the auxiliary
+    problem of min_violation. Returns a SolveStatus. On OPTIMAL the duals
+    satisfy A'lam = c, lam >= 0 and b'lam = value (strong duality).
+    """
+    c, A, b = problem.c, problem.A, problem.b
+    m, n = A.shape
+    if max_pivots is None:
+        max_pivots = 50 * (m + n)
+    outcome, T, basis, nonbasic, pivots = _maximize(c, A, b, max_pivots)
+    if outcome != "optimal":
+        return SolveStatus(Status(outcome), iterations=pivots)
+    return _optimum(T, basis, nonbasic, c, A, b, pivots)
+
+
+class SupportLp:
+    """Warm-started LPs ``maximize c'x s.t. A x <= b`` over one fixed
+    constraint set, for a sequence of objectives c.
+
+    Phase 1 runs once, here. Each maximize rewrites the objective row of
+    the tableau the previous call left, which is primal feasible whatever
+    that call's outcome, and goes on pivoting from its basis, so that
+    close successive directions cost few pivots. Results and duals are
+    those solve_lp would return; iterations counts the call's own pivots.
+    """
+
+    def __init__(self, A, b):
+        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.b = np.asarray(b, dtype=float).ravel()
+        m, n = self.A.shape
+        self.max_pivots = 50 * (m + n)
+        outcome, self._T, self._basis, self._nonbasic, _ = _phase_one(
+            self.A, self.b, self.max_pivots)
+        if outcome == "iteration_limit":
+            raise RuntimeError("phase 1 hit its pivot cap")
+        self.feasible = _retire_t(self._T, self._basis, self._nonbasic,
+                                  n) is not None
+
+    def maximize(self, c):
+        """A SolveStatus for maximize c'x, warm started; INFEASIBLE when
+        the constraint set is empty."""
+        if not self.feasible:
+            return SolveStatus(Status.INFEASIBLE)
+        c = np.asarray(c, dtype=float).ravel()
+        T, basis, nonbasic = self._T, self._basis, self._nonbasic
+        _set_objective(T, basis, nonbasic, c)
+        outcome, pivots = _iterate(T, basis, nonbasic, self.max_pivots, 0)
+        if outcome != "optimal":
+            return SolveStatus(Status(outcome), iterations=pivots)
+        return _optimum(T, basis, nonbasic, c, self.A, self.b, pivots)
 
 
 def support_value(a, A, b, stop_above=None, max_pivots=None):

@@ -33,6 +33,11 @@ def y1_gov(y1):
 
 
 @pytest.fixture(scope="session")
+def wide_gov():
+    return systems.wide_box_stack()
+
+
+@pytest.fixture(scope="session")
 def y1():
     return systems.y1_bundle()
 
@@ -50,15 +55,23 @@ def y3():
 @pytest.fixture
 def support_lps(monkeypatch):
     """The list that gets one entry per support LP solved through
-    fgmpc.polytope from here on; its length is the count."""
+    fgmpc.polytope from here on, the warm-started hull LPs of
+    HPolyhedron.project included; its length is the count."""
     import fgmpc.polytope
+    from fgmpc.solver import SupportLp
 
     calls = []
     real = fgmpc.polytope.support_value
+    real_maximize = SupportLp.maximize
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    def counted_maximize(self, c):
+        calls.append(1)
+        return real_maximize(self, c)
+
     monkeypatch.setattr(fgmpc.polytope, "support_value", counted)
+    monkeypatch.setattr(SupportLp, "maximize", counted_maximize)
     return calls

@@ -71,6 +71,29 @@ def y3_bundle():
                         100.0 * np.eye(2), [[1.0]])
 
 
+def wide_box_stack():
+    """The wide-box double integrator of the governed-loop benchmark:
+    terminal set from unit weights, controller with Q = 100 I, N = 10,
+    and its Gamma_N, Lambda and governed region of attraction."""
+    from fgmpc.governor import GovernorProblem, roa
+    from fgmpc.mpc import OcpDesign, condense, feasible_set
+
+    plant = double_integrator_plant()
+    em = equilibrium_basis(plant)
+    Y = y_box(3)
+    spec = ConstraintSpec(plant, em, Y, 0.01)
+    rs_ctrl = solve_dare(plant.A, plant.B, 100.0 * np.eye(2), [[1.0]])
+    rs_nom = solve_dare(plant.A, plant.B, np.eye(2), [[1.0]])
+    T = terminal_set(plant, em, rs_nom, Y, 0.01)
+    design = OcpDesign(10, 100.0 * np.eye(2), [[1.0]], rs_ctrl.P,
+                       rs_ctrl.K, T, Y)
+    qp = condense(plant, design, em)
+    gamma = feasible_set(qp)
+    gp = GovernorProblem(gamma, spec.R_eps)
+    return {"plant": plant, "spec": spec, "design": design, "qp": qp,
+            "gamma": gamma, "gp": gp, "roa": roa(gp)}
+
+
 def make_design(bundle, N):
     from fgmpc.mpc import OcpDesign
 

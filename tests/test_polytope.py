@@ -9,7 +9,7 @@ import systems
 from oracles import (convex_hull_2d, enumerate_vertices, hull_to_hrep,
                      random_bounded_polytope)
 
-import fgmpc.polytope
+from fgmpc.governor import GovernorProblem, roa
 from fgmpc.mpc import condense, feasible_set
 from fgmpc.polytope import (DEFAULT_ROW_CAP, HPolyhedron,
                             ProjectionBlowupError)
@@ -113,6 +113,43 @@ def test_project_empty_input_rejected():
         P.project([0])
 
 
+def test_project_identity_permutes_without_lp(support_lps):
+    """Keeping every coordinate only reorders the columns."""
+    rng = np.random.default_rng(4)
+    A, b = random_bounded_polytope(rng, 3, 4)
+    P = HPolyhedron(A, b)
+    proj = P.project([2, 0, 1])
+    assert support_lps == []
+    np.testing.assert_array_equal(proj.A, P.A[:, [2, 0, 1]])
+    np.testing.assert_array_equal(proj.b, P.b)
+
+
+def test_project_unbounded_image_rejected():
+    """x1 >= 0 is the only bound on x1: the image on x1 is unbounded, the
+    one on x2 is not."""
+    A = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    P = HPolyhedron(A, np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"unbounded along direction "
+                                         r"\[1.0\]"):
+        P.project([0])
+    np.testing.assert_allclose(np.sort(P.project([1]).b), [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"unbounded along direction "
+                                         r"\[-1.0, 0.0\]"):
+        HPolyhedron(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                              [0.0, 0.0, -1.0]]),
+                    np.array([1.0, 1.0, 1.0])).project([0, 1])
+
+
+def test_project_flat_image_rejected():
+    """The box cut to the plane x1 = x2 has a flat image on (x1, x2)."""
+    A = np.vstack([np.eye(3), -np.eye(3), [[1.0, -1.0, 0.0],
+                                           [-1.0, 1.0, 0.0]]])
+    P = HPolyhedron(A, np.concatenate([np.ones(6), np.zeros(2)]))
+    with pytest.raises(ValueError, match=r"not full-dimensional.*direction "
+                                         r"\[(-1.0, 1.0|1.0, -1.0)\]"):
+        P.project([0, 1])
+
+
 def test_project_blowup_guard():
     rng = np.random.default_rng(8)
     A, b = random_bounded_polytope(rng, 4, 12)
@@ -190,13 +227,11 @@ def test_project_rotated_cross_polytope(seed):
 
 
 @pytest.mark.parametrize("n, seed", [(4, 3), (4, 5), (5, 7), (5, 11)])
-def test_project_pass_through_facets_are_sound(n, seed, monkeypatch):
-    """Rows that pass an elimination unchanged are kept without an LP only
-    when the previous prune certified them. The input carries redundant
-    rows with zero coefficients on every eliminated variable, some of them
-    tangent (they touch the shadow at a vertex), so the first prune drops
-    them and restarts the ancestor count before a step that seeds
-    certified rows. The projection must still be the minimal hull."""
+def test_project_pass_through_facets_are_sound(n, seed):
+    """The input carries redundant rows with zero coefficients on every
+    eliminated variable, some of them tangent (they touch the shadow at a
+    vertex), and loose rows zero on one eliminated variable. The
+    projection must still be the minimal hull."""
     rng = np.random.default_rng(seed)
     A, b = random_bounded_polytope(rng, n, 4)
     keep = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -224,21 +259,8 @@ def test_project_pass_through_facets_are_sound(n, seed, monkeypatch):
     A_all = np.vstack(rows)[order]
     b_all = np.concatenate(offsets)[order]
 
-    calls = []
-    real = fgmpc.polytope._prune_lp
-
-    def recorded(A, b, facets=(), tol=TOL):
-        kept, tangent = real(A, b, facets, tol=tol)
-        calls.append((len(facets), tangent.size))
-        return kept, tangent
-
-    monkeypatch.setattr(fgmpc.polytope, "_prune_lp", recorded)
     proj = HPolyhedron(A_all, b_all).project(keep)
     assert_same_polygon(proj, hull)
-    # the first prune seeds nothing and finds tangent rows; a later one
-    # seeds certified rows
-    assert calls[0][0] == 0 and calls[0][1] > 0
-    assert any(seeded for seeded, _ in calls[1:])
 
 
 def test_feasible_set_support_lp_count(y2, support_lps):
@@ -251,11 +273,31 @@ def test_feasible_set_support_lp_count(y2, support_lps):
 
 
 def test_feasible_set_support_lp_count_y1(y1, support_lps):
-    """One feasible_set on y1, N = 10: 3,020 support LPs. Re-testing the
-    rows that pass an elimination unchanged took 3,386."""
+    """One feasible_set on y1, N = 10: 196 LPs, 146 of them hull LPs.
+    Fourier-Motzkin elimination took 3,020, and 3,386 before rows that
+    pass an elimination unchanged were kept without an LP."""
     qp = condense(y1["plant"], systems.make_design(y1, 10), y1["em"])
     feasible_set(qp)
     assert len(support_lps) <= 3100
+
+
+def test_feasible_set_support_lp_count_y1_long_horizon(y1, support_lps):
+    """One feasible_set on y1, N = 30: 250 LPs for 66 facets (Fourier-
+    Motzkin elimination took 8,792)."""
+    qp = condense(y1["plant"], systems.make_design(y1, 30), y1["em"])
+    feasible_set(qp)
+    assert len(support_lps) <= 260
+
+
+def test_roa_support_lp_count_y1(y1, support_lps):
+    """The ROA of y1 at N = 5: 95 LPs for 30 facets. Fourier-Motzkin
+    elimination of v took 790, one per row it made."""
+    gp = GovernorProblem(feasible_set(condense(
+        y1["plant"], systems.make_design(y1, 5), y1["em"])),
+        y1["spec"].R_eps)
+    del support_lps[:]
+    assert roa(gp).nrows == 30
+    assert len(support_lps) <= 100
 
 
 def test_project_soundness_sampling():

@@ -15,7 +15,7 @@ import pytest
 
 import fgmpc.solver
 
-from fgmpc.solver import (LpProblem, QpProblem, Status, TOL,
+from fgmpc.solver import (LpProblem, QpProblem, Status, SupportLp, TOL,
                           _drop_constraint, _factorize, _invert_column,
                           _maximize, _phase_one, min_violation, solve_lp,
                           solve_qp, support_value)
@@ -313,6 +313,51 @@ def test_lp_engine_matches_highs(seed):
             assert abs(t - t_ref) <= 1e-7 * (1.0 + t_ref), trial
         else:
             assert out in ("feasible", "optimal") and t <= TOL, trial
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_support_lp_warm_matches_cold(seed):
+    """A sequence of objectives over one constraint set, each warm started
+    from the tableau the previous one left (after an unbounded or optimal
+    outcome alike), gives the status and value of a cold solve_lp, with
+    duals that meet the KKT conditions."""
+    rng = np.random.default_rng(seed)
+    for trial in range(60):
+        _, A, b = degenerate_lp(rng)
+        lp = SupportLp(A, b)
+        for c in rng.normal(size=(8, A.shape[1])):
+            warm = lp.maximize(c)
+            cold = solve_lp(LpProblem(c, A, b))
+            assert warm.status is cold.status, trial
+            if cold.optimal:
+                assert abs(warm.value - cold.value) <= 1e-7, trial
+                check_lp_kkt(c, A, b, warm)
+
+
+def test_support_lp_warm_start_saves_pivots(monkeypatch):
+    """Close directions over a tall LP: phase 1 runs once, and the
+    warm-started solves pivot less than half as much as the same cold
+    solves."""
+    rng = np.random.default_rng(3)
+    c0, A, b = random_bounded_lp(rng, 4, 200)
+    b = b + A @ np.full(4, 5.0)  # moved off the origin: phase 1 pivots
+    phase_ones = []
+    real = fgmpc.solver._phase_one
+
+    def counted(*args, **kwargs):
+        phase_ones.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fgmpc.solver, "_phase_one", counted)
+    lp = SupportLp(A, b)
+    directions = c0 + 0.05 * np.arange(20)[:, None] * rng.normal(size=(20, 4))
+    warm = [lp.maximize(c) for c in directions]
+    assert len(phase_ones) == 1
+    cold = [solve_lp(LpProblem(c, A, b)) for c in directions]
+    for w, c in zip(warm, cold):
+        assert w.optimal and abs(w.value - c.value) <= 1e-8
+    assert sum(w.iterations for w in warm) < \
+        sum(c.iterations for c in cold) / 2
 
 
 def test_lp_auxiliary_column_left_basic():
