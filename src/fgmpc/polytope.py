@@ -13,10 +13,7 @@ all on one simplex tableau. The row of a confirmed facet comes from the
 duals of its LP, a nonnegative combination of input rows, so structural
 zeros stay exact.
 
-Redundancy removal tests rows by support LPs against the rows already
-certified irredundant, and a certificate is confirmed by a further LP only
-when the ray that found it hit a lower-dimensional face, the one case
-where it may be tangent.
+Redundancy removal solves one LP per row against the rows still kept.
 """
 
 import csv
@@ -212,7 +209,9 @@ class HPolyhedron:
     def is_empty(self, tol=TOL):
         if self.nrows == 0:
             return False
-        t, _, _ = min_violation(self._A, self._b)
+        t, _, outcome = min_violation(self._A, self._b)
+        if outcome not in ("feasible", "optimal"):
+            raise RuntimeError("emptiness LP failed: {}".format(outcome))
         return t > tol
 
     def chebyshev_center(self):
@@ -225,7 +224,12 @@ class HPolyhedron:
         """
         if self.nrows == 0:
             return None, np.inf
-        res = _inscribed_ball(self._A, self._b)
+        # maximize r over a_i x + ||a_i|| r <= b_i
+        radii = np.linalg.norm(self._A, axis=1)
+        c = np.zeros(self.dim + 1)
+        c[-1] = 1.0
+        res = solve_lp(LpProblem(c, np.hstack([self._A, radii[:, None]]),
+                                 self._b))
         if res.status is Status.INFEASIBLE:
             return None, -np.inf
         if res.status is Status.UNBOUNDED:
@@ -239,7 +243,10 @@ class HPolyhedron:
     def remove_redundancy(self, tol=TOL):
         """Minimal representation: drops every row whose removal provably
         leaves the set unchanged (one support LP per row, early exit)."""
-        return HPolyhedron(*_minimal(self._A, self._b, tol))
+        sel = _dedup(self._A, self._b)
+        A, b = self._A[sel], self._b[sel]
+        kept = _prune_lp(A, b, tol)
+        return HPolyhedron(A[kept], b[kept])
 
     def project(self, keep_indices, row_cap=DEFAULT_ROW_CAP):
         """Orthogonal projection onto the kept coordinates, by the convex
@@ -261,8 +268,11 @@ class HPolyhedron:
         columns, with offset lam'b, for the duals lam of its LP: a
         nonnegative combination of input rows whose other columns cancel,
         as a Fourier-Motzkin row is, so a coefficient that is zero in
-        every row it combines stays exactly 0.0. A final redundancy pass
-        leaves the minimal representation.
+        every row it combines stays exactly 0.0. No redundancy LP follows:
+        the LP shows that the row's plane supports the projection, and
+        that plane passes through the d affinely independent points of a
+        hull facet, so the row is a facet of the projection. One row is
+        kept per plane; duplicate removal only guards against rounding.
 
         When every coordinate is kept the rows are only permuted, without
         a support LP. Raises ValueError on an empty input, and on an image
@@ -280,8 +290,9 @@ class HPolyhedron:
             raise ValueError("cannot project an empty polyhedron")
         if len(keep) == self.dim:
             return HPolyhedron(self._A[:, keep], self._b)
-        return HPolyhedron(*_minimal(*_hull_facets(self._A, self._b, keep,
-                                                   row_cap)))
+        rows, offsets = _hull_facets(self._A, self._b, keep, row_cap)
+        sel = _dedup(rows, offsets)
+        return HPolyhedron(rows[sel], offsets[sel])
 
     # -- file format --------------------------------------------------------
 
@@ -325,15 +336,6 @@ class HPolyhedron:
         return cls(arr[:, :dim], arr[:, dim])
 
 
-def _minimal(A, b, tol=TOL):
-    """The irredundant rows of {x : A x <= b} (rows scaled to unit
-    infinity norm): duplicates first, then the LP prune."""
-    sel = _dedup(A, b)
-    A, b = A[sel], b[sel]
-    kept = _prune_lp(A, b, tol)
-    return A[kept], b[kept]
-
-
 def _dedup(A, b):
     """Duplicate removal: rows with the same normalized coefficients keep
     only the tightest offset. Returns the surviving row indices in input
@@ -350,95 +352,12 @@ def _dedup(A, b):
 
 
 def _prune_lp(A, b, tol=TOL):
-    """LP redundancy removal, output-sensitive.
-
-    Rows are tested against the set of already-certified irredundant rows
-    only; a support value at or below b_i over that subset is a sound
-    redundancy proof, because the subset's polyhedron contains the full
-    one. When a test point violates row i instead, the segment from a
-    strict interior point to it crosses the boundary first at row j, which
-    joins the certified set. With r irredundant rows out of m this costs
-    O(m) LPs of size r instead of size m.
-
-    A certificate j is provably irredundant when the first hit is unique:
-    past the hit point the ray stays inside every other row for a while,
-    and if it gains more than tol on row j before another row binds, the
-    pairwise test below would keep j as well. Only a certificate whose hit
-    ties with another row's within that margin (the ray meets a
-    lower-dimensional face, where j may be tangent) is a suspect, and only
-    suspects are confirmed by the pairwise test against all kept rows. Sets
-    without a usable interior point (empty, flat, or containing
-    arbitrarily large balls) fall back to the pairwise scan of every row.
-
-    Returns the indices of the irredundant rows, in input order.
-    """
-    m = b.size
-    if m <= 1:
-        return np.arange(m)
-    ball = _inscribed_ball(A, b)
-    if ball.status is not Status.OPTIMAL or ball.value <= 1e-7:
-        return _prune_lp_pairwise(A, b, range(m), tol)
-    z = ball.x[:-1]
-
-    margins = b - A @ z
-    in_certified = np.zeros(m, dtype=bool)
-    certified = []
-    suspect = []
-    redundant = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if in_certified[i]:
-            continue
-        while True:
-            A_lp = np.vstack([A[certified], A[i:i + 1]])
-            b_lp = np.concatenate([b[certified], [b[i] + 1.0]])
-            out, val, xs = support_value(A[i], A_lp, b_lp,
-                                         stop_above=b[i] + tol)
-            if out == "iteration_limit":
-                raise RuntimeError("redundancy LP hit its pivot cap")
-            if out == "optimal" and val <= b[i] + tol:
-                redundant[i] = True
-                break
-            # xs violates row i: the first row crossed on the way from the
-            # interior point is a new certificate. Certified rows lie at
-            # t >= 1 and row i below 1, so progress is sure.
-            d = xs - z
-            den = A @ d
-            t = np.full(m, np.inf)
-            ok = (den > 1e-12) & ~redundant
-            t[ok] = margins[ok] / den[ok]
-            j = int(np.argmin(t))
-            # the gain on row j before the next hit; twice tol, so that
-            # rounding in t cannot pass a tie off as a unique hit
-            t_j, t[j] = t[j], np.inf
-            if (np.min(t) - t_j) * den[j] <= 2.0 * tol:
-                suspect.append(j)
-            certified.append(j)
-            in_certified[j] = True
-            if j == i:
-                break
-    kept = np.sort(np.asarray(certified, dtype=int))
-    if suspect:
-        pos = np.searchsorted(kept, np.sort(suspect))
-        kept = kept[_prune_lp_pairwise(A[kept], b[kept], pos, tol)]
-    return kept
-
-
-def _inscribed_ball(A, b):
-    """The LP for the largest inscribed ball of {x : A x <= b}: maximize r
-    over a_i x + ||a_i|| r <= b_i. Its solution is (center, radius)."""
-    radii = np.linalg.norm(A, axis=1)
-    c = np.zeros(A.shape[1] + 1)
-    c[-1] = 1.0
-    return solve_lp(LpProblem(c, np.hstack([A, radii[:, None]]), b))
-
-
-def _prune_lp_pairwise(A, b, test, tol=TOL):
-    """Sequential redundancy scan over the rows listed in test (ascending):
-    row i goes when its support value over the remaining rows (plus the
-    relaxed bound b_i + 1, which keeps the LP bounded) stays at or below
-    b_i. Returns the kept row indices, in input order."""
+    """Sequential redundancy scan: row i goes when its support value over
+    the rows still kept (plus the relaxed bound b_i + 1, which keeps the
+    LP bounded) stays at or below b_i. Returns the kept row indices, in
+    input order."""
     keep = np.ones(b.size, dtype=bool)
-    for i in test:
+    for i in range(b.size):
         others = np.nonzero(keep)[0]
         others = others[others != i]
         if others.size == 0:
@@ -498,8 +417,8 @@ def _plane(P, center):
 
 def _hull_facets(A, b, keep, row_cap):
     """The facet rows of the projection of {x : A x <= b} onto keep, by
-    the convex hull method (see HPolyhedron.project). One facet may come
-    with more than one row."""
+    the convex hull method (see HPolyhedron.project), one row per
+    confirmed plane."""
     d = len(keep)
     lp = SupportLp(A, b)
 

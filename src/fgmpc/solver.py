@@ -567,14 +567,14 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
 
     The method moves between dual-feasible pairs: x minimizes the
     objective with the active constraints held at equality, and their
-    multipliers are nonnegative. Violated constraints are added one at a time, with dual
-    steps (dropping blocking constraints) whenever a full primal step is
-    blocked, until x is feasible. The factor J = inv(L)' of H comes from
-    the problem, computed once at its construction; each solve works on a
-    rotated copy J = J0 Q, with R the triangular factor of J0' N for the
-    active normals N. An added constraint is folded into J and R by one
-    Householder reflection, a dropped one by one QR of the Hessenberg
-    block it leaves.
+    multipliers are nonnegative. Violated constraints are added one at a
+    time, with dual steps (dropping blocking constraints) whenever a full
+    primal step is blocked, until x is feasible. The factor J = inv(L)' of
+    H comes from the problem, computed once at its construction; each
+    solve works on a rotated copy J = J0 Q, with R the triangular factor
+    of J0' N for the active normals N. An added constraint is folded into
+    J and R by one Householder reflection, a dropped one by one QR of the
+    Hessenberg block it leaves.
 
     warm_start, when given, is a candidate active set (typically the
     previous solve's) that hot-starts the factorization: its distinct

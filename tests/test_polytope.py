@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import systems
-from oracles import (convex_hull_2d, enumerate_vertices, hull_to_hrep,
-                     random_bounded_polytope)
+from oracles import (convex_hull_2d, enumerate_vertices, highs_support,
+                     hull_to_hrep, irredundant_rows, random_bounded_polytope)
 
+import fgmpc.polytope
 from fgmpc.governor import GovernorProblem, roa
 from fgmpc.mpc import condense, feasible_set
 from fgmpc.polytope import (DEFAULT_ROW_CAP, HPolyhedron,
@@ -185,6 +186,17 @@ def assert_same_polygon(proj, hull):
     assert proj.contains_set(Q, tol=1e-6) and Q.contains_set(proj, tol=1e-6)
 
 
+def assert_minimal_hull(proj, verts, rng):
+    """proj is the convex hull of the points verts (rows): its supports in
+    50 random directions are the maxima over verts, and HiGHS finds no row
+    implied by the others."""
+    pytest.importorskip("scipy")
+    for c in rng.normal(size=(50, verts.shape[1])):
+        assert abs(highs_support(c, proj.A, proj.b) - np.max(verts @ c)) \
+            <= 1e-9
+    assert irredundant_rows(proj.A, proj.b).all()
+
+
 @pytest.mark.parametrize("n, extra, seed",
                          [(5, 8, 34), (5, 10, 33), (6, 6, 31), (6, 8, 31)])
 def test_project_deep_elimination_matches_hull(n, extra, seed):
@@ -215,15 +227,38 @@ def test_project_degenerate_apex():
 def test_project_rotated_cross_polytope(seed):
     """The cross-polytope {Q y : sum |y_i| <= 1} with Q a random rotation:
     2^4 rows, every vertex degenerate, and its vertices +-Q e_i are known in
-    closed form."""
+    closed form. Its shadows in 3-D have vertices on more than three
+    facets."""
     n = 4
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
     P = HPolyhedron(signs @ Q.T, np.ones(signs.shape[0]))
+    verts = np.vstack([Q.T, -Q.T])
     for keep in ([0, 1], [1, 3]):
-        verts = np.vstack([Q.T, -Q.T])[:, keep]
-        assert_same_polygon(P.project(keep), convex_hull_2d(verts))
+        assert_same_polygon(P.project(keep), convex_hull_2d(verts[:, keep]))
+    for keep in ([0, 1, 2], [1, 2, 3]):
+        assert_minimal_hull(P.project(keep), verts[:, keep], rng)
+
+
+def test_project_rotated_cube_in_3d():
+    """A rotated cube times y in [-1, 1], with loose rows that couple y,
+    projected onto the cube's coordinates. Each square facet of the image
+    splits into two hull triangles, yet one row each must come out."""
+    rng = np.random.default_rng(8)
+    R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    cube = np.array(list(itertools.product([-1.0, 1.0], repeat=3))) @ R.T
+    box = np.vstack([R.T, -R.T])
+    A = np.vstack([np.hstack([box, np.zeros((6, 1))]),
+                   [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]]])
+    b = np.ones(8)
+    loose = rng.normal(size=(4, 4))
+    A = np.vstack([A, loose])
+    b = np.concatenate([b, np.max(cube @ loose[:, :3].T, axis=0)
+                        + np.abs(loose[:, 3]) + 0.1])
+    proj = HPolyhedron(A, b).project([0, 1, 2])
+    assert proj.nrows == 6
+    assert_minimal_hull(proj, cube, rng)
 
 
 @pytest.mark.parametrize("n, seed", [(4, 3), (4, 5), (5, 7), (5, 11)])
@@ -264,40 +299,36 @@ def test_project_pass_through_facets_are_sound(n, seed):
 
 
 def test_feasible_set_support_lp_count(y2, support_lps):
-    """One feasible_set on y2, N = 5. Before ancestor pruning, suspect-only
-    confirmation and the single final prune, this took 4534 support LPs."""
+    """One feasible_set on y2, N = 5: 239 hull LPs for 80 facets, and no
+    redundancy LP after the hull."""
     qp = condense(y2["plant"], systems.make_design(y2, 5), y2["em"])
-    calls = support_lps
     feasible_set(qp)
-    assert len(calls) <= 4534 // 2
+    assert len(support_lps) <= 245
 
 
 def test_feasible_set_support_lp_count_y1(y1, support_lps):
-    """One feasible_set on y1, N = 10: 196 LPs, 146 of them hull LPs.
-    Fourier-Motzkin elimination took 3,020, and 3,386 before rows that
-    pass an elimination unchanged were kept without an LP."""
+    """One feasible_set on y1, N = 10: 146 hull LPs for 48 facets, and no
+    redundancy LP after the hull."""
     qp = condense(y1["plant"], systems.make_design(y1, 10), y1["em"])
     feasible_set(qp)
-    assert len(support_lps) <= 3100
+    assert len(support_lps) <= 150
 
 
 def test_feasible_set_support_lp_count_y1_long_horizon(y1, support_lps):
-    """One feasible_set on y1, N = 30: 250 LPs for 66 facets (Fourier-
-    Motzkin elimination took 8,792)."""
+    """One feasible_set on y1, N = 30: 180 hull LPs for 66 facets."""
     qp = condense(y1["plant"], systems.make_design(y1, 30), y1["em"])
     feasible_set(qp)
-    assert len(support_lps) <= 260
+    assert len(support_lps) <= 185
 
 
 def test_roa_support_lp_count_y1(y1, support_lps):
-    """The ROA of y1 at N = 5: 95 LPs for 30 facets. Fourier-Motzkin
-    elimination of v took 790, one per row it made."""
+    """The ROA of y1 at N = 5: 63 hull LPs for 30 facets."""
     gp = GovernorProblem(feasible_set(condense(
         y1["plant"], systems.make_design(y1, 5), y1["em"])),
         y1["spec"].R_eps)
     del support_lps[:]
     assert roa(gp).nrows == 30
-    assert len(support_lps) <= 100
+    assert len(support_lps) <= 65
 
 
 def test_project_soundness_sampling():
@@ -357,9 +388,8 @@ def facet_count(A, b, V):
 
 def test_remove_redundancy_weakly_redundant_rows():
     """Rows that touch the set only at a vertex or along an edge are
-    redundant; exactly the facets must remain. On the octahedron, whose
-    vertices each lie on four facets, rays from the center meet vertices
-    and edges, so certificates tie and need their confirming LP."""
+    redundant; exactly the facets must remain, also on the octahedron,
+    whose vertices each lie on four facets."""
     octahedron = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
     rng = np.random.default_rng(17)
     for trial in range(12):
@@ -436,6 +466,17 @@ def test_is_empty():
     assert not unit_box(2).is_empty()
     assert HPolyhedron(np.array([[1.0], [-1.0]]),
                        np.array([-1.0, 0.0])).is_empty()
+
+
+@pytest.mark.parametrize("query", ["is_empty", "project"])
+def test_failed_emptiness_lp_raises(monkeypatch, query):
+    """A phase-1 LP stopped at its pivot cap proves nothing: it must not
+    read as an empty set."""
+    monkeypatch.setattr(fgmpc.polytope, "min_violation",
+                        lambda A, b: (np.inf, None, "iteration_limit"))
+    P = unit_box(2)
+    with pytest.raises(RuntimeError, match="iteration_limit"):
+        P.is_empty() if query == "is_empty" else P.project([0])
 
 
 def test_zero_row_handling():

@@ -27,6 +27,9 @@ least nine of the ten pairs, ties counting for neither side, the medians
 differ by more than the parent's interquartile range, and no larger
 share of the workload's operations fails than at the parent.
 
+The line count of ``src/fgmpc/*.py`` in each tree, as ``wc -l`` gives
+it, is recorded and printed beside the runs.
+
 A run that reports ``correct: false`` with no failed operation (a broken
 tracer guard, a set-up that is not deterministic, outputs that differ
 between operations) stops the tool with that run's report.
@@ -73,6 +76,17 @@ def run_once(tree, workload, seed, trace=0):
                            "operation:\n{}".format(" ".join(cmd), tree,
                                                    "\n".join(lines[:-1])))
     return res
+
+
+def src_lines(tree):
+    """Newline count over the tree's src/fgmpc/*.py files."""
+    src = os.path.join(tree, "src", "fgmpc")
+    total = 0
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def counts(parent, change):
@@ -123,7 +137,11 @@ def main(argv=None):
                          "--trace 0, alternated parent/change pairs, the "
                          "side that runs first alternating; then --trace 1 "
                          "once per tree for the counts".format(args.seed),
+              "src_lines": {side: src_lines(tree)
+                            for side, tree in sides.items()},
               "pairs": {}}
+    print("src/fgmpc lines: parent {parent}, change {change}".format(
+        **report["src_lines"]), flush=True)
     for workload in args.workload:
         runs = {side: [] for side in sides}
         for i in range(PAIRS):
