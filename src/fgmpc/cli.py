@@ -9,7 +9,6 @@ fixture behind. Verbs: sets, simulate, compare, nstar.
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import re
@@ -438,8 +437,9 @@ def _compare_one(cfg, off, entry, slug, out_dir, default_N):
 
 
 def cmd_compare(cfg, out_dir, quiet=False):
-    """Run two or more controller variants on one scenario concurrently
-    and export a side-by-side metrics table plus plot data."""
+    """Run two or more controller variants on one scenario, one after the
+    other so each is timed alone, and export a side-by-side metrics table
+    plus plot data."""
     controllers = _require(cfg, "controllers", "compare")
     if len(controllers) < 2:
         _fail("controllers", "the compare command needs at least 2 "
@@ -452,12 +452,8 @@ def cmd_compare(cfg, out_dir, quiet=False):
     slugs = ["{}_{}".format(i, re.sub(r"[^a-z0-9]+", "_",
                                       entry["kind"].lower()).strip("_"))
              for i, entry in enumerate(controllers)]
-    workers = min(len(controllers), os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        rows = list(ex.map(
-            lambda pair: _compare_one(cfg, off, pair[0], pair[1], out_dir,
-                                      cfg.N),
-            zip(controllers, slugs)))
+    rows = [_compare_one(cfg, off, entry, slug, out_dir, cfg.N)
+            for entry, slug in zip(controllers, slugs)]
 
     table = ["{:<14} {:>4} {:>11} {:>9} {:>11} {:>11}  {}".format(
         "kind", "N", "rise_steps", "rise_s", "tave_s", "tmax_s", "status")]

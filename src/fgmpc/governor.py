@@ -57,8 +57,9 @@ class GovernorProblem:
 
 class GovernorState:
     """Carries the applied reference and the last solve record between
-    steps of one control loop (used to warm start the next solve), and
-    the command-governor QP that cg_step builds on its first step."""
+    steps of one control loop, and the command-governor QP that cg_step
+    builds on its first step. The record's active set and kept factors
+    warm start the next solve."""
 
     def __init__(self, v=None):
         self.v = None if v is None else np.asarray(v, dtype=float).ravel()
@@ -68,11 +69,13 @@ class GovernorState:
 
 def _closest(problem, state=None, message="state outside governed ROA"):
     """Solve the distance QP problem (Hessian 2I, f = -2r), warm started
-    from and recorded into state when given, and return its minimizer."""
-    warm = None
+    from the active set and factors of state's record when given, record
+    the solve into state, and return its minimizer. solve_qp ignores
+    factors that were not built on this problem's shared J0."""
+    warm = factors = None
     if state is not None and state.record is not None:
-        warm = state.record.active_set
-    st = solve_qp(problem, warm_start=warm)
+        warm, factors = state.record.active_set, state.record.factors
+    st = solve_qp(problem, warm_start=warm, warm_factors=factors)
     if st.status == Status.INFEASIBLE:
         raise RoaError(message)
     if st.status != Status.OPTIMAL:

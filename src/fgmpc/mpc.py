@@ -165,12 +165,14 @@ def condense(plant, design, em=None):
     return CondensedQp(H, W, M, L, b, n_x, n_u, n_v, design)
 
 
-def mpc_feedback(qp, x, v, warm_start=None):
+def mpc_feedback(qp, x, v, warm_start=None, warm_factors=None):
     """Solve the condensed QP at (x, v) and return (u, solve record).
 
     u is the first input block of the unique minimizer. warm_start is an
     optional sequence of constraint indices that hot-starts the QP solver
-    (typically the previous step's active set).
+    (typically the previous step's active set). warm_factors are the
+    factors of that set, as the previous record's factors holds them;
+    solve_qp uses them only when they match, and they never change u.
     """
     x = np.asarray(x, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -179,7 +181,7 @@ def mpc_feedback(qp, x, v, warm_start=None):
                          "{}".format(qp.n_x, qp.n_v))
     theta = np.concatenate([x, v])
     problem = qp.problem.with_linear(qp.W @ theta, qp.b - qp.L @ theta)
-    st = solve_qp(problem, warm_start=warm_start)
+    st = solve_qp(problem, warm_start=warm_start, warm_factors=warm_factors)
     if st.status == Status.INFEASIBLE:
         raise OcpInfeasibleError(
             "OCP infeasible at (x, v) = ({}, {})".format(x.tolist(),

@@ -139,7 +139,7 @@ def run_closed_loop(sc, qp=None, gp=None):
 
     x = sc.x0.copy()
     gov_state = governor.GovernorState()
-    warm = None
+    warm = factors = None  # active set and factors of the last MPC solve
     K = sc.design.K
     for k in range(n):
         if sc.kind == "MPC":
@@ -161,10 +161,11 @@ def run_closed_loop(sc, qp=None, gp=None):
             u = em.u_bar(v) - K @ (x - em.x_bar(v))
         else:
             try:
-                u, status = mpc_feedback(qp, x, v, warm_start=warm)
+                u, status = mpc_feedback(qp, x, v, warm_start=warm,
+                                         warm_factors=factors)
             except OcpInfeasibleError as err:
                 raise SimulationError(k, err) from err
-            warm = status.active_set
+            warm, factors = status.active_set, status.factors
         t_mpc[k] = time.perf_counter() - tic
 
         X[k] = x

@@ -19,6 +19,7 @@ is priced into the tableau the previous one left, so it starts from that
 basis.
 """
 
+import collections
 import copy
 import enum
 
@@ -53,16 +54,24 @@ class SolveStatus:
         these are the duals of the maximization problem, so b'lam == value
         at optimality.
     iterations : int
+    factors : QpFactors or None
+        QP only: the factors of the final active set, for the next solve's
+        warm_factors; None when that set is empty or the solve failed.
+    factorizations : int
+        QP only: the batch factorizations (QRs of J0' N) the solve ran. A
+        warm start with the previous solve's factors runs at most one.
     """
 
     def __init__(self, status, x=None, value=None, active_set=None, lam=None,
-                 iterations=0):
+                 iterations=0, factors=None, factorizations=0):
         self.status = status
         self.x = x
         self.value = value
         self.active_set = [] if active_set is None else list(active_set)
         self.lam = lam
         self.iterations = iterations
+        self.factors = factors
+        self.factorizations = factorizations
 
     @property
     def optimal(self):
@@ -477,6 +486,14 @@ def min_violation(A, b, x0=None, max_pivots=None):
 # ---------------------------------------------------------------------------
 
 
+# The factors of a solve's final active set: J = J0 Q, R and the inverse
+# Rinv of R's leading block, with the sorted set and the problem's J0 they
+# were built on. The arrays are read-only; a solve that takes them back
+# updates a copy.
+QpFactors = collections.namedtuple("QpFactors",
+                                   ["J0", "active_set", "J", "R", "Rinv"])
+
+
 def _invert_column(R, Rinv, q):
     """Extend Rinv, the inverse of the upper triangle R[:q, :q], to the
     inverse of R[:q + 1, :q + 1] (one back-substitution column)."""
@@ -548,21 +565,24 @@ def _factorize(J0, normals):
     return J0 @ Q, R
 
 
-def _equality_solve(J, R, x0, normals, rhs):
+def _equality_solve(J, R, x0, normals, rhs, Rinv=None):
     """Minimizer and multipliers of the QP with the working set held at
     equality (normals x = rhs), from its factors J and R, and the inverse
-    Rinv of R's leading block. With x0 the unconstrained minimizer,
-    lam = (R'R)^{-1} (N x0 - rhs) and x = x0 - J[:, :q] R^{-T} (N x0 - rhs).
+    Rinv of R's leading block, built here when not given. With x0 the
+    unconstrained minimizer, lam = (R'R)^{-1} (N x0 - rhs) and
+    x = x0 - J[:, :q] R^{-T} (N x0 - rhs).
     """
     n, q = J.shape[0], normals.shape[0]
-    Rinv = np.zeros((n, n))
-    for j in range(q):
-        _invert_column(R, Rinv, j)
+    if Rinv is None:
+        Rinv = np.zeros((n, n))
+        for j in range(q):
+            _invert_column(R, Rinv, j)
     w = Rinv[:q, :q].T @ (normals @ x0 - rhs)
     return x0 - J[:, :q] @ w, Rinv[:q, :q] @ w, Rinv
 
 
-def solve_qp(problem, warm_start=None, max_iterations=None):
+def solve_qp(problem, warm_start=None, max_iterations=None,
+             warm_factors=None):
     """Dual active-set method for strictly convex QPs (Goldfarb-Idnani).
 
     The method moves between dual-feasible pairs: x minimizes the
@@ -577,18 +597,28 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     Hessenberg block it leaves.
 
     warm_start, when given, is a candidate active set (typically the
-    previous solve's) that hot-starts the factorization: its distinct
-    indices, sorted, are factorized in one batch (a QR of J0' N) and the
-    QP is solved with them held at equality; indices with negative
-    multipliers are removed and the rest factorized again, until every
+    previous solve's) that hot-starts the solve: its distinct indices,
+    sorted, are factorized in one batch (a QR of J0' N) and the QP is
+    solved with them held at equality; indices with negative multipliers
+    are dropped from those factors by the drop path, until every
     multiplier is nonnegative. The iterations go on from that pair. A
     candidate set of more than n indices or with dependent normals falls
     back to the cold start at the unconstrained minimum.
 
+    warm_factors, when given, are the factors a previous solve returned
+    (SolveStatus.factors). They replace the batch factorization of the
+    warm set when they were built for exactly that sorted set on this
+    problem's own J0 array (an identity test: every with_linear problem
+    shares it, and with it the scaled rows), and are ignored otherwise.
+    They are bit-identical to a fresh factorization of that set, so they
+    change no result; the solve updates a copy and never writes to them.
+
     The minimizer is unique (H is positive definite), and the returned x
     and lam come from the same equality solve on the sorted final active
     set, so their bits depend only on the problem and that set: a warm
-    and a cold solve that end on the same set agree exactly.
+    and a cold solve that end on the same set agree exactly. Whenever
+    drops or iterations changed the warm set, x and lam (and the returned
+    factors) are recomputed from a batch factorization of the final set.
     """
     H, f, A, b = problem.H, problem.f, problem.A, problem.b
     n = f.size
@@ -608,18 +638,28 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     if warm and not 0 <= warm[0] <= warm[-1] < m:
         raise ValueError("warm start indices must lie in [0, {})".format(m))
 
+    factorizations = 0
     active = list(warm) if len(warm) <= n else []
-    while active:
-        J, R = _factorize(problem.J, As[active])
+    if active:
+        kept = warm_factors
+        if kept is not None and kept.J0 is problem.J \
+                and kept.active_set == tuple(active):
+            J, R, Rinv = kept.J.copy(), kept.R.copy(), kept.Rinv.copy()
+        else:
+            J, R = _factorize(problem.J, As[active])
+            Rinv = None
+            factorizations += 1
         pivots = np.abs(R.diagonal()[:len(active)])
         if (pivots <= 1e-10 * pivots.max()).any():
             active = []  # dependent normals: cold start
+    while active:
+        x, lam, Rinv = _equality_solve(J, R, x0, As[active], bs[active], Rinv)
+        negative = np.flatnonzero(~(lam >= 0.0))  # a NaN counts as negative
+        if not negative.size:
             break
-        x, lam, Rinv = _equality_solve(J, R, x0, As[active], bs[active])
-        keep = lam >= 0.0
-        if keep.all():
-            break
-        active = [i for i, kept in zip(active, keep) if kept]
+        for k in negative[::-1]:
+            _drop_constraint(J, R, Rinv, len(active), k)
+            del active[k]
     if not active:
         x, lam = x0, np.zeros(0)
         J = problem.J.copy()  # rotated in place by the updates below
@@ -636,20 +676,27 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
             s_raw[active] = 0.0
         viol = s_raw > TOL
         if not np.any(viol):
-            if iters:
+            if iters or active != warm:
                 # recompute from the sorted set, whatever path reached it
                 active.sort()
                 x, lam = x0, np.zeros(0)
                 if active:
                     J, R = _factorize(problem.J, As[active])
-                    x, lam, _ = _equality_solve(J, R, x0, As[active],
-                                                bs[active])
+                    factorizations += 1
+                    x, lam, Rinv = _equality_solve(J, R, x0, As[active],
+                                                   bs[active])
             lam_full = np.zeros(m)
             lam_full[active] = lam / norms[active]
             val = 0.5 * x @ H @ x + f @ x
+            factors = None
+            if active:
+                for arr in (J, R, Rinv):
+                    arr.setflags(write=False)
+                factors = QpFactors(problem.J, tuple(active), J, R, Rinv)
             return SolveStatus(Status.OPTIMAL, x=x, value=float(val),
                                active_set=list(active), lam=lam_full,
-                               iterations=iters)
+                               iterations=iters, factors=factors,
+                               factorizations=factorizations)
         cand = np.nonzero(viol)[0]
         p = int(cand[np.argmax(s[cand])])
         npl = As[p]
@@ -657,7 +704,8 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
         while True:
             iters += 1
             if iters > max_iterations:
-                return SolveStatus(Status.ITERATION_LIMIT, iterations=iters)
+                return SolveStatus(Status.ITERATION_LIMIT, iterations=iters,
+                                   factorizations=factorizations)
             q = len(active)
             d = J.T @ npl
             z = J[:, q:] @ d[q:]
@@ -679,7 +727,8 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
                 if not np.isfinite(t1):
                     # no curvature left and no blocking constraint to drop:
                     # the constraints are inconsistent
-                    return SolveStatus(Status.INFEASIBLE, iterations=iters)
+                    return SolveStatus(Status.INFEASIBLE, iterations=iters,
+                                       factorizations=factorizations)
                 t = t1
                 x_step = None
             else:

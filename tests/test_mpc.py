@@ -354,3 +354,36 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
         x = plant.step(x, u)[0]
     np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-4)
     assert 3 * hot <= cold, (hot, cold)
+
+
+def test_kept_factors_mpc_loop_matches_index_and_cold_solves(y3):
+    """The N = 40 loop of the test above, warm started from the previous
+    record's active set and kept factors, next to an index-only warm start
+    and a cold solve of every step. All three end on one active set with
+    bit-equal u, lam and value at every step. With the kept factors a
+    warm-started step runs at most one batch factorization (the final
+    recompute, when the set changed); from the indices alone it runs
+    exactly one more, of the warm set."""
+    plant = y3["plant"]
+    qp = condense(plant, systems.make_design(y3, 40), y3["em"])
+    x, v = np.array([-0.6, 0.0]), np.array([0.5])
+    record, kept, indices = None, [], []
+    for _ in range(150):
+        warm = factors = None
+        if record is not None:
+            warm, factors = record.active_set, record.factors
+        u, st = mpc_feedback(qp, x, v, warm_start=warm, warm_factors=factors)
+        from_indices = mpc_feedback(qp, x, v, warm_start=warm)
+        for u_other, other in (from_indices, mpc_feedback(qp, x, v)):
+            assert st.active_set == other.active_set
+            np.testing.assert_array_equal(u, u_other)
+            np.testing.assert_array_equal(st.lam, other.lam)
+            assert st.value == other.value
+        if warm:
+            kept.append(st.factorizations)
+            indices.append(from_indices[1].factorizations)
+        record = st
+        x = plant.step(x, u)[0]
+    np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-4)
+    assert len(kept) >= 30 and max(kept) <= 1, kept
+    assert sum(indices) == sum(kept) + len(kept), (kept, indices)

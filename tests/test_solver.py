@@ -830,3 +830,114 @@ def test_drop_constraint_retriangularizes_at_every_k(q):
                                    R[:q - 1, :q - 1], atol=1e-12)
         # the freed column and the rest of J are orthogonal to kept normals
         np.testing.assert_allclose(J[:, q - 1:].T @ kept.T, 0.0, atol=1e-12)
+
+
+def assert_bit_equal(hot, cold):
+    """Same sorted active set, and bit-equal x, lam and value."""
+    assert hot.status is Status.OPTIMAL
+    assert hot.active_set == cold.active_set
+    np.testing.assert_array_equal(hot.x, cold.x)
+    np.testing.assert_array_equal(hot.lam, cold.lam)
+    assert hot.value == cold.value
+
+
+def qp_optimal_on(p, rows, rng):
+    """p.with_linear(f, b) whose unique minimizer has exactly rows active,
+    with positive multipliers and slack on every other row (KKT by
+    construction)."""
+    x = rng.uniform(-0.5, 0.5, size=p.f.size)
+    slack = rng.uniform(0.1, 1.0, size=p.b.size)
+    slack[rows] = 0.0
+    lam = rng.uniform(0.5, 2.0, size=len(rows))
+    return p.with_linear(-p.H @ x - p.A[rows].T @ lam, p.A @ x + slack)
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_qp_negative_warm_multipliers_dropped_in_place(seed):
+    """Warm sets whose equality solve has negative multipliers lose those
+    indices by the drop path, from a fresh factorization (index-only warm
+    start) or from kept factors of that set. Either way the solve ends on
+    the cold solve's sorted active set with bit-equal x, lam and value;
+    with kept factors it runs one batch factorization at most (the final
+    recompute), one fewer than from the indices alone."""
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for trial in range(60):
+        n = int(rng.integers(3, 7))
+        p = random_qp(rng, n, int(rng.integers(2, 8)))
+        warm = sorted(rng.choice(p.b.size, size=int(rng.integers(2, n + 1)),
+                                 replace=False).tolist())
+        if np.linalg.matrix_rank(p.A[warm]) < len(warm) \
+                or np.min(equality_multipliers(p, warm)) > -1e-6:
+            continue
+        prior = solve_qp(qp_optimal_on(p, warm, rng))
+        assert prior.active_set == warm
+        cold = solve_qp(p)
+        indices = solve_qp(p, warm_start=warm)
+        kept = solve_qp(p, warm_start=warm, warm_factors=prior.factors)
+        assert_bit_equal(indices, cold)
+        assert_bit_equal(kept, cold)
+        assert kept.iterations == indices.iterations
+        assert kept.factorizations == int(bool(cold.active_set))
+        assert indices.factorizations == kept.factorizations + 1
+        checked += 1
+    assert checked >= 20, checked
+
+
+def test_qp_foreign_or_stale_factors_are_ignored():
+    """Factors from another QpProblem of the same shape (another H), or of
+    a set other than the warm set, are not used: the solve factorizes the
+    warm set itself and is bit-equal to a cold solve."""
+    rng = np.random.default_rng(67)
+    for trial in range(20):
+        n = int(rng.integers(2, 6))
+        p = random_qp(rng, n, int(rng.integers(2, 6)))
+        cold = solve_qp(p)
+        if not cold.active_set:
+            continue
+        other = random_qp(rng, n, p.b.size - 2 * n)
+        foreign = solve_qp(other, warm_start=cold.active_set)
+        same_set = solve_qp(qp_optimal_on(other, cold.active_set, rng))
+        assert same_set.active_set == cold.active_set
+        rest = [i for i in range(p.b.size) if i not in cold.active_set]
+        stale = solve_qp(qp_optimal_on(p, rest[:1], rng))
+        assert stale.active_set == rest[:1]
+        # a fresh problem on the same H and A has its own J0
+        twin = QpProblem(p.H, p.f, p.A, p.b)
+        twin_cold = solve_qp(twin)
+        for factors in (foreign.factors, same_set.factors, stale.factors,
+                        twin_cold.factors):
+            hot = solve_qp(p, warm_start=cold.active_set,
+                           warm_factors=factors)
+            assert_bit_equal(hot, cold)
+            assert hot.iterations == 0 and hot.factorizations == 1
+
+
+def test_qp_kept_factors_are_never_written():
+    """A record's factors, passed into later solves that drop and add
+    constraints, keep their bits; they are read-only arrays. A solve that
+    changed no index returns factors equal to those it was given."""
+    rng = np.random.default_rng(71)
+    p = random_qp(rng, 6, 10)
+    record = solve_qp(qp_optimal_on(p, [0, 7, 12], rng))
+    paths = collections.Counter()
+    for step in range(40):
+        factors = record.factors
+        before = [arr.copy() for arr in factors[2:]]
+        b = p.b + rng.uniform(-0.3, 0.3, size=p.b.size)
+        st = solve_qp(p.with_linear(p.f + rng.normal(size=6), b),
+                      warm_start=record.active_set, warm_factors=factors)
+        assert st.status is Status.OPTIMAL
+        for arr, snap in zip(factors[2:], before):
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, snap)
+        if st.iterations == 0 and st.active_set == record.active_set:
+            paths["unchanged"] += 1
+            assert st.factorizations == 0
+            for arr, snap in zip(st.factors[2:], before):
+                np.testing.assert_array_equal(arr, snap)
+        else:
+            paths["changed"] += 1
+        if st.active_set:
+            record = st
+    assert paths["unchanged"] and paths["changed"] >= 10, paths

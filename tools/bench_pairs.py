@@ -20,6 +20,9 @@ After the pairs, each tree runs the workload once more with
 ``--trace 1``. Its count-, rows- and bytes-unit metrics (LPs, pivots, QP
 iterations, rows at each stage, bytes written) are deterministic, so they
 are written side by side, and every one that differs between the trees is
+marked. So is each run's op-0 fingerprint (the digest of the first
+operation's outputs that perfbench prints): the distinct ones of each
+side are recorded per workload, and a difference between the sides is
 marked.
 
 The claim (``--claim WORKLOAD:METRIC``) is met when the change wins at
@@ -39,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -46,6 +50,7 @@ import sys
 PAIRS = 10
 WINS_NEEDED = 9
 COUNT_UNITS = ("count", "rows", "bytes")
+FINGERPRINT = re.compile(r"fingerprint of op 0 = (\S+)")
 
 
 def parse_args(argv):
@@ -61,7 +66,8 @@ def parse_args(argv):
 
 
 def run_once(tree, workload, seed, trace=0):
-    """One benchmark run in tree; returns its result record."""
+    """One benchmark run in tree; returns its result record, with the
+    op-0 fingerprint of its report under "fingerprint"."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--trace",
            str(trace)]
@@ -75,6 +81,8 @@ def run_once(tree, workload, seed, trace=0):
         raise RuntimeError("{} in {} is not correct with no failed "
                            "operation:\n{}".format(" ".join(cmd), tree,
                                                    "\n".join(lines[:-1])))
+    found = [m.group(1) for m in map(FINGERPRINT.match, lines[:-1]) if m]
+    res["fingerprint"] = found[0] if found else None
     return res
 
 
@@ -153,11 +161,17 @@ def main(argv=None):
                 print("{} pair {} {}: op_s {:.4f}, {} of {} failed".format(
                     workload, i, side, res["metrics"]["op_s"]["value"],
                     res["failed"], res["attempted"]), flush=True)
+        prints = {side: sorted({r["fingerprint"] for r in runs[side]},
+                               key=str) for side in sides}
         entry = {"pairs": PAIRS,
                  "failed": {side: sum(r["failed"] for r in runs[side])
                             for side in sides},
                  "attempted": {side: sum(r["attempted"] for r in runs[side])
-                               for side in sides}}
+                               for side in sides},
+                 "fingerprint": dict(prints, differs=prints["parent"]
+                                     != prints["change"])}
+        print("{} op-0 fingerprint: parent {}, change {}".format(
+            workload, prints["parent"], prints["change"]), flush=True)
         for name, spec in metrics.items():
             values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                       for side in sides}
