@@ -513,6 +513,19 @@ def cmd_nstar(cfg, cap=None, quiet=False):
     return 0
 
 
+def _tolerance(text):
+    """The value of --tol: a finite float >= 0. A NaN tolerance would fail
+    every membership audit and an infinite one pass them all."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(
+            "must be a finite number >= 0, got {!r}".format(text))
+    return tol
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="fgmpc",
@@ -531,7 +544,7 @@ def main(argv=None):
         p.add_argument("--out", default=None,
                        help="output directory (default: config 'out' "
                             "field, else the working directory)")
-        p.add_argument("--tol", type=float, default=1e-7,
+        p.add_argument("--tol", type=_tolerance, default=1e-7,
                        help="membership tolerance for invariant audits")
         p.add_argument("--cap", type=int, default=None,
                        help="largest horizon the nstar search may probe")

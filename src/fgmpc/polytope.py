@@ -20,6 +20,7 @@ import csv
 import io
 import itertools
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -48,11 +49,20 @@ class ProjectionBlowupError(RuntimeError):
 def write_atomic(path, text):
     """Write text to path through a temp file in the same directory and a
     rename, so an interrupted write never leaves a truncated file behind
-    and a failed one leaves an existing file as it was."""
+    and a failed one leaves an existing file as it was. The file gets the
+    mode open(path, "w") would give it: that of the file it replaces,
+    else 0o666 less the umask (mkstemp's own mode is 0o600)."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -203,7 +213,7 @@ class HPolyhedron:
             if out == "above" or out == "unbounded":
                 return False
             if out == "iteration_limit":
-                raise RuntimeError("support LP hit its pivot cap")
+                raise RuntimeError("containment LP failed: {}".format(out))
         return True
 
     def is_empty(self, tol=TOL):
@@ -368,7 +378,7 @@ def _prune_lp(A, b, tol=TOL):
         if out == "optimal" and val <= b[i] + tol:
             keep[i] = False
         elif out == "iteration_limit":
-            raise RuntimeError("redundancy LP hit its pivot cap")
+            raise RuntimeError("redundancy LP failed: {}".format(out))
     return np.nonzero(keep)[0]
 
 

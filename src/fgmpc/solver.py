@@ -11,12 +11,12 @@ one row per constraint plus the objective row, and one column per
 nonbasic variable (n free x, the auxiliary t) plus the right-hand side,
 so a tall LP (m >> n) never carries an m x m slack block. Phase 1 of
 every LP is the worst-violation problem min t s.t. A x - t <= b, t >= 0;
-min_violation is that problem on its own, while solve_lp and
-support_value go on to phase 2 from the basis it leaves. solve_lp reads
-its duals off the final tableau. SupportLp serves a sequence of
-objectives over one constraint set: phase 1 runs once, and each objective
-is priced into the tableau the previous one left, so it starts from that
-basis.
+min_violation is that problem on its own. SupportLp is the one driver
+of phase 2: it runs phase 1 once per constraint set, and prices each
+objective into the tableau the previous one left, so it starts from
+that basis. solve_lp and support_value are one call on a fresh
+SupportLp each; solve_lp reads its duals off the final tableau, and
+support_value may stop early at a threshold.
 """
 
 import collections
@@ -54,6 +54,8 @@ class SolveStatus:
         these are the duals of the maximization problem, so b'lam == value
         at optimality.
     iterations : int
+        Simplex pivots or QP iterations. An LP's count includes the pivots
+        of phase 1 on the call that ran it (a SupportLp's first call).
     factors : QpFactors or None
         QP only: the factors of the final active set, for the next solve's
         warm_factors; None when that set is empty or the solve failed.
@@ -337,25 +339,6 @@ def _set_objective(T, basis, nonbasic, a):
     T[-1, -1] = -(cost_b @ T[:-1, -1])
 
 
-def _maximize(a, A, b, max_pivots, value_cap=None):
-    """Both phases for ``maximize a'x s.t. A x <= b``.
-
-    Returns (outcome, T, basis, nonbasic, pivots): "infeasible" when phase
-    1 leaves t > TOL, else an outcome of _iterate on the phase-2 tableau,
-    whose objective is min -a'x.
-    """
-    outcome, T, basis, nonbasic, pivots = _phase_one(A, b, max_pivots)
-    if outcome == "iteration_limit":
-        return outcome, T, basis, nonbasic, pivots
-    retired = _retire_t(T, basis, nonbasic, A.shape[1])
-    if retired is None:
-        return "infeasible", T, basis, nonbasic, pivots
-    _set_objective(T, basis, nonbasic, a)
-    outcome, pivots = _iterate(T, basis, nonbasic, max_pivots,
-                               pivots + retired, value_cap)
-    return outcome, T, basis, nonbasic, pivots
-
-
 def _optimum(T, basis, nonbasic, c, A, b, pivots):
     """The OPTIMAL SolveStatus of an optimal phase-2 tableau. The duals
     are read off the reduced costs of the nonbasic slacks (a basic slack
@@ -374,55 +357,69 @@ def _optimum(T, basis, nonbasic, c, A, b, pivots):
 def solve_lp(problem, max_pivots=None):
     """Two-phase primal simplex for ``maximize c'x s.t. A x <= b``.
 
-    Runs on the short tableau, with x free. Phase 1 is the auxiliary
-    problem of min_violation. Returns a SolveStatus. On OPTIMAL the duals
-    satisfy A'lam = c, lam >= 0 and b'lam = value (strong duality).
+    Runs on the short tableau, with x free: one fresh SupportLp and one
+    call. Phase 1 is the auxiliary problem of min_violation, and its
+    pivots count toward iterations and max_pivots. Returns a SolveStatus.
+    On OPTIMAL the duals satisfy A'lam = c, lam >= 0 and b'lam = value
+    (strong duality).
     """
-    c, A, b = problem.c, problem.A, problem.b
-    m, n = A.shape
-    if max_pivots is None:
-        max_pivots = 50 * (m + n)
-    outcome, T, basis, nonbasic, pivots = _maximize(c, A, b, max_pivots)
-    if outcome != "optimal":
-        return SolveStatus(Status(outcome), iterations=pivots)
-    return _optimum(T, basis, nonbasic, c, A, b, pivots)
+    return SupportLp(problem.A, problem.b, max_pivots).maximize(problem.c)
 
 
 class SupportLp:
-    """Warm-started LPs ``maximize c'x s.t. A x <= b`` over one fixed
-    constraint set, for a sequence of objectives c.
+    """LPs ``maximize c'x s.t. A x <= b`` over one fixed constraint set,
+    for a sequence of objectives c: the one phase-2 driver of the LP
+    engine.
 
-    Phase 1 runs once, here. Each maximize rewrites the objective row of
-    the tableau the previous call left, which is primal feasible whatever
+    Phase 1 runs once, here. When it stops at its pivot cap, or finds
+    the set empty, every call returns that status (ITERATION_LIMIT or
+    INFEASIBLE). Otherwise each call prices its objective into the
+    tableau the previous call left, which is primal feasible whatever
     that call's outcome, and goes on pivoting from its basis, so that
-    close successive directions cost few pivots. Results and duals are
-    those solve_lp would return; iterations counts the call's own pivots.
+    close successive directions cost few pivots. The pivots of phase 1,
+    and the one that retires t, count toward the first call, in its
+    iterations and in its max_pivots budget (50 (m + n) by default, per
+    call), so a fresh SupportLp pivots as one cold solve does. Results
+    and duals are those of solve_lp.
     """
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, max_pivots=None):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         m, n = self.A.shape
-        self.max_pivots = 50 * (m + n)
-        outcome, self._T, self._basis, self._nonbasic, _ = _phase_one(
-            self.A, self.b, self.max_pivots)
+        self.max_pivots = 50 * (m + n) if max_pivots is None else max_pivots
+        outcome, self._T, self._basis, self._nonbasic, self._pending = \
+            _phase_one(self.A, self.b, self.max_pivots)
+        self._failed = None  # the status of a failed phase 1
         if outcome == "iteration_limit":
-            raise RuntimeError("phase 1 hit its pivot cap")
-        self.feasible = _retire_t(self._T, self._basis, self._nonbasic,
-                                  n) is not None
+            self._failed = Status.ITERATION_LIMIT
+            return
+        retired = _retire_t(self._T, self._basis, self._nonbasic, n)
+        if retired is None:
+            self._failed = Status.INFEASIBLE
+        else:
+            self._pending += retired
+
+    def _run(self, c, value_cap=None):
+        """Phase 2 for min -c'x from the current basis, stopping early
+        once the objective provably exceeds -value_cap (an outcome of
+        _iterate). Returns (outcome, pivots), the pivots of phase 1
+        included on the first call."""
+        pivots, self._pending = self._pending, 0
+        if self._failed is not None:
+            return self._failed.value, pivots
+        _set_objective(self._T, self._basis, self._nonbasic, c)
+        return _iterate(self._T, self._basis, self._nonbasic,
+                        self.max_pivots, pivots, value_cap)
 
     def maximize(self, c):
-        """A SolveStatus for maximize c'x, warm started; INFEASIBLE when
-        the constraint set is empty."""
-        if not self.feasible:
-            return SolveStatus(Status.INFEASIBLE)
+        """A SolveStatus for maximize c'x, warm started."""
         c = np.asarray(c, dtype=float).ravel()
-        T, basis, nonbasic = self._T, self._basis, self._nonbasic
-        _set_objective(T, basis, nonbasic, c)
-        outcome, pivots = _iterate(T, basis, nonbasic, self.max_pivots, 0)
+        outcome, pivots = self._run(c)
         if outcome != "optimal":
             return SolveStatus(Status(outcome), iterations=pivots)
-        return _optimum(T, basis, nonbasic, c, self.A, self.b, pivots)
+        return _optimum(self._T, self._basis, self._nonbasic, c, self.A,
+                        self.b, pivots)
 
 
 def support_value(a, A, b, stop_above=None, max_pivots=None):
@@ -432,19 +429,16 @@ def support_value(a, A, b, stop_above=None, max_pivots=None):
     Returns (outcome, value, x) with outcome "optimal", "above" (early
     stop), "infeasible", "unbounded" or "iteration_limit". Membership and
     redundancy tests only need the comparison against a threshold, so the
-    early exit saves most of the pivots on irredundant rows.
+    early exit saves most of the pivots on irredundant rows. One fresh
+    SupportLp solves it.
     """
     a = np.asarray(a, dtype=float).ravel()
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).ravel()
-    m, n = A.shape
-    if max_pivots is None:
-        max_pivots = 50 * (m + n)
+    lp = SupportLp(A, b, max_pivots)
     cap = -stop_above if stop_above is not None else None
-    outcome, T, basis, _, _ = _maximize(a, A, b, max_pivots, value_cap=cap)
+    outcome, _ = lp._run(a, value_cap=cap)
     if outcome not in ("optimal", "cap"):
         return outcome, None, None
-    x, _ = _extract(T, basis, n)
+    x, _ = _extract(lp._T, lp._basis, lp.A.shape[1])
     return ("above" if outcome == "cap" else "optimal"), float(a @ x), x
 
 

@@ -54,24 +54,18 @@ def y3():
 
 @pytest.fixture
 def support_lps(monkeypatch):
-    """The list that gets one entry per support LP solved through
-    fgmpc.polytope from here on, the warm-started hull LPs of
-    HPolyhedron.project included; its length is the count."""
-    import fgmpc.polytope
+    """The list that gets one entry per LP solved from here on, counted
+    once at the one LP driver (SupportLp._run): every support_value and
+    solve_lp, and every warm-started hull LP of HPolyhedron.project; its
+    length is the count."""
     from fgmpc.solver import SupportLp
 
     calls = []
-    real = fgmpc.polytope.support_value
-    real_maximize = SupportLp.maximize
+    real = SupportLp._run
 
-    def counted(*args, **kwargs):
+    def counted(self, *args, **kwargs):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(self, *args, **kwargs)
 
-    def counted_maximize(self, c):
-        calls.append(1)
-        return real_maximize(self, c)
-
-    monkeypatch.setattr(fgmpc.polytope, "support_value", counted)
-    monkeypatch.setattr(SupportLp, "maximize", counted_maximize)
+    monkeypatch.setattr(SupportLp, "_run", counted)
     return calls

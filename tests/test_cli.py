@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ def test_sets_and_simulate_exit_nonzero_on_non_finite(tmp_path, capsys):
                  str(tmp_path / "sim"), "--quiet"]) == 1
     assert "'x0': must be finite" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sim")
+    # a bad audit tolerance is refused by name before any set is built
+    path = write_config(tmp_path, fig2_config(
+        kind="MPC+FG", x0=[-0.9], r=[0.7], budget=20))
+    for tol in ("nan", "inf", "-1"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "--config", path, "--out",
+                  str(tmp_path / "sim"), "--tol", tol, "--quiet"])
+        assert exit_.value.code == 2
+        assert "argument --tol: must be a finite number >= 0, got '{}'" \
+            .format(tol) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sim")
 
 
 def test_config_json_syntax_diagnostic(tmp_path):
@@ -210,6 +222,31 @@ def test_failed_rename_keeps_existing_outputs(tmp_path, monkeypatch):
                              quiet=True)
         assert (out / name).read_bytes() == before, name
         assert not list(out.glob("*.tmp")), name
+
+
+def test_outputs_get_the_mode_open_would_give(tmp_path):
+    # under umask 022 a new output is rw-r--r--, as open() would make it,
+    # and one that replaces an existing file keeps that file's mode
+    cfg = write_config(tmp_path, fig2_config(
+        kind="MPC+FG", x0=[-0.9], r=[0.7], budget=20))
+    out = tmp_path / "run"
+    umask = os.umask(0o022)
+    try:
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        HPolyhedron.from_box([-1.0], [1.0]).write(str(out / "T.hrep"))
+        names = sorted(os.listdir(out))
+        assert {"T.hrep", "trajectory.csv", "metrics.txt"} <= set(names)
+        for name in names:
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644, name
+            os.chmod(out / name, 0o640)
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        HPolyhedron.from_box([-2.0], [2.0]).write(str(out / "T.hrep"))
+        for name in names:
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o640, name
+    finally:
+        os.umask(umask)
 
 
 def test_simulate_outside_roa_exits_nonzero(tmp_path, capsys):

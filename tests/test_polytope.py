@@ -14,7 +14,7 @@ from fgmpc.governor import GovernorProblem, roa
 from fgmpc.mpc import condense, feasible_set
 from fgmpc.polytope import (DEFAULT_ROW_CAP, HPolyhedron,
                             ProjectionBlowupError)
-from fgmpc.solver import TOL
+from fgmpc.solver import SupportLp, TOL
 
 
 def unit_box(n):
@@ -468,15 +468,27 @@ def test_is_empty():
                        np.array([-1.0, 0.0])).is_empty()
 
 
-@pytest.mark.parametrize("query", ["is_empty", "project"])
+@pytest.mark.parametrize("query", ["is_empty", "project", "contains_set",
+                                   "remove_redundancy", "project_hull"])
 def test_failed_emptiness_lp_raises(monkeypatch, query):
-    """A phase-1 LP stopped at its pivot cap proves nothing: it must not
-    read as an empty set."""
-    monkeypatch.setattr(fgmpc.polytope, "min_violation",
-                        lambda A, b: (np.inf, None, "iteration_limit"))
+    """An LP stopped at its pivot cap proves nothing: it must not read as
+    an empty set, a containment, a redundant row or a facet. The first two
+    queries fail at the emptiness LP, the others at their support LPs."""
+    if query in ("is_empty", "project"):
+        monkeypatch.setattr(fgmpc.polytope, "min_violation",
+                            lambda A, b: (np.inf, None, "iteration_limit"))
+    else:
+        monkeypatch.setattr(SupportLp, "_run",
+                            lambda self, c, value_cap=None:
+                            ("iteration_limit", 0))
     P = unit_box(2)
+    queries = {"is_empty": P.is_empty,
+               "project": lambda: P.project([0]),
+               "contains_set": lambda: P.contains_set(unit_box(2)),
+               "remove_redundancy": P.remove_redundancy,
+               "project_hull": lambda: P.project([0])}
     with pytest.raises(RuntimeError, match="iteration_limit"):
-        P.is_empty() if query == "is_empty" else P.project([0])
+        queries[query]()
 
 
 def test_zero_row_handling():

@@ -17,8 +17,8 @@ import fgmpc.solver
 
 from fgmpc.solver import (LpProblem, QpProblem, Status, SupportLp, TOL,
                           _drop_constraint, _factorize, _invert_column,
-                          _maximize, _phase_one, min_violation, solve_lp,
-                          solve_qp, support_value)
+                          _phase_one, min_violation, solve_lp, solve_qp,
+                          support_value)
 
 
 def lp_vertex_oracle(c, A, b):
@@ -162,6 +162,19 @@ def test_lp_iteration_limit_status():
     c, A, b = random_bounded_lp(rng, 4, 10)
     res = solve_lp(LpProblem(c, A, b), max_pivots=1)
     assert res.status is Status.ITERATION_LIMIT
+    # phase 1 of this LP needs 2 pivots, so a cap of 1 stops it there:
+    # every entry point reports the cap, and a SupportLp reports it on
+    # every call, charging the phase-1 pivots to the first
+    A = np.array([[-1.0, -1.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
+    b = np.array([-1.0, 10.0, 3.0, 5.0])
+    c = np.array([-1.0, 0.0])
+    res = solve_lp(LpProblem(c, A, b), max_pivots=1)
+    assert res.status is Status.ITERATION_LIMIT and res.iterations == 2
+    assert support_value(c, A, b, max_pivots=1) == ("iteration_limit", None,
+                                                    None)
+    lp = SupportLp(A, b, max_pivots=1)
+    assert [(st.status, st.iterations) for st in map(lp.maximize, [c, -c])] \
+        == [(Status.ITERATION_LIMIT, 2), (Status.ITERATION_LIMIT, 0)]
 
 
 def test_lp_matches_vertex_enumeration():
@@ -371,7 +384,9 @@ def test_lp_auxiliary_column_left_basic():
     assert t in basis and 0.0 < T[list(basis).index(t), -1] <= TOL
     c = np.array([1.0, -2.0])
     # phase 2 pivots t out and zeroes its column
-    _, T, basis, nonbasic, _ = _maximize(c, A, b, 100)
+    lp = SupportLp(A, b, 100)
+    lp.maximize(c)
+    T, nonbasic = lp._T, lp._nonbasic
     assert t in nonbasic and not np.any(T[:, list(nonbasic).index(t)])
     res = solve_lp(LpProblem(c, A, b))
     np.testing.assert_allclose(res.x, [1.0, -1.0], atol=1e-12)
@@ -409,7 +424,9 @@ def test_lp_free_variable_enters_negative():
     assert res.status is Status.OPTIMAL and res.iterations == 1
     np.testing.assert_array_equal(res.x, [-3.0])
     np.testing.assert_array_equal(res.lam, [0.0, 1.0])
-    _, T, basis, nonbasic, _ = _maximize(c, A, b, 10)
+    lp = SupportLp(A, b, 10)
+    lp.maximize(c)
+    T, basis, nonbasic = lp._T, lp._basis, lp._nonbasic
     assert list(basis).count(0) == 1 and 0 not in nonbasic
     assert T[list(basis).index(0), -1] == -3.0
 

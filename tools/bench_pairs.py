@@ -13,8 +13,10 @@ other; the side that runs first alternates from pair to pair, so a drift
 of the host's speed falls on both sides alike. Every workload gets ten
 pairs. Every end-to-end metric of the parent's
 ``BENCHMARK.json`` is reported per workload: the runs, their median and
-quartiles, how many pairs the change won, and the change of the median
-against the metric's regression bound.
+quartiles, how many pairs the change won, the change of the median
+against the metric's regression bound, and a verdict (see ``compare``).
+``no_regression`` is true when every (workload, metric) verdict is
+"within".
 
 After the pairs, each tree runs the workload once more with
 ``--trace 1``. Its count-, rows- and bytes-unit metrics (LPs, pivots, QP
@@ -121,15 +123,29 @@ def summary(runs):
 
 
 def compare(parent, change, better, bound):
-    """Both sides of one metric, the change's wins and its median change
-    against the regression bound (a fraction of the parent's median)."""
+    """Both sides of one metric, the change's wins, its median change
+    against the regression bound (a fraction of the parent's median) and
+    the no-regression verdict: "worse" when the median is worse by more
+    than the bound; "unresolved" when the parent's own spread (its
+    interquartile range over its median) exceeds the bound and not every
+    run of the change reads better than every run of the parent; "within"
+    otherwise."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
-    ps, cs = summary(parent), summary(change)
-    worse = sign * (cs["median"] - ps["median"]) / ps["median"]
-    return {"parent": ps, "change": cs, "change_wins": wins,
-            "median_worse_by": round(worse, 4), "bound": bound,
-            "within_bound": worse <= bound}
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    worse = sign * (statistics.median(change) - median) / median
+    spread = (q3 - q1) / median
+    if worse > bound:
+        verdict = "worse"
+    elif spread > bound and not all(sign * (p - c) > 0.0
+                                    for p in parent for c in change):
+        verdict = "unresolved"
+    else:
+        verdict = "within"
+    return {"parent": summary(parent), "change": summary(change),
+            "change_wins": wins, "median_worse_by": round(worse, 4),
+            "parent_spread": round(spread, 4), "bound": bound,
+            "verdict": verdict}
 
 
 def main(argv=None):
@@ -186,6 +202,12 @@ def main(argv=None):
             workload, sum(c["differs"] for c in entry["counts"].values())),
             flush=True)
         report["pairs"][workload] = entry
+    verdicts = {"{}:{}".format(workload, name): entry[name]["verdict"]
+                for workload, entry in report["pairs"].items()
+                for name in metrics}
+    report["no_regression"] = all(v == "within" for v in verdicts.values())
+    print("no regression: {} ({})".format(report["no_regression"], ", ".join(
+        "{} {}".format(k, v) for k, v in verdicts.items())), flush=True)
     if args.claim:
         workload, name = args.claim.split(":")
         m = report["pairs"][workload][name]
