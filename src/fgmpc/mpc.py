@@ -115,12 +115,26 @@ def _prediction_maps(plant, N):
     return Apow, G
 
 
+def _lag_blocks(lags, h):
+    """The (h p) x (h q) matrix whose block (i, j) is lags[i - j + 1] for
+    j <= i and lags[0] for j > i, from the stack lags of p x q blocks: one
+    fancy index in place of a copy per block. The callers keep lags[0]
+    zero, so the matrix is block lower triangular."""
+    i = np.arange(h)
+    lag = np.maximum(i[:, None] - i + 1, 0)
+    p, q = lags.shape[1:]
+    return lags[lag].transpose(0, 2, 1, 3).reshape(h * p, h * q)
+
+
 def condense(plant, design, em=None):
     """Build the condensed QP for the given plant and design.
 
     The mu-independent additive part of the objective is dropped: it does
     not move the minimizer. Constraint rows are ordered output block
     i = 0..N-1 first, terminal block last, so the data is bit-reproducible.
+    The stacked prediction Su and the output rows are block lower
+    triangular in per-lag blocks computed once; each is placed by one
+    fancy index (_lag_blocks).
     """
     if em is None:
         em = equilibrium_basis(plant)
@@ -141,10 +155,7 @@ def condense(plant, design, em=None):
 
     # stacked prediction of (xi_1 .. xi_N): Sx x + Su mu
     Sx = Apow[1:].reshape(N * n_x, n_x)
-    Su = np.zeros((N * n_x, N * n_u))
-    for i in range(1, N + 1):
-        for j in range(i):
-            Su[(i - 1) * n_x:i * n_x, j * n_u:(j + 1) * n_u] = G[i - 1 - j]
+    Su = _lag_blocks(np.concatenate([np.zeros((1, n_x, n_u)), G]), N)
 
     Qbar = np.zeros((N * n_x, N * n_x))
     for i in range(N - 1):
@@ -204,14 +215,16 @@ def feasible_set(qp, row_cap=DEFAULT_ROW_CAP):
 
 class _HorizonOracle:
     """Constraint rows M mu + L theta <= b of every horizon up to cap, from
-    per-lag blocks computed once. condense takes the rows of its horizon;
-    n_star and ocp_feasible solve one feasibility LP per probed horizon,
-    which only assembles its rows. feasible keeps the rows of the last
-    horizon it assembled, so repeated queries at one horizon reuse them.
+    per-lag blocks computed and stacked once. condense takes the rows of
+    its horizon; n_star and ocp_feasible solve one feasibility LP per
+    probed horizon, which only assembles its rows. feasible keeps the rows
+    of the last horizon it assembled, so repeated queries at one horizon
+    reuse them.
 
     Row block i = 0..h-1 constrains the output at step i, whose input mu_j
-    (j < i) enters through YaC A^(i-1-j) B; the terminal block at step h
-    sees mu_j through T_x A^(h-1-j) B.
+    enters through lags[i - j + 1]: Y.A D for j = i, Y.A C A^(i-1-j) B for
+    j < i, and the zero block lags[0] for j > i. The terminal block at step
+    h sees mu_j through TG[h-1-j] = T_x A^(h-1-j) B.
     """
 
     def __init__(self, plant, design, cap):
@@ -219,33 +232,26 @@ class _HorizonOracle:
         self.T, self.Y, self.n_u = T, Y, plant.n_u
         self.Apow, self.G = _prediction_maps(plant, cap)
         YaC = Y.A @ plant.C
-        self.YaD = Y.A @ plant.D
-        self.YG = [YaC @ Gk for Gk in self.G]
-        self.TG = [T.T_x @ Gk for Gk in self.G]
-        self.YA = [YaC @ Ai for Ai in self.Apow[:cap]]
+        self.lags = np.stack([np.zeros((Y.nrows, plant.n_u)), Y.A @ plant.D]
+                             + [YaC @ Gk for Gk in self.G])
+        self.TG = np.stack([T.T_x @ Gk for Gk in self.G])
+        self.YA = np.stack([YaC @ Ai for Ai in self.Apow[:cap]])
         self._last = (None, None)  # (h, (M, L, b)) of the last feasible
 
     def assemble(self, h):
         """(M, L, b) of horizon h: output blocks i = 0..h-1 first, terminal
         block last."""
         T, Y, n_u = self.T, self.Y, self.n_u
-        n_r, n_x = Y.nrows, T.n_x
-        M = np.zeros((h * n_r + T.nrows, h * n_u))
-        L = np.zeros((h * n_r + T.nrows, n_x + T.T_v.shape[1]))
-        b = np.empty(h * n_r + T.nrows)
-        for i in range(h):
-            rows = slice(i * n_r, (i + 1) * n_r)
-            for j in range(i):
-                M[rows, j * n_u:(j + 1) * n_u] = self.YG[i - 1 - j]
-            M[rows, i * n_u:(i + 1) * n_u] = self.YaD
-            L[rows, :n_x] = self.YA[i]
-            b[rows] = Y.b
-        tr = slice(h * n_r, None)
-        for j in range(h):
-            M[tr, j * n_u:(j + 1) * n_u] = self.TG[h - 1 - j]
-        L[tr, :n_x] = T.T_x @ self.Apow[h]
-        L[tr, n_x:] = T.T_v
-        b[tr] = T.c
+        top, n_x = h * Y.nrows, T.n_x
+        M = np.empty((top + T.nrows, h * n_u))
+        M[:top] = _lag_blocks(self.lags, h)
+        M[top:] = self.TG[:h][::-1].transpose(1, 0, 2).reshape(T.nrows,
+                                                              h * n_u)
+        L = np.zeros((top + T.nrows, n_x + T.T_v.shape[1]))
+        L[:top, :n_x] = self.YA[:h].reshape(top, n_x)
+        L[top:, :n_x] = T.T_x @ self.Apow[h]
+        L[top:, n_x:] = T.T_v
+        b = np.concatenate([np.tile(Y.b, h), T.c])
         return M, L, b
 
     def feasible(self, h, x, v, mu0=None):

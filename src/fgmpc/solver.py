@@ -126,10 +126,11 @@ class QpProblem:
     """minimize 0.5 x'H x + f'x subject to A x <= b, with H symmetric PD.
 
     H and A are validated once, here, together with what every solve
-    needs of them: J = inv(L)' for the Cholesky factor L of H, and the row
-    norms of A with the rows they scale. These arrays are read-only and
-    shared by every problem that with_linear derives, so a loop that only
-    changes f and b never factorizes H again.
+    needs of them: J = inv(L)' for the Cholesky factor L of H, the inverse
+    Hinv of H (the unconstrained minimizer is -Hinv f), and the row norms
+    of A with the rows they scale. These arrays are read-only and shared
+    by every problem that with_linear derives, so a loop that only changes
+    f and b never factorizes H again.
     """
 
     def __init__(self, H, f, A, b):
@@ -147,10 +148,13 @@ class QpProblem:
         # read-only views, so the caller's arrays keep their flags
         self.H, self.A = H.view(), A.view()
         self.J = np.linalg.inv(L).T  # J J' = H^{-1}
+        # inv(H), not J J': it is exact for H = c I with c a power of two
+        self.Hinv = np.linalg.inv(H)
         self.norms = np.linalg.norm(A, axis=1)
         self.norms[self.norms < 1e-300] = 1.0
         self.A_scaled = A / self.norms[:, None]
-        for arr in (self.H, self.A, self.J, self.norms, self.A_scaled):
+        for arr in (self.H, self.A, self.J, self.Hinv, self.norms,
+                    self.A_scaled):
             arr.setflags(write=False)
 
     def with_linear(self, f, b):
@@ -583,12 +587,14 @@ def solve_qp(problem, warm_start=None, max_iterations=None,
     objective with the active constraints held at equality, and their
     multipliers are nonnegative. Violated constraints are added one at a
     time, with dual steps (dropping blocking constraints) whenever a full
-    primal step is blocked, until x is feasible. The factor J = inv(L)' of
-    H comes from the problem, computed once at its construction; each
-    solve works on a rotated copy J = J0 Q, with R the triangular factor
-    of J0' N for the active normals N. An added constraint is folded into
-    J and R by one Householder reflection, a dropped one by one QR of the
-    Hessenberg block it leaves.
+    primal step is blocked, until x is feasible. The cold start is the
+    unconstrained minimizer x0 = -Hinv f. Hinv and the factor J = inv(L)'
+    of H come from the problem, computed once at its construction, so no
+    solve factorizes or solves with H. Each solve works on a rotated copy
+    J = J0 Q, with R the triangular factor of J0' N for the active
+    normals N. An added constraint is folded into J and R by one
+    Householder reflection, a dropped one by one QR of the Hessenberg
+    block it leaves.
 
     warm_start, when given, is a candidate active set (typically the
     previous solve's) that hot-starts the solve: its distinct indices,
@@ -620,8 +626,8 @@ def solve_qp(problem, warm_start=None, max_iterations=None,
     if max_iterations is None:
         max_iterations = 50 * (m + n) + 10
 
-    # LU, not -J (J'f): for H = 2I only this returns an admissible r exactly
-    x0 = -np.linalg.solve(H, f)
+    # a product with the kept inverse, not an LU of the fixed H per solve
+    x0 = -(problem.Hinv @ f)
     # row scaling makes the violation comparison scale-free
     norms, As = problem.norms, problem.A_scaled
     inv_norms = 1.0 / norms

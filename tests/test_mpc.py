@@ -101,6 +101,90 @@ def test_condense_matches_rollout(y1):
         np.testing.assert_allclose(dJ_condensed, dJ_rollout, atol=1e-9)
 
 
+def assemble_by_blocks(oracle, h):
+    """The rows of horizon h by the block loop that the stacked fancy index
+    replaced: one slice copy per block, from the oracle's lag blocks."""
+    T, Y, n_u = oracle.T, oracle.Y, oracle.n_u
+    n_r, n_x = Y.nrows, T.n_x
+    YaD, YG = oracle.lags[1], oracle.lags[2:]
+    M = np.zeros((h * n_r + T.nrows, h * n_u))
+    L = np.zeros((h * n_r + T.nrows, n_x + T.T_v.shape[1]))
+    b = np.empty(h * n_r + T.nrows)
+    for i in range(h):
+        rows = slice(i * n_r, (i + 1) * n_r)
+        for j in range(i):
+            M[rows, j * n_u:(j + 1) * n_u] = YG[i - 1 - j]
+        M[rows, i * n_u:(i + 1) * n_u] = YaD
+        L[rows, :n_x] = oracle.YA[i]
+        b[rows] = Y.b
+    tr = slice(h * n_r, None)
+    for j in range(h):
+        M[tr, j * n_u:(j + 1) * n_u] = oracle.TG[h - 1 - j]
+    L[tr, :n_x] = T.T_x @ oracle.Apow[h]
+    L[tr, n_x:] = T.T_v
+    b[tr] = T.c
+    return M, L, b
+
+
+def lag_blocks_by_loop(lags, h):
+    """mpc._lag_blocks by one slice copy per nonzero block."""
+    p, q = lags.shape[1:]
+    out = np.zeros((h * p, h * q))
+    for i in range(h):
+        for j in range(i + 1):
+            out[i * p:(i + 1) * p, j * q:(j + 1) * q] = lags[i - j + 1]
+    return out
+
+
+def test_stacked_rows_equal_the_block_loop(monkeypatch, y3):
+    """assemble and condense place the lag blocks by one fancy index; the
+    block loops they replaced give the same bits, up to N = 236."""
+    plant, em = y3["plant"], y3["em"]
+    oracle = mpc._HorizonOracle(plant, systems.make_design(y3, 1), 236)
+    for h in (1, 2, 7, 116, 236):
+        for new, old in zip(oracle.assemble(h), assemble_by_blocks(oracle, h)):
+            assert np.array_equal(new, old), h
+    for N in (1, 10, 116):
+        design = systems.make_design(y3, N)
+        stacked = condense(plant, design, em)
+        with monkeypatch.context() as m:
+            m.setattr(mpc, "_lag_blocks", lag_blocks_by_loop)
+            looped = condense(plant, design, em)
+        for name in ("H", "W", "M", "L", "b"):
+            assert np.array_equal(getattr(stacked, name),
+                                  getattr(looped, name)), (N, name)
+
+
+def test_horizon_rows_match_a_stepped_plant(y3):
+    """M mu + L theta of horizon h are the rows Y.A y_i (i < h) and
+    T_x x_h + T_v v of the plant stepped forward under mu from x, and b
+    repeats Y.b per step before T.c."""
+    plant = y3["plant"]
+    design = systems.make_design(y3, 1)
+    Y, T = design.Y, design.T
+    oracle = mpc._HorizonOracle(plant, design, 116)
+    rng = np.random.default_rng(29)
+    for h in (1, 2, 7, 116):
+        M, L, b = oracle.assemble(h)
+        for _ in range(3):
+            x = rng.uniform(-1.0, 1.0, size=2)
+            v = rng.uniform(-1.0, 1.0, size=1)
+            mu = rng.uniform(-0.5, 0.5, size=h)
+            rows, xi = [], x
+            for i in range(h):
+                xi, y, _ = plant.step(xi, mu[i:i + 1])
+                rows.append(Y.A @ y)
+            rows.append(T.T_x @ xi + T.T_v @ v)
+            expected = np.concatenate(rows)
+            np.testing.assert_allclose(M @ mu + L @ np.concatenate([x, v]),
+                                       expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+        for i in range(h):
+            np.testing.assert_array_equal(b[i * Y.nrows:(i + 1) * Y.nrows],
+                                          Y.b)
+        np.testing.assert_array_equal(b[h * Y.nrows:], T.c)
+
+
 def test_design_validation(fig2, y1):
     T, Y = fig2["T"], fig2["Y"]
     rs = fig2["rs"]

@@ -197,9 +197,10 @@ def test_trajectory_csv_roundtrip(tmp_path, fig2, fig2_gov):
 
 
 def count_factorizations(monkeypatch):
-    """A Counter of the np.linalg cholesky and inv calls made from here on."""
+    """A Counter of the np.linalg cholesky, inv and solve calls made from
+    here on."""
     calls = collections.Counter()
-    for name in ("cholesky", "inv"):
+    for name in ("cholesky", "inv", "solve"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name,
                     **kwargs):
             calls[_name] += 1
@@ -209,25 +210,29 @@ def count_factorizations(monkeypatch):
 
 
 def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
-    """With prebuilt qp and gp, no control step validates or factorizes a
-    Hessian: both QPs were factorized when qp and gp were built."""
+    """With prebuilt qp and gp, no control step validates, factorizes or
+    solves with a Hessian: both QPs were factorized, and their inverses
+    kept, when qp and gp were built."""
     sc = make_scenario(fig2, 2, "MPC+FG", [-0.9], [0.7], 100)
     calls = count_factorizations(monkeypatch)
     log = run_closed_loop(sc, qp=fig2_gov["qp"], gp=fig2_gov["gp"])
     assert log.n_steps == 100
     assert calls["cholesky"] == 0 and calls["inv"] == 0
+    assert calls["solve"] == 0
 
 
 def test_command_governor_loop_builds_its_qp_once(monkeypatch, fig2):
     """An MPC+CG(LQR) loop factorizes the command-governor Hessian on its
-    first step only (one cholesky and one inv); the one other inv is the
-    equilibrium map of the LQR law. Every step matches a cg_step made
+    first step only (one cholesky and two inv: J and the kept inverse of
+    the Hessian); the one other inv is the equilibrium map of the LQR law.
+    No step solves with a Hessian. Every step matches a cg_step made
     without state to 1e-9 (that one is cold started)."""
     sc = make_scenario(fig2, 2, "MPC+CG(LQR)", [-0.2], [0.6], 100)
     calls = count_factorizations(monkeypatch)
     log = run_closed_loop(sc)
     assert log.n_steps == 100
-    assert calls["cholesky"] == 1 and calls["inv"] == 2
+    assert calls["cholesky"] == 1 and calls["inv"] == 3
+    assert calls["solve"] == 0
     T, R_eps = sc.design.T, sc.spec.R_eps
     for x, v in zip(log.x, log.v):
         np.testing.assert_allclose(cg_step(T, R_eps, x, sc.r), v,

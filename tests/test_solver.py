@@ -710,9 +710,10 @@ def test_qp_cached_factor_is_read_only_and_unchanged_by_solves():
                   np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))]),
                   np.full(10, 0.2))
     assert H_in.flags.writeable  # the caller's array keeps its flags
-    cached = (p.H, p.A, p.J, p.norms, p.A_scaled)
+    cached = (p.H, p.A, p.J, p.Hinv, p.norms, p.A_scaled)
     before = [arr.copy() for arr in cached]
     np.testing.assert_allclose(p.J @ p.J.T, np.linalg.inv(H_in), atol=1e-12)
+    np.testing.assert_array_equal(p.Hinv, np.linalg.inv(H_in))
     first = solve_qp(p)
     assert first.status is Status.OPTIMAL and first.active_set
     assert_same_solve(solve_qp(p), first)
@@ -721,8 +722,8 @@ def test_qp_cached_factor_is_read_only_and_unchanged_by_solves():
         np.testing.assert_array_equal(arr, snap)
     derived = p.with_linear(-p.f, p.b)
     assert all(a is b for a, b in zip(
-        (derived.H, derived.A, derived.J, derived.norms, derived.A_scaled),
-        cached))
+        (derived.H, derived.A, derived.J, derived.Hinv, derived.norms,
+         derived.A_scaled), cached))
 
 
 def test_qp_without_constraints():
@@ -737,14 +738,17 @@ def test_qp_without_constraints():
     assert res.iterations == 0
 
 
-def check_qp_kkt_tight(p, res, tol=1e-9):
+def check_qp_kkt_tight(p, res, tol=1e-9, scale=1.0):
     """Stationarity, primal and dual feasibility and complementarity of a
-    QP solve, each to tol."""
+    QP solve, each to tol; stationarity and complementarity to tol * scale,
+    for a problem whose gradient terms are of size scale."""
     assert res.status is Status.OPTIMAL
-    assert np.max(np.abs(p.H @ res.x + p.f + p.A.T @ res.lam)) <= tol
-    assert np.max(p.A @ res.x - p.b) <= tol
-    assert np.min(res.lam) >= 0.0
-    assert np.max(np.abs(res.lam * (p.A @ res.x - p.b))) <= tol
+    assert np.max(np.abs(p.H @ res.x + p.f + p.A.T @ res.lam)) \
+        <= tol * scale
+    assert np.max(p.A @ res.x - p.b, initial=-np.inf) <= tol
+    assert np.min(res.lam, initial=0.0) >= 0.0
+    assert np.max(np.abs(res.lam * (p.A @ res.x - p.b)), initial=0.0) \
+        <= tol * scale
     off = np.ones(p.b.size, dtype=bool)
     off[res.active_set] = False
     assert not res.lam[off].any()
