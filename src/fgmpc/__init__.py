@@ -7,7 +7,7 @@ harness ties the two together and reports closed-loop metrics.
 """
 
 from fgmpc.governor import GovernorProblem, GovernorState, RoaError, \
-    cg_step, fg_step, r_star, roa
+    fg_step, r_star, roa
 from fgmpc.mpc import CondensedQp, FeasibleSet, OcpDesign, \
     OcpInfeasibleError, condense, feasible_set, mpc_feedback, n_star, \
     ocp_feasible
@@ -48,7 +48,6 @@ __all__ = [
     "TrajectoryLog",
     "Verdict",
     "audit_invariants",
-    "cg_step",
     "condense",
     "equilibrium_basis",
     "feasible_set",

@@ -17,6 +17,8 @@ polytope onto theta), per-instance feasibility LPs, and the minimal
 feasible horizon search.
 """
 
+import functools
+
 import numpy as np
 
 from fgmpc.plant import equilibrium_basis
@@ -272,8 +274,11 @@ class _HorizonOracle:
         return t <= TOL, mu, t
 
 
-# (plant, design, horizon, oracle) of the last ocp_feasible call
-_ocp_memo = (None, None, None, None)
+@functools.lru_cache(maxsize=1)
+def _oracle(plant, design, horizon):
+    """The oracle of the last (plant, design, horizon), keyed on identity:
+    neither class defines equality, and both are treated as immutable."""
+    return _HorizonOracle(plant, design, max(horizon, 1))
 
 
 def ocp_feasible(plant, design, x, v, horizon):
@@ -281,21 +286,13 @@ def ocp_feasible(plant, design, x, v, horizon):
     phase-1 LP (horizon 0 reduces to terminal-set membership).
 
     The rows are built once per (plant, design, horizon): the oracle of
-    the last call is kept, keyed on the identity of the plant and the
-    design (both are treated as immutable), so a scan over many points
-    assembles them once.
+    the last call is kept, so a scan over many points assembles them once.
     """
-    global _ocp_memo
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     x = np.asarray(x, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    memo_plant, memo_design, memo_horizon, oracle = _ocp_memo
-    if (memo_plant is not plant or memo_design is not design
-            or memo_horizon != horizon):
-        oracle = _HorizonOracle(plant, design, max(horizon, 1))
-        _ocp_memo = (plant, design, horizon, oracle)
-    ok, _, _ = oracle.feasible(horizon, x, v)
+    ok, _, _ = _oracle(plant, design, horizon).feasible(horizon, x, v)
     return ok
 
 

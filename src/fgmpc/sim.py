@@ -45,12 +45,11 @@ class Scenario:
     kind selects the controller: "MPC" tracks v = r directly, "MPC+FG"
     filters r through the feasibility governor, "MPC+CG(LQR)" pairs the
     command governor over the terminal set with the LQR law. conv_tol is
-    the terminal state-tracking tolerance; v_tol decides when the
-    auxiliary reference counts as converged.
+    the terminal state-tracking tolerance.
     """
 
     def __init__(self, plant, spec, design, kind, x0, r, budget,
-                 conv_tol=1e-3, v_tol=1e-8):
+                 conv_tol=1e-3):
         if kind not in KINDS:
             raise ValueError("controller kind must be one of {}, got {!r}"
                              .format(list(KINDS), kind))
@@ -70,7 +69,6 @@ class Scenario:
         if self.budget < 1:
             raise ValueError("step budget must be at least 1")
         self.conv_tol = float(conv_tol)
-        self.v_tol = float(v_tol)
 
 
 class TrajectoryLog:
@@ -114,14 +112,17 @@ def run_closed_loop(sc, qp=None, gp=None):
 
     qp (condensed OCP) and gp (governor problem) are built on demand when
     not supplied; passing precomputed ones avoids repeating the offline
-    set construction across runs. A failed solve raises SimulationError
-    with the step index; at step 0 that means the initial condition is
-    outside the governed region of attraction (governed kinds) or
-    outside Gamma_N (plain MPC).
+    set construction across runs. The command governor is fg_step on
+    GovernorProblem(T, R_eps), built here before the loop; it ignores qp
+    and gp, since a gp over Gamma_N would make it the feasibility
+    governor. A failed solve raises SimulationError with the step index;
+    at step 0 that means the initial condition is outside the governed
+    region of attraction (governed kinds) or outside Gamma_N (plain MPC).
     """
     plant = sc.plant
     if sc.kind == "MPC+CG(LQR)":
         em = equilibrium_basis(plant)
+        gp = governor.GovernorProblem(sc.design.T, sc.spec.R_eps)
     elif qp is None:
         qp = condense(plant, sc.design)
     if sc.kind == "MPC+FG" and gp is None:
@@ -147,11 +148,7 @@ def run_closed_loop(sc, qp=None, gp=None):
         else:
             tic = time.perf_counter()
             try:
-                if sc.kind == "MPC+FG":
-                    v = governor.fg_step(gp, x, sc.r, state=gov_state)
-                else:
-                    v = governor.cg_step(sc.design.T, sc.spec.R_eps, x,
-                                         sc.r, state=gov_state)
+                v = governor.fg_step(gp, x, sc.r, state=gov_state)
             except governor.RoaError as err:
                 raise SimulationError(k, err) from err
             t_fg[k] = time.perf_counter() - tic

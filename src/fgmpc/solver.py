@@ -740,7 +740,7 @@ def solve_qp(problem, warm_start=None, max_iterations=None,
             if q:
                 lam = lam - t * r
             u = u + t
-            if x_step is not None and t == t2 and t <= t1:
+            if x_step is not None and t2 <= t1:
                 # full step: constraint p becomes active
                 _add_constraint(J, R, Rinv, d, q)
                 active.append(p)

@@ -6,8 +6,9 @@ import pytest
 
 import systems
 
+import fgmpc
 from fgmpc.governor import (GovernorProblem, GovernorState, RoaError,
-                            cg_step, fg_step, r_star, roa)
+                            fg_step, r_star, roa)
 from fgmpc.polytope import HPolyhedron
 
 
@@ -95,7 +96,7 @@ def test_governor_state_warm_start(y1_gov):
     v_cold = fg_step(gp, x, [0.75])
     v1 = fg_step(gp, x, [0.75], state=state)
     assert state.record is not None
-    assert np.array_equal(state.v, v1)
+    assert np.array_equal(state.record.x, v1)
     # warm-started re-solve at a nearby state agrees with the cold solve
     x2 = x + np.array([0.01, 0.005])
     v_warm = fg_step(gp, x2, [0.75], state=state)
@@ -106,22 +107,22 @@ def test_governor_state_warm_start(y1_gov):
 
 def test_cg_step_equilibrium_and_empty_slice(fig2):
     em, T = fig2["em"], fig2["T"]
-    R_eps = fig2["spec"].R_eps
+    gp_T = GovernorProblem(T, fig2["spec"].R_eps)
     for r in (0.4, -0.6):
-        v = cg_step(T, R_eps, em.x_bar([r]), [r])
+        v = fg_step(gp_T, em.x_bar([r]), [r])
         np.testing.assert_allclose(v, [r], atol=1e-8)
     with pytest.raises(RoaError, match="outside governed ROA"):
-        cg_step(T, R_eps, [5.0], [0.0])
+        fg_step(gp_T, [5.0], [0.0])
 
 
 def test_cg_never_closer_than_fg(fig2, fig2_gov):
     T, gp = fig2["T"], fig2_gov["gp"]
-    R_eps = fig2["spec"].R_eps
+    gp_T = GovernorProblem(T, fig2["spec"].R_eps)
     rng = np.random.default_rng(17)
     W = systems.sample_in_polytope(T.set_xv, rng, 60)
     for w in W:
         r = rng.uniform(-1.5, 1.5, size=1)
-        v_cg = cg_step(T, R_eps, w[:1], r)
+        v_cg = fg_step(gp_T, w[:1], r)
         v_fg = fg_step(gp, w[:1], r)
         assert np.linalg.norm(v_fg - r) <= np.linalg.norm(v_cg - r) + 1e-9
 
@@ -173,3 +174,9 @@ def test_governor_problem_validation(fig2):
     assert gp.Lambda.is_empty()
     with pytest.raises(ValueError, match="empty"):
         roa(gp)
+
+
+def test_public_names_resolve():
+    """Every name the package exports is bound on it."""
+    missing = [name for name in fgmpc.__all__ if not hasattr(fgmpc, name)]
+    assert missing == []

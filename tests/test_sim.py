@@ -9,7 +9,8 @@ import pytest
 
 import systems
 
-from fgmpc.governor import cg_step, roa
+from fgmpc.governor import roa
+from fgmpc.solver import QpProblem, solve_qp
 from fgmpc.sim import (Scenario, SimulationError, TrajectoryLog,
                        audit_invariants, metrics, run_closed_loop,
                        write_trajectory_csv)
@@ -221,12 +222,14 @@ def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
     assert calls["solve"] == 0
 
 
-def test_command_governor_loop_builds_its_qp_once(monkeypatch, fig2):
-    """An MPC+CG(LQR) loop factorizes the command-governor Hessian on its
-    first step only (one cholesky and two inv: J and the kept inverse of
+def test_command_governor_loop_builds_its_qp_once(monkeypatch, fig2,
+                                                   fig2_gov):
+    """An MPC+CG(LQR) loop factorizes the command-governor Hessian once,
+    before the loop (one cholesky and two inv: J and the kept inverse of
     the Hessian); the one other inv is the equilibrium map of the LQR law.
-    No step solves with a Hessian. Every step matches a cg_step made
-    without state to 1e-9 (that one is cold started)."""
+    No step solves with a Hessian. Every step matches to 1e-9 a cold solve
+    of the command-governor QP over the rows of T and R_eps, built here
+    without the governor module. A gp over Gamma_N passed in is ignored."""
     sc = make_scenario(fig2, 2, "MPC+CG(LQR)", [-0.2], [0.6], 100)
     calls = count_factorizations(monkeypatch)
     log = run_closed_loop(sc)
@@ -234,6 +237,10 @@ def test_command_governor_loop_builds_its_qp_once(monkeypatch, fig2):
     assert calls["cholesky"] == 1 and calls["inv"] == 3
     assert calls["solve"] == 0
     T, R_eps = sc.design.T, sc.spec.R_eps
+    A_v = np.vstack([T.T_v, R_eps.A])
     for x, v in zip(log.x, log.v):
-        np.testing.assert_allclose(cg_step(T, R_eps, x, sc.r), v,
-                                   atol=1e-9)
+        rhs = np.concatenate([T.c - T.T_x @ x, R_eps.b])
+        st = solve_qp(QpProblem(2.0 * np.eye(A_v.shape[1]), -2.0 * sc.r,
+                                A_v, rhs))
+        np.testing.assert_allclose(st.x, v, atol=1e-9)
+    assert np.array_equal(run_closed_loop(sc, gp=fig2_gov["gp"]).v, log.v)
