@@ -12,6 +12,7 @@ is a safety violation, never an expected outcome.
 """
 
 import collections
+import functools
 import platform
 import time
 
@@ -107,22 +108,31 @@ class TrajectoryLog:
         return self.x.shape[0]
 
 
+@functools.lru_cache(maxsize=1)
+def _command_governor(T, R_eps):
+    """GovernorProblem(T, R_eps) of the last (T, R_eps), keyed on
+    identity: neither class defines equality, and both are treated as
+    immutable. Repeated runs of one scenario build it once."""
+    return governor.GovernorProblem(T, R_eps)
+
+
 def run_closed_loop(sc, qp=None, gp=None):
     """Simulate the scenario for its full step budget.
 
     qp (condensed OCP) and gp (governor problem) are built on demand when
     not supplied; passing precomputed ones avoids repeating the offline
     set construction across runs. The command governor is fg_step on
-    GovernorProblem(T, R_eps), built here before the loop; it ignores qp
-    and gp, since a gp over Gamma_N would make it the feasibility
-    governor. A failed solve raises SimulationError with the step index;
-    at step 0 that means the initial condition is outside the governed
-    region of attraction (governed kinds) or outside Gamma_N (plain MPC).
+    GovernorProblem(T, R_eps), built before the loop and kept for the next
+    run on the same T and R_eps; it ignores qp and gp, since a gp over
+    Gamma_N would make it the feasibility governor. A failed solve raises
+    SimulationError with the step index; at step 0 that means the initial
+    condition is outside the governed region of attraction (governed
+    kinds) or outside Gamma_N (plain MPC).
     """
     plant = sc.plant
     if sc.kind == "MPC+CG(LQR)":
         em = equilibrium_basis(plant)
-        gp = governor.GovernorProblem(sc.design.T, sc.spec.R_eps)
+        gp = _command_governor(sc.design.T, sc.spec.R_eps)
     elif qp is None:
         qp = condense(plant, sc.design)
     if sc.kind == "MPC+FG" and gp is None:

@@ -188,7 +188,16 @@ class QpProblem:
 # its column) and optimizes the real objective from the basis phase 1
 # left. A nonbasic x_j may enter in either direction, ranked by |d_j|; a
 # basic x_j never leaves, so x passes through zero in one exchange. An
-# exchange is a dense rank-1 update of the (m + 1) x (n + 2) tableau.
+# exchange is a rank-1 update of the (m + 1) x (n + 2) tableau: every row
+# loses a multiple of the normalized pivot row, so columns where that row
+# is zero do not change. Most pivot rows of the horizon LPs of n_star
+# (about 6h rows by h + 2 columns) are a few percent nonzero; on a tableau
+# of at least _SPARSE_MIN_COLS columns whose pivot row is at most
+# one-eighth nonzero the update runs over those columns one by one, with
+# the values the dense update gives. Narrower tableaux (the projection
+# and hull LPs) keep the one dense update: with about 6 rows per column
+# and a pivot row one-eighth nonzero, the two tie at 16 columns and the
+# column loop wins from 24, so the cutoff of 32 leaves a margin.
 # Entering column: Dantzig rule, switching to Bland's rule after a streak
 # of degenerate pivots so cycling terminates. Both take the first of tied
 # candidates in the order x_j upwards (by j), x_j downwards, t, slacks.
@@ -196,6 +205,7 @@ class QpProblem:
 # ratios.
 
 _DEGENERATE_STREAK = 12
+_SPARSE_MIN_COLS = 32
 
 
 def _pivot(T, basis, nonbasic, row, col):
@@ -203,8 +213,14 @@ def _pivot(T, basis, nonbasic, row, col):
     piv = T[row, col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T[row] /= piv
-    T -= colvals[:, None] * T[row]
+    prow = T[row]
+    prow /= piv
+    if prow.size >= _SPARSE_MIN_COLS \
+            and 8 * np.count_nonzero(prow) <= prow.size:
+        for j in prow.nonzero()[0].tolist():
+            T[:, j] -= colvals * prow[j]
+    else:
+        T -= colvals[:, None] * prow
     np.multiply(colvals, -1.0 / piv, out=T[:, col])
     T[row, col] = 1.0 / piv
     basis[row], nonbasic[col] = nonbasic[col], basis[row]
@@ -500,6 +516,44 @@ def _invert_column(R, Rinv, q):
     Rinv[q, q] = 1.0 / R[q, q]
 
 
+# A triangle of at most this order is inverted column by column, by the
+# add path's back-substitution, so the governor's and short-horizon QPs
+# keep its arithmetic; a larger one is split in halves down to blocks of
+# at most this order, each one LAPACK inverse.
+_TRIANGLE_BLOCK = 32
+_UPPER = np.triu(np.ones((_TRIANGLE_BLOCK, _TRIANGLE_BLOCK), dtype=bool))
+
+
+def _invert_triangle(R, q):
+    """The inverse of the upper triangle R[:q, :q] in the leading block of
+    an n x n array of zeros. Above _TRIANGLE_BLOCK it is the recursive
+    2 x 2 block inverse [[A, B], [0, D]]^{-1} = [[A^{-1}, -A^{-1} B D^{-1}],
+    [0, D^{-1}]], whose off-diagonal blocks are matrix products rather than
+    one matrix-vector product per column."""
+    Rinv = np.zeros(R.shape)
+    if q <= _TRIANGLE_BLOCK:
+        for j in range(q):
+            _invert_column(R, Rinv, j)
+    else:
+        _invert_blocks(R, Rinv, 0, q)
+    return Rinv
+
+
+def _invert_blocks(R, Rinv, lo, hi):
+    """Write the inverse of the upper triangle R[lo:hi, lo:hi] into the
+    same block of Rinv, whose strict lower triangle stays zero."""
+    k = hi - lo
+    if k <= _TRIANGLE_BLOCK:
+        np.copyto(Rinv[lo:hi, lo:hi], np.linalg.inv(R[lo:hi, lo:hi]),
+                  where=_UPPER[:k, :k])
+        return
+    mid = (lo + hi) // 2
+    _invert_blocks(R, Rinv, lo, mid)
+    _invert_blocks(R, Rinv, mid, hi)
+    Rinv[lo:mid, mid:hi] = -(Rinv[lo:mid, lo:mid] @ R[lo:mid, mid:hi]) \
+        @ Rinv[mid:hi, mid:hi]
+
+
 def _add_constraint(J, R, Rinv, d, q):
     """Append the projected normal d as column q of R, rotating J along.
 
@@ -570,11 +624,9 @@ def _equality_solve(J, R, x0, normals, rhs, Rinv=None):
     unconstrained minimizer, lam = (R'R)^{-1} (N x0 - rhs) and
     x = x0 - J[:, :q] R^{-T} (N x0 - rhs).
     """
-    n, q = J.shape[0], normals.shape[0]
+    q = normals.shape[0]
     if Rinv is None:
-        Rinv = np.zeros((n, n))
-        for j in range(q):
-            _invert_column(R, Rinv, j)
+        Rinv = _invert_triangle(R, q)
     w = Rinv[:q, :q].T @ (normals @ x0 - rhs)
     return x0 - J[:, :q] @ w, Rinv[:q, :q] @ w, Rinv
 

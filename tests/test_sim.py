@@ -9,6 +9,7 @@ import pytest
 
 import systems
 
+from fgmpc import sim
 from fgmpc.governor import roa
 from fgmpc.solver import QpProblem, solve_qp
 from fgmpc.sim import (Scenario, SimulationError, TrajectoryLog,
@@ -229,8 +230,10 @@ def test_command_governor_loop_builds_its_qp_once(monkeypatch, fig2,
     the Hessian); the one other inv is the equilibrium map of the LQR law.
     No step solves with a Hessian. Every step matches to 1e-9 a cold solve
     of the command-governor QP over the rows of T and R_eps, built here
-    without the governor module. A gp over Gamma_N passed in is ignored."""
+    without the governor module. A gp over Gamma_N passed in is ignored,
+    and a second run on the same T and R_eps builds nothing again."""
     sc = make_scenario(fig2, 2, "MPC+CG(LQR)", [-0.2], [0.6], 100)
+    sim._command_governor.cache_clear()  # earlier tests share fig2's T
     calls = count_factorizations(monkeypatch)
     log = run_closed_loop(sc)
     assert log.n_steps == 100
@@ -243,4 +246,6 @@ def test_command_governor_loop_builds_its_qp_once(monkeypatch, fig2,
         st = solve_qp(QpProblem(2.0 * np.eye(A_v.shape[1]), -2.0 * sc.r,
                                 A_v, rhs))
         np.testing.assert_allclose(st.x, v, atol=1e-9)
+    built = calls["cholesky"]
     assert np.array_equal(run_closed_loop(sc, gp=fig2_gov["gp"]).v, log.v)
+    assert calls["cholesky"] == built

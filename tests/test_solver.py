@@ -7,6 +7,7 @@ search; and both against their KKT systems at the advertised tolerances.
 """
 
 import collections
+import gc
 import itertools
 import tracemalloc
 
@@ -14,11 +15,14 @@ import numpy as np
 import pytest
 
 import fgmpc.solver
+import systems
 
+from fgmpc.mpc import n_star
 from fgmpc.solver import (LpProblem, QpProblem, Status, SupportLp, TOL,
+                          _SPARSE_MIN_COLS, _TRIANGLE_BLOCK,
                           _drop_constraint, _factorize, _invert_column,
-                          _phase_one, min_violation, solve_lp, solve_qp,
-                          support_value)
+                          _invert_triangle, _phase_one, _pivot,
+                          min_violation, solve_lp, solve_qp, support_value)
 
 
 def lp_vertex_oracle(c, A, b):
@@ -516,6 +520,94 @@ def test_min_violation_memory_is_the_short_tableau():
     assert peak < 4e6
 
 
+def dense_exchange(T, row, col):
+    """The exchange of _pivot as a dense rank-1 update of a copy of T."""
+    T = T.copy()
+    piv = T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T[row] /= piv
+    T -= np.outer(colvals, T[row])
+    T[:, col] = colvals * (-1.0 / piv)
+    T[row, col] = 1.0 / piv
+    return T
+
+
+@pytest.mark.parametrize("width", [16, _SPARSE_MIN_COLS - 1,
+                                   _SPARSE_MIN_COLS, 118])
+@pytest.mark.parametrize("sparse", [True, False])
+def test_pivot_matches_the_dense_exchange(width, sparse):
+    """Every exchange has the values of the dense rank-1 update and swaps
+    the same labels. A sparse pivot row on a tableau of at least
+    _SPARSE_MIN_COLS columns leaves the columns where it is zero untouched,
+    so a -0.0 there keeps its sign; the dense update turns it into +0.0
+    when the column entry of its row is negative. Every other case keeps
+    even the signs of zeros."""
+    rng = np.random.default_rng(width + 2 * sparse)
+    rows, row = 6 * width, 5
+    T = rng.normal(size=(rows, width))
+    # the pivot row is nonzero at col, in the right-hand side and, when
+    # sparse, at about 3% of the other columns
+    nz = rng.choice(width - 1, size=max(2, width // 30) if sparse
+                    else width - 1, replace=False)
+    col = int(nz[0])
+    nz = np.append(nz, width - 1)
+    T[row] = 0.0
+    T[row, nz] = rng.uniform(0.5, 2.0, size=nz.size)
+    zero_cols = np.setdiff1d(np.arange(width), nz)
+    if zero_cols.size:
+        # -0.0 in an untouched column, on rows where the update subtracts -0
+        neg = (T[:, col] < 0.0).nonzero()[0]
+        neg = neg[neg != row][:3]
+        T[neg, zero_cols[0]] = -0.0
+    basis, nonbasic = np.arange(width, width + rows), np.arange(width)
+    want = dense_exchange(T, row, col)
+    _pivot(T, basis, nonbasic, row, col)
+    assert np.array_equal(T, want)
+    assert basis[row] == col and nonbasic[col] == width + row
+    assert np.array_equal(np.delete(basis, row),
+                          np.delete(np.arange(width, width + rows), row))
+    assert np.array_equal(np.delete(nonbasic, col),
+                          np.delete(np.arange(width), col))
+    restricted = sparse and width >= _SPARSE_MIN_COLS
+    if zero_cols.size:
+        assert np.signbit(T[neg, zero_cols[0]]).all() == restricted
+        assert not np.signbit(want[neg, zero_cols[0]]).any()
+    if not restricted:
+        assert np.array_equal(np.signbit(T), np.signbit(want))
+
+
+def test_n_star_pivots_pinned_on_a_long_horizon(monkeypatch, y3):
+    """The n_star scan of the wide-range double integrator from (-2, 0)
+    toward 1 probes these horizons, with these worst violations, in 434
+    pivots: the values an all-dense exchange gives. Its horizon LPs reach
+    66 columns, so most of their pivots take the sparse update."""
+    counts = collections.Counter()
+    real = fgmpc.solver._pivot
+
+    def counted(T, basis, nonbasic, row, col):
+        counts["pivots"] += 1
+        sparse = 8 * np.count_nonzero(T[row]) <= T.shape[1]
+        counts["sparse"] += sparse and T.shape[1] >= _SPARSE_MIN_COLS
+        return real(T, basis, nonbasic, row, col)
+
+    monkeypatch.setattr(fgmpc.solver, "_pivot", counted)
+    trace = []
+    n = n_star(y3["plant"], systems.make_design(y3, 1), [-2.0, 0.0], [1.0],
+               400, trace=trace)
+    assert n == 55
+    assert counts["pivots"] == 434
+    assert counts["sparse"] > counts["pivots"] // 2
+    assert [h for h, _ in trace] == [0, 1, 2, 4, 8, 16, 32, 48, 52, 54, 55,
+                                     56, 64]
+    np.testing.assert_allclose(
+        [v for _, v in trace],
+        [2.447399649947515, 2.4102265493309583, 2.385733481699507,
+         2.310579386866578, 2.047222954683179, 1.355365387325714,
+         0.37565464956963446, 0.06197625574216216, 0.020594108675602067,
+         0.002883018647978932, 0.0, 0.0, 0.0], rtol=1e-12, atol=0.0)
+
+
 def check_qp_kkt(p, res):
     assert res.status is Status.OPTIMAL
     grad = p.H @ res.x + p.f + p.A.T @ res.lam
@@ -851,6 +943,38 @@ def test_drop_constraint_retriangularizes_at_every_k(q):
                                    R[:q - 1, :q - 1], atol=1e-12)
         # the freed column and the rest of J are orthogonal to kept normals
         np.testing.assert_allclose(J[:, q - 1:].T @ kept.T, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2, _TRIANGLE_BLOCK + 1, 64, 116])
+def test_invert_triangle_in_blocks(monkeypatch, q):
+    """The inverse of R's leading q x q triangle, for the R of a batch
+    factorization: Rinv R = I to 1e-12, an exactly zero strict lower
+    triangle and zeros outside the leading block. Above _TRIANGLE_BLOCK it
+    is one block inversion, with no column-by-column step."""
+    rng = np.random.default_rng(71 + q)
+    n = 116
+    M = rng.normal(size=(n, n))
+    p = QpProblem(M @ M.T + n * np.eye(n), np.zeros(n),
+                  rng.normal(size=(q, n)), np.ones(q))
+    _, R = _factorize(p.J, p.A_scaled)
+    columns = []
+    real = fgmpc.solver._invert_column
+
+    def counted(R, Rinv, j):
+        columns.append(j)
+        real(R, Rinv, j)
+
+    monkeypatch.setattr(fgmpc.solver, "_invert_column", counted)
+    gc.collect()
+    Rinv = _invert_triangle(R, q)
+    # no reference cycle keeps R or Rinv alive until the cyclic collector
+    # runs: the MPC loop makes few objects that would trigger it
+    assert gc.collect() == 0
+    assert len(columns) == (q if q <= _TRIANGLE_BLOCK else 0)
+    err = np.abs(Rinv[:q, :q] @ R[:q, :q] - np.eye(q)).max()
+    assert err <= 1e-12
+    assert not np.tril(Rinv, -1).any()
+    assert not Rinv[q:].any() and not Rinv[:, q:].any()
 
 
 def assert_bit_equal(hot, cold):

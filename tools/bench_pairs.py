@@ -35,6 +35,13 @@ share of the workload's operations fails than at the parent.
 The line count of ``src/fgmpc/*.py`` in each tree, as ``wc -l`` gives
 it, is recorded and printed beside the runs.
 
+Each run's host readings are kept per pair: the calibration time that
+perfbench measures before and after the run (``env calibration_s a ->
+b``) and the CPU steal time during it (``env steal_s``). A side's
+calibration is the mean of its two readings; a pair whose two sides'
+calibrations differ by more than 25% of the smaller one ran on a host
+whose speed drifted between them, and is marked ``drift``.
+
 A run that reports ``correct: false`` with no failed operation (a broken
 tracer guard, a set-up that is not deterministic, outputs that differ
 between operations) stops the tool with that run's report.
@@ -53,6 +60,9 @@ PAIRS = 10
 WINS_NEEDED = 9
 COUNT_UNITS = ("count", "rows", "bytes")
 FINGERPRINT = re.compile(r"fingerprint of op 0 = (\S+)")
+CALIBRATION = re.compile(r"env calibration_s = (\S+) -> (\S+)")
+STEAL = re.compile(r"env steal_s = (\S+)")
+DRIFT = 0.25
 
 
 def parse_args(argv):
@@ -69,7 +79,9 @@ def parse_args(argv):
 
 def run_once(tree, workload, seed, trace=0):
     """One benchmark run in tree; returns its result record, with the
-    op-0 fingerprint of its report under "fingerprint"."""
+    op-0 fingerprint of its report under "fingerprint", its calibration
+    times before and after under "calibration_s" and its steal time under
+    "steal_s" (None when the report lacks them)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--trace",
            str(trace)]
@@ -83,9 +95,35 @@ def run_once(tree, workload, seed, trace=0):
         raise RuntimeError("{} in {} is not correct with no failed "
                            "operation:\n{}".format(" ".join(cmd), tree,
                                                    "\n".join(lines[:-1])))
-    found = [m.group(1) for m in map(FINGERPRINT.match, lines[:-1]) if m]
+    found = first_match(FINGERPRINT, lines[:-1])
     res["fingerprint"] = found[0] if found else None
+    found = first_match(CALIBRATION, lines[:-1])
+    res["calibration_s"] = [float(v) for v in found] if found else None
+    found = first_match(STEAL, lines[:-1])
+    res["steal_s"] = float(found[0]) if found else None
     return res
+
+
+def first_match(pattern, lines):
+    """The groups of the first line that pattern matches, or None."""
+    for m in map(pattern.match, lines):
+        if m:
+            return m.groups()
+    return None
+
+
+def host_drift(parent, change):
+    """The host readings of one pair's two runs, and whether their
+    calibrations (each the mean of the run's two readings) differ by more
+    than DRIFT of the smaller one; never marked when a side lacks one."""
+    pair = {side: {"calibration_s": run["calibration_s"],
+                   "steal_s": run["steal_s"]}
+            for side, run in (("parent", parent), ("change", change))}
+    cal = [statistics.mean(run["calibration_s"]) for run in (parent, change)
+           if run["calibration_s"]]
+    pair["drift"] = len(cal) == 2 and \
+        max(cal) - min(cal) > DRIFT * min(cal)
+    return pair
 
 
 def src_lines(tree):
@@ -179,7 +217,12 @@ def main(argv=None):
                     res["failed"], res["attempted"]), flush=True)
         prints = {side: sorted({r["fingerprint"] for r in runs[side]},
                                key=str) for side in sides}
-        entry = {"pairs": PAIRS,
+        host = [host_drift(p, c)
+                for p, c in zip(runs["parent"], runs["change"])]
+        drifted = [i for i, pair in enumerate(host) if pair["drift"]]
+        print("{} pairs with host drift above {:.0%}: {}".format(
+            workload, DRIFT, drifted or "none"), flush=True)
+        entry = {"pairs": PAIRS, "host": host, "drift_pairs": drifted,
                  "failed": {side: sum(r["failed"] for r in runs[side])
                             for side in sides},
                  "attempted": {side: sum(r["attempted"] for r in runs[side])
