@@ -16,7 +16,7 @@ of Gamma_N, paired with the LQR law instead of the MPC.
 
 import numpy as np
 
-from fgmpc.polytope import DEFAULT_ROW_CAP, HPolyhedron
+from fgmpc.polytope import HPolyhedron
 from fgmpc.solver import QpProblem, Status, solve_qp
 
 
@@ -59,8 +59,8 @@ class GovernorProblem:
 
 class GovernorState:
     """Carries the last solve record between steps of one control loop;
-    its active set and kept factors warm start the next solve, and its x
-    is the applied reference."""
+    its kept factors warm start the next solve, and its x is the applied
+    reference."""
 
     def __init__(self):
         self.record = None
@@ -68,13 +68,13 @@ class GovernorState:
 
 def _closest(problem, state=None, message="state outside governed ROA"):
     """Solve the distance QP problem (Hessian 2I, f = -2r), warm started
-    from the active set and factors of state's record when given, record
-    the solve into state, and return its minimizer. solve_qp ignores
-    factors that were not built on this problem's shared J0."""
-    warm = factors = None
+    from the factors of state's record when given, record the solve into
+    state, and return its minimizer. solve_qp ignores factors that were
+    not built on this problem's shared J0."""
+    factors = None
     if state is not None and state.record is not None:
-        warm, factors = state.record.active_set, state.record.factors
-    st = solve_qp(problem, warm_start=warm, warm_factors=factors)
+        factors = state.record.factors
+    st = solve_qp(problem, warm_start=factors)
     if st.status == Status.INFEASIBLE:
         raise RoaError(message)
     if st.status != Status.OPTIMAL:
@@ -90,7 +90,8 @@ def fg_step(gp, x, r, state=None):
 
     Strictly convex, so the minimizer is unique; when (x, r*) is already
     in Lambda the result is r* itself (the governor does not interfere).
-    The optional state carries the previous active set as a warm start.
+    The optional state carries the previous solve's factors as a warm
+    start.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != gp.n_x:
@@ -108,6 +109,6 @@ def r_star(R_eps, r):
     return _closest(problem, message="admissible reference set is empty")
 
 
-def roa(gp, row_cap=DEFAULT_ROW_CAP):
+def roa(gp):
     """Governed region of attraction: the projection of Lambda onto x."""
-    return gp.Lambda.project(list(range(gp.n_x)), row_cap=row_cap)
+    return gp.Lambda.project(list(range(gp.n_x)))

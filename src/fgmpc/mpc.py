@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from fgmpc.plant import equilibrium_basis
-from fgmpc.polytope import DEFAULT_ROW_CAP, HPolyhedron
+from fgmpc.polytope import HPolyhedron
 from fgmpc.solver import TOL, QpProblem, Status, check_weight, \
     min_violation, solve_qp
 
@@ -178,14 +178,13 @@ def condense(plant, design, em=None):
     return CondensedQp(H, W, M, L, b, n_x, n_u, n_v, design)
 
 
-def mpc_feedback(qp, x, v, warm_start=None, warm_factors=None):
+def mpc_feedback(qp, x, v, warm_start=None):
     """Solve the condensed QP at (x, v) and return (u, solve record).
 
-    u is the first input block of the unique minimizer. warm_start is an
-    optional sequence of constraint indices that hot-starts the QP solver
-    (typically the previous step's active set). warm_factors are the
-    factors of that set, as the previous record's factors holds them;
-    solve_qp uses them only when they match, and they never change u.
+    u is the first input block of the unique minimizer. warm_start is
+    optional: the factors a previous solve of this qp returned (typically
+    the previous step's record.factors), which hot-start the QP solver
+    from that solve's active set. They never change u.
     """
     x = np.asarray(x, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -194,7 +193,7 @@ def mpc_feedback(qp, x, v, warm_start=None, warm_factors=None):
                          "{}".format(qp.n_x, qp.n_v))
     theta = np.concatenate([x, v])
     problem = qp.problem.with_linear(qp.W @ theta, qp.b - qp.L @ theta)
-    st = solve_qp(problem, warm_start=warm_start, warm_factors=warm_factors)
+    st = solve_qp(problem, warm_start=warm_start)
     if st.status == Status.INFEASIBLE:
         raise OcpInfeasibleError(
             "OCP infeasible at (x, v) = ({}, {})".format(x.tolist(),
@@ -205,14 +204,13 @@ def mpc_feedback(qp, x, v, warm_start=None, warm_factors=None):
     return st.x[:qp.n_u].copy(), st
 
 
-def feasible_set(qp, row_cap=DEFAULT_ROW_CAP):
+def feasible_set(qp):
     """Project the condensed polytope {(mu, theta) : M mu + L theta <= b}
-    onto theta, returning the explicit feasible set in minimal H-rep.
-    row_cap bounds the facets of the projection's inner hull."""
+    onto theta, returning the explicit feasible set in minimal H-rep."""
     N, n_u = qp.N, qp.n_u
     stacked = HPolyhedron(np.hstack([qp.M, qp.L]), qp.b)
     keep = list(range(N * n_u, N * n_u + qp.n_x + qp.n_v))
-    return FeasibleSet(stacked.project(keep, row_cap=row_cap), N)
+    return FeasibleSet(stacked.project(keep), N)
 
 
 class _HorizonOracle:

@@ -150,7 +150,7 @@ def run_closed_loop(sc, qp=None, gp=None):
 
     x = sc.x0.copy()
     gov_state = governor.GovernorState()
-    warm = factors = None  # active set and factors of the last MPC solve
+    factors = None  # of the last MPC solve, the next one's warm start
     K = sc.design.K
     for k in range(n):
         if sc.kind == "MPC":
@@ -168,11 +168,10 @@ def run_closed_loop(sc, qp=None, gp=None):
             u = em.u_bar(v) - K @ (x - em.x_bar(v))
         else:
             try:
-                u, status = mpc_feedback(qp, x, v, warm_start=warm,
-                                         warm_factors=factors)
+                u, status = mpc_feedback(qp, x, v, warm_start=factors)
             except OcpInfeasibleError as err:
                 raise SimulationError(k, err) from err
-            warm, factors = status.active_set, status.factors
+            factors = status.factors
         t_mpc[k] = time.perf_counter() - tic
 
         X[k] = x

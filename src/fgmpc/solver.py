@@ -58,10 +58,10 @@ class SolveStatus:
         of phase 1 on the call that ran it (a SupportLp's first call).
     factors : QpFactors or None
         QP only: the factors of the final active set, for the next solve's
-        warm_factors; None when that set is empty or the solve failed.
+        warm_start; None when that set is empty or the solve failed.
     factorizations : int
-        QP only: the batch factorizations (QRs of J0' N) the solve ran. A
-        warm start with the previous solve's factors runs at most one.
+        QP only: the batch factorizations (QRs of J0' N) the solve ran: at
+        most one, the recompute of a final set that the solve changed.
     """
 
     def __init__(self, status, x=None, value=None, active_set=None, lam=None,
@@ -145,6 +145,7 @@ class QpProblem:
         if A.shape[0] != self.b.size:
             raise ValueError("A has {} rows but b has {} entries"
                              .format(A.shape[0], self.b.size))
+        _check_finite(("A", A), ("f", self.f), ("b", self.b))
         # read-only views, so the caller's arrays keep their flags
         self.H, self.A = H.view(), A.view()
         self.J = np.linalg.inv(L).T  # J J' = H^{-1}
@@ -159,14 +160,25 @@ class QpProblem:
 
     def with_linear(self, f, b):
         """The same problem with linear term f and right-hand side b,
-        sharing the validated H and A data; only the sizes are checked."""
+        sharing the validated H and A data; only the sizes and finiteness
+        of f and b are checked."""
         problem = copy.copy(self)
         problem.f = np.asarray(f, dtype=float).ravel()
         problem.b = np.asarray(b, dtype=float).ravel()
         if (problem.f.size, problem.b.size) != (self.f.size, self.b.size):
             raise ValueError("f and b must keep their sizes {} and {}"
                              .format(self.f.size, self.b.size))
+        _check_finite(("f", problem.f), ("b", problem.b))
         return problem
+
+
+def _check_finite(*named):
+    """Raise ValueError naming the first (name, array) pair that holds a
+    NaN or an infinity: the solvers would read past such a row in silence
+    or fail deep inside an update."""
+    for name, arr in named:
+        if not np.isfinite(arr).all():
+            raise ValueError("QP {} must be finite".format(name))
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +643,7 @@ def _equality_solve(J, R, x0, normals, rhs, Rinv=None):
     return x0 - J[:, :q] @ w, Rinv[:q, :q] @ w, Rinv
 
 
-def solve_qp(problem, warm_start=None, max_iterations=None,
-             warm_factors=None):
+def solve_qp(problem, warm_start=None, max_iterations=None):
     """Dual active-set method for strictly convex QPs (Goldfarb-Idnani).
 
     The method moves between dual-feasible pairs: x minimizes the
@@ -648,22 +659,16 @@ def solve_qp(problem, warm_start=None, max_iterations=None,
     Householder reflection, a dropped one by one QR of the Hessenberg
     block it leaves.
 
-    warm_start, when given, is a candidate active set (typically the
-    previous solve's) that hot-starts the solve: its distinct indices,
-    sorted, are factorized in one batch (a QR of J0' N) and the QP is
-    solved with them held at equality; indices with negative multipliers
-    are dropped from those factors by the drop path, until every
-    multiplier is nonnegative. The iterations go on from that pair. A
-    candidate set of more than n indices or with dependent normals falls
-    back to the cold start at the unconstrained minimum.
-
-    warm_factors, when given, are the factors a previous solve returned
-    (SolveStatus.factors). They replace the batch factorization of the
-    warm set when they were built for exactly that sorted set on this
-    problem's own J0 array (an identity test: every with_linear problem
-    shares it, and with it the scaled rows), and are ignored otherwise.
-    They are bit-identical to a fresh factorization of that set, so they
-    change no result; the solve updates a copy and never writes to them.
+    warm_start, when given, is the QpFactors a previous solve returned
+    (SolveStatus.factors), typically the previous control step's. When
+    they were built on this problem's own J0 array (an identity test:
+    every with_linear problem shares it, and with it the scaled rows),
+    the solve hot-starts from their active set: it solves the QP with
+    that set held at equality, and drops indices with negative
+    multipliers by the drop path until every multiplier is nonnegative.
+    The iterations go on from that pair. Factors built on another J0, or
+    None, give the cold start at the unconstrained minimum. The solve
+    updates a copy of the factors and never writes to them.
 
     The minimizer is unique (H is positive definite), and the returned x
     and lam come from the same equality solve on the sorted final active
@@ -685,25 +690,13 @@ def solve_qp(problem, warm_start=None, max_iterations=None,
     inv_norms = 1.0 / norms
     bs = b / norms
 
-    warm = sorted({int(i) for i in warm_start}) if warm_start is not None \
-        else []
-    if warm and not 0 <= warm[0] <= warm[-1] < m:
-        raise ValueError("warm start indices must lie in [0, {})".format(m))
-
     factorizations = 0
-    active = list(warm) if len(warm) <= n else []
-    if active:
-        kept = warm_factors
-        if kept is not None and kept.J0 is problem.J \
-                and kept.active_set == tuple(active):
-            J, R, Rinv = kept.J.copy(), kept.R.copy(), kept.Rinv.copy()
-        else:
-            J, R = _factorize(problem.J, As[active])
-            Rinv = None
-            factorizations += 1
-        pivots = np.abs(R.diagonal()[:len(active)])
-        if (pivots <= 1e-10 * pivots.max()).any():
-            active = []  # dependent normals: cold start
+    warm = []
+    if warm_start is not None and warm_start.J0 is problem.J:
+        warm = list(warm_start.active_set)
+        J, R = warm_start.J.copy(), warm_start.R.copy()
+        Rinv = warm_start.Rinv.copy()
+    active = list(warm)
     while active:
         x, lam, Rinv = _equality_solve(J, R, x0, As[active], bs[active], Rinv)
         negative = np.flatnonzero(~(lam >= 0.0))  # a NaN counts as negative

@@ -2,6 +2,7 @@
 and the host readings it keeps from each run's report."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -88,3 +89,52 @@ def test_host_drift_marks_pairs_beyond_a_quarter(parent, change, drift):
     assert pair["drift"] is drift
     assert pair["parent"] == {"calibration_s": parent, "steal_s": 0.0}
     assert pair["change"] == {"calibration_s": change, "steal_s": 2.0}
+
+
+def test_without_drift_compares_the_pairs_that_did_not_drift():
+    # the parent's wide runs are the drifted pairs; the other four agree
+    drifted = [0, 1, 3, 4, 5, 8]
+    assert bench_pairs.compare(WIDE, WIDE[::-1], "lower",
+                               0.25)["verdict"] == "unresolved"
+    m = bench_pairs.without_drift(WIDE, WIDE[::-1], drifted, "lower", 0.25)
+    assert m["pairs"] == 4
+    assert m["parent"]["runs"] == [1.0, 0.9, 1.1, 1.0]
+    assert m["change"]["runs"] == [1.1, 1.2, 1.0, 0.6]
+    assert m["parent_spread"] == pytest.approx(0.05)
+    assert m["verdict"] == "within"
+    # with no drifted pair it is the full comparison
+    full = bench_pairs.compare(TIGHT, TIGHT[::-1], "higher", 0.25)
+    assert bench_pairs.without_drift(TIGHT, TIGHT[::-1], [], "higher",
+                                     0.25) == dict(full, pairs=10)
+    # one pair left tells nothing
+    assert bench_pairs.without_drift(TIGHT, TIGHT, list(range(1, 10)),
+                                     "lower", 0.25) == \
+        {"pairs": 1, "verdict": "unresolved"}
+
+
+def test_main_reports_verdicts_without_drifted_pairs(tmp_path, monkeypatch):
+    """Two trees whose runs agree but whose host readings differ by more
+    than DRIFT in every pair: the full verdict is "within", the one
+    without drifted pairs "unresolved", and so are the top-level flags."""
+    monkeypatch.setattr(bench_pairs, "PAIRS", 3)
+    trees = []
+    for side, cal in (("parent", "0.04 -> 0.04"), ("change", "0.06 -> 0.06")):
+        root = fake_tree(tmp_path / side, cal, 0.0)
+        os.makedirs(os.path.join(root, "src", "fgmpc"))
+        with open(os.path.join(root, "BENCHMARK.json"), "w") as fh:
+            json.dump({"end_to_end": [{"name": "op_s", "unit": "s",
+                                       "better": "lower", "bound": 0.25}]},
+                      fh)
+        trees.append(root)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(trees + ["--workload", "long_horizon", "--seed",
+                                     "3", "--out", str(out)]) == 0
+    with open(out) as fh:
+        report = json.load(fh)
+    entry = report["pairs"]["long_horizon"]
+    assert entry["drift_pairs"] == [0, 1, 2]
+    assert entry["op_s"]["verdict"] == "within"
+    assert entry["op_s"]["without_drift"] == {"pairs": 0,
+                                              "verdict": "unresolved"}
+    assert report["no_regression"] is True
+    assert report["no_regression_without_drift"] is False

@@ -89,6 +89,19 @@ def test_fg_step_outside_roa(fig2_gov):
         fg_step(fig2_gov["gp"], [5.0], [0.0])
 
 
+@pytest.mark.parametrize("x, r", [([np.nan, 0.0], [0.5]),
+                                  ([-1.0, np.inf], [0.5]),
+                                  ([-1.0, 0.0], [np.nan])])
+def test_fg_step_rejects_non_finite_input(y1_gov, x, r):
+    """A NaN or infinite state or target raises ValueError instead of
+    returning the target unchanged."""
+    state = GovernorState()
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="must be finite"):
+        fg_step(y1_gov["gp"], x, r, state=state)
+    assert state.record is None
+
+
 def test_governor_state_warm_start(y1_gov):
     gp = y1_gov["gp"]
     state = GovernorState()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import systems
+from test_solver import batch_factors
 
 from fgmpc import mpc
 from fgmpc.mpc import (CondensedQp, FeasibleSet, OcpDesign,
@@ -408,7 +409,7 @@ def test_closed_loop_recursive_feasibility_and_convergence(fig2):
     assert gamma.set_xv.contains_point(np.concatenate([x, v]))
     st = None
     for _ in range(120):
-        warm = st.active_set if st is not None else None
+        warm = st.factors if st is not None else None
         u, st = mpc_feedback(qp, x, v, warm_start=warm)
         x, y, _ = plant.step(x, u)
         assert gamma.set_xv.contains_point(np.concatenate([x, v]), tol=1e-7)
@@ -416,13 +417,24 @@ def test_closed_loop_recursive_feasibility_and_convergence(fig2):
     np.testing.assert_allclose(x, em.x_bar(v), atol=1e-4)
 
 
+@pytest.mark.parametrize("x, v", [([np.nan, 0.0], [0.5]),
+                                  ([-0.6, 0.0], [np.inf])])
+def test_mpc_feedback_rejects_non_finite_input(y3, x, v):
+    """A NaN state or an infinite reference raises ValueError instead of
+    returning u = [nan] as optimal."""
+    qp = condense(y3["plant"], systems.make_design(y3, 5), y3["em"])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="must be finite"):
+        mpc_feedback(qp, x, v)
+
+
 def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
     """A plain MPC loop at N = 40 on the wide-range double integrator,
-    warm started from the previous active set, next to a cold solve of
-    every step. The hot start factorizes the previous set in one batch,
-    so the loop needs at most a third of the cold iterations (73 against
-    581). The step's result does not depend on the path: the same active
-    set and a bit-equal input."""
+    warm started from the previous solve's kept factors, next to a cold
+    solve of every step. The hot start resumes from the previous active
+    set, so the loop needs at most a third of the cold iterations (73
+    against 581). The step's result does not depend on the path: the same
+    active set and a bit-equal input."""
     plant = y3["plant"]
     qp = condense(plant, systems.make_design(y3, 40), y3["em"])
     x, v = np.array([-0.6, 0.0]), np.array([0.5])
@@ -434,7 +446,7 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
         np.testing.assert_array_equal(u, u_cold)
         hot += st.iterations
         cold += st_cold.iterations
-        warm = st.active_set
+        warm = st.factors
         x = plant.step(x, u)[0]
     np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-4)
     assert 3 * hot <= cold, (hot, cold)
@@ -442,32 +454,30 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
 
 def test_kept_factors_mpc_loop_matches_index_and_cold_solves(y3):
     """The N = 40 loop of the test above, warm started from the previous
-    record's active set and kept factors, next to an index-only warm start
-    and a cold solve of every step. All three end on one active set with
+    record's kept factors, next to a warm start from a batch factorization
+    of the previous active set's indices, built outside the solve, and a
+    cold solve of every step. All three end on one active set with
     bit-equal u, lam and value at every step. With the kept factors a
     warm-started step runs at most one batch factorization (the final
-    recompute, when the set changed); from the indices alone it runs
-    exactly one more, of the warm set."""
+    recompute, when the set changed)."""
     plant = y3["plant"]
     qp = condense(plant, systems.make_design(y3, 40), y3["em"])
     x, v = np.array([-0.6, 0.0]), np.array([0.5])
-    record, kept, indices = None, [], []
+    record, kept = None, []
     for _ in range(150):
-        warm = factors = None
-        if record is not None:
-            warm, factors = record.active_set, record.factors
-        u, st = mpc_feedback(qp, x, v, warm_start=warm, warm_factors=factors)
-        from_indices = mpc_feedback(qp, x, v, warm_start=warm)
+        factors = record.factors if record is not None else None
+        u, st = mpc_feedback(qp, x, v, warm_start=factors)
+        indices = None if factors is None else \
+            batch_factors(qp.problem, list(factors.active_set))
+        from_indices = mpc_feedback(qp, x, v, warm_start=indices)
         for u_other, other in (from_indices, mpc_feedback(qp, x, v)):
             assert st.active_set == other.active_set
             np.testing.assert_array_equal(u, u_other)
             np.testing.assert_array_equal(st.lam, other.lam)
             assert st.value == other.value
-        if warm:
+        if factors is not None:
             kept.append(st.factorizations)
-            indices.append(from_indices[1].factorizations)
         record = st
         x = plant.step(x, u)[0]
     np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-4)
     assert len(kept) >= 30 and max(kept) <= 1, kept
-    assert sum(indices) == sum(kept) + len(kept), (kept, indices)

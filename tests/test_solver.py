@@ -18,8 +18,8 @@ import fgmpc.solver
 import systems
 
 from fgmpc.mpc import n_star
-from fgmpc.solver import (LpProblem, QpProblem, Status, SupportLp, TOL,
-                          _SPARSE_MIN_COLS, _TRIANGLE_BLOCK,
+from fgmpc.solver import (LpProblem, QpFactors, QpProblem, Status,
+                          SupportLp, TOL, _SPARSE_MIN_COLS, _TRIANGLE_BLOCK,
                           _drop_constraint, _factorize, _invert_column,
                           _invert_triangle, _phase_one, _pivot,
                           min_violation, solve_lp, solve_qp, support_value)
@@ -743,11 +743,10 @@ def test_qp_warm_start_same_minimizer():
         p = random_qp(rng, n, int(rng.integers(1, 6)))
         cold = solve_qp(p)
         assert cold.status is Status.OPTIMAL
-        m = p.A.shape[0]
         guesses = [
-            cold.active_set,
-            [],
-            list(rng.choice(m, size=min(3, m), replace=False)),
+            cold.factors,
+            None,
+            factors_on(p, independent_rows(p, min(3, n), rng), rng),
         ]
         for warm in guesses:
             hot = solve_qp(p, warm_start=warm)
@@ -759,7 +758,7 @@ def test_qp_warm_start_shortens_path():
     rng = np.random.default_rng(31)
     p = random_qp(rng, 6, 14)
     cold = solve_qp(p)
-    hot = solve_qp(p, warm_start=cold.active_set)
+    hot = solve_qp(p, warm_start=cold.factors)
     assert hot.iterations <= cold.iterations
     np.testing.assert_allclose(hot.x, cold.x, atol=1e-10)
 
@@ -782,9 +781,12 @@ def test_qp_with_linear_matches_fresh_problem():
         b = base.b + rng.uniform(0.0, 0.5, size=base.b.size)
         derived = base.with_linear(f, b)
         fresh = QpProblem(base.H, f, base.A, b)
-        for warm in (None, prev.active_set):
-            assert_same_solve(solve_qp(derived, warm_start=warm),
-                              solve_qp(fresh, warm_start=warm))
+        # the factors of prev's set on each problem's own J0
+        warm = {"derived": prev.factors,
+                "fresh": factors_on(fresh, prev.active_set, rng)}
+        assert_same_solve(solve_qp(derived), solve_qp(fresh))
+        assert_same_solve(solve_qp(derived, warm_start=warm["derived"]),
+                          solve_qp(fresh, warm_start=warm["fresh"]))
 
 
 def test_qp_with_linear_keeps_sizes():
@@ -793,6 +795,25 @@ def test_qp_with_linear_keeps_sizes():
         p.with_linear(np.zeros(4), p.b)
     with pytest.raises(ValueError, match="sizes"):
         p.with_linear(p.f, p.b[:-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qp_rejects_non_finite_data(bad):
+    """A NaN or an infinity in A, f or b raises ValueError naming the
+    array, at construction and in with_linear: a NaN bound was ignored
+    (x = [2] returned as optimal), an infinite row raised IndexError."""
+    H = 2.0 * np.eye(1)
+    data = {"A": ([-4.0], [[bad]], [1.0]), "f": ([bad], [[1.0]], [1.0]),
+            "b": ([-4.0], [[1.0]], [bad])}
+    for name, (f, A, b) in data.items():
+        with pytest.raises(ValueError, match="QP {} must be finite"
+                           .format(name)):
+            QpProblem(H, f, A, b)
+    p = QpProblem(H, [-4.0], [[1.0]], [1.0])
+    with pytest.raises(ValueError, match="QP f must be finite"):
+        p.with_linear([bad], p.b)
+    with pytest.raises(ValueError, match="QP b must be finite"):
+        p.with_linear(p.f, [bad])
 
 
 def test_qp_cached_factor_is_read_only_and_unchanged_by_solves():
@@ -857,7 +878,7 @@ def equality_multipliers(p, rows):
 
 @pytest.mark.parametrize("seed", [51, 52])
 def test_qp_hot_start_matches_cold_solve(seed):
-    """Hot starts from exact, repeated, oversized, dependent, wrong and
+    """Hot starts from the kept factors of exact, wrong, negative and
     empty warm sets end on the cold solve's active set with bit-equal x,
     lam and value, on random QPs where some rows are exact duplicates."""
     rng = np.random.default_rng(seed)
@@ -868,23 +889,16 @@ def test_qp_hot_start_matches_cold_solve(seed):
         dup = rng.choice(base.b.size, size=2, replace=False)
         p = QpProblem(base.H, base.f, np.vstack([base.A, base.A[dup]]),
                       np.concatenate([base.b, base.b[dup]]))
-        partner = dict(zip(dup.tolist(), range(base.b.size, p.b.size)))
         cold = solve_qp(p)
         check_qp_kkt_tight(p, cold)
         act = cold.active_set
         assert act == sorted(act)
-        inactive = [i for i in range(p.b.size) if i not in act]
         # the copies tie with their rows and are never chosen by a cold
-        # solve, so the warm sets below use them only as dependent normals
-        rows = [i for i in inactive if i < base.b.size]
-        warms = {"exact": act, "repeated": act[::-1] + act,
-                 "oversized": act + inactive[:n + 1 - len(act)],
-                 "empty": [], "random": rng.choice(
-                     base.b.size, size=int(rng.integers(1, n + 1)),
-                     replace=False).tolist()}
-        paired = [i for i in act if i in partner]
-        if paired:
-            warms["dependent"] = act + [partner[paired[0]]]
+        # solve, so the warm sets below leave them out
+        rows = [i for i in range(base.b.size) if i not in act]
+        warms = {"exact": act, "empty": [],
+                 "random": independent_rows(base, int(rng.integers(1, n + 1)),
+                                            rng)}
         extra = sorted(act + rng.choice(rows, size=min(
             2, len(rows), n - len(act)), replace=False).tolist())
         if len(extra) > len(act) \
@@ -892,7 +906,7 @@ def test_qp_hot_start_matches_cold_solve(seed):
                 and np.min(equality_multipliers(p, extra)) < 0.0:
             warms["negative"] = extra
         for kind, warm in warms.items():
-            hot = solve_qp(p, warm_start=warm)
+            hot = solve_qp(p, warm_start=factors_on(p, warm, rng))
             check_qp_kkt_tight(p, hot)
             assert hot.active_set == act, (trial, kind)
             np.testing.assert_array_equal(hot.x, cold.x)
@@ -900,18 +914,11 @@ def test_qp_hot_start_matches_cold_solve(seed):
             assert hot.value == cold.value
             kinds[kind] += 1
         if act:
-            assert solve_qp(p, warm_start=act).iterations == 0
-            assert solve_qp(p, warm_start=act * 2).iterations == 0
+            assert solve_qp(p, warm_start=cold.factors).iterations == 0
+            assert solve_qp(p, warm_start=factors_on(p, act, rng)) \
+                .iterations == 0
     # every kind of warm set was exercised
-    assert min(kinds.values()) > 0 and len(kinds) == 7, kinds
-
-
-def test_qp_warm_start_indices_are_checked():
-    p = random_qp(np.random.default_rng(53), 3, 2)
-    with pytest.raises(ValueError, match="warm start"):
-        solve_qp(p, warm_start=[0, p.b.size])
-    with pytest.raises(ValueError, match="warm start"):
-        solve_qp(p, warm_start=[-1])
+    assert min(kinds.values()) > 0 and len(kinds) == 4, kinds
 
 
 @pytest.mark.parametrize("q", [1, 4, 7])
@@ -997,14 +1004,43 @@ def qp_optimal_on(p, rows, rng):
     return p.with_linear(-p.H @ x - p.A[rows].T @ lam, p.A @ x + slack)
 
 
+def factors_on(p, rows, rng):
+    """The kept factors of a solve that ends on exactly rows (None for no
+    rows), built on p's J0: a warm start for p from that set."""
+    prior = solve_qp(qp_optimal_on(p, rows, rng))
+    assert prior.active_set == sorted(rows)
+    return prior.factors
+
+
+def independent_rows(p, size, rng):
+    """size random rows of p with linearly independent normals, sorted."""
+    while True:
+        rows = sorted(rng.choice(p.b.size, size=size, replace=False).tolist())
+        if np.linalg.matrix_rank(p.A[rows]) == size:
+            return rows
+
+
+def batch_factors(p, rows):
+    """The factors of rows on p's J0 from one batch factorization (a QR
+    of J0' N and the inverse of its triangle), built outside any solve;
+    None for no rows."""
+    if not rows:
+        return None
+    J, R = _factorize(p.J, p.A_scaled[rows])
+    Rinv = _invert_triangle(R, len(rows))
+    for arr in (J, R, Rinv):
+        arr.setflags(write=False)
+    return QpFactors(p.J, tuple(rows), J, R, Rinv)
+
+
 @pytest.mark.parametrize("seed", [61, 62])
 def test_qp_negative_warm_multipliers_dropped_in_place(seed):
     """Warm sets whose equality solve has negative multipliers lose those
-    indices by the drop path, from a fresh factorization (index-only warm
-    start) or from kept factors of that set. Either way the solve ends on
-    the cold solve's sorted active set with bit-equal x, lam and value;
-    with kept factors it runs one batch factorization at most (the final
-    recompute), one fewer than from the indices alone."""
+    indices by the drop path, from the kept factors of that set or from
+    a batch factorization of it built outside the solve (bit-equal to the
+    kept ones). Either way the solve ends on the cold solve's sorted
+    active set with bit-equal x, lam and value, in the same iterations,
+    and runs one batch factorization at most (the final recompute)."""
     rng = np.random.default_rng(seed)
     checked = 0
     for trial in range(60):
@@ -1018,44 +1054,56 @@ def test_qp_negative_warm_multipliers_dropped_in_place(seed):
         prior = solve_qp(qp_optimal_on(p, warm, rng))
         assert prior.active_set == warm
         cold = solve_qp(p)
-        indices = solve_qp(p, warm_start=warm)
-        kept = solve_qp(p, warm_start=warm, warm_factors=prior.factors)
+        batch = batch_factors(p, warm)
+        for arr, same in zip(prior.factors[2:], batch[2:]):
+            np.testing.assert_array_equal(arr, same)
+        indices = solve_qp(p, warm_start=batch)
+        kept = solve_qp(p, warm_start=prior.factors)
         assert_bit_equal(indices, cold)
         assert_bit_equal(kept, cold)
         assert kept.iterations == indices.iterations
         assert kept.factorizations == int(bool(cold.active_set))
-        assert indices.factorizations == kept.factorizations + 1
         checked += 1
     assert checked >= 20, checked
 
 
-def test_qp_foreign_or_stale_factors_are_ignored():
-    """Factors from another QpProblem of the same shape (another H), or of
-    a set other than the warm set, are not used: the solve factorizes the
-    warm set itself and is bit-equal to a cold solve."""
+def test_qp_foreign_factors_give_a_cold_start():
+    """Factors built on another J0 are not used: those of another QpProblem
+    of the same shape (another H), even on the cold solve's own set, and
+    those of a twin QpProblem(p.H, p.f, p.A, p.b) give the cold start, as
+    None does. Each solve is bit-equal to the cold one, with its
+    iterations and factorizations, and the passed arrays stay read-only
+    and unchanged."""
     rng = np.random.default_rng(67)
-    for trial in range(20):
+    checked = 0
+    for trial in range(30):
         n = int(rng.integers(2, 6))
         p = random_qp(rng, n, int(rng.integers(2, 6)))
         cold = solve_qp(p)
         if not cold.active_set:
             continue
         other = random_qp(rng, n, p.b.size - 2 * n)
-        foreign = solve_qp(other, warm_start=cold.active_set)
+        foreign = solve_qp(other)
         same_set = solve_qp(qp_optimal_on(other, cold.active_set, rng))
         assert same_set.active_set == cold.active_set
-        rest = [i for i in range(p.b.size) if i not in cold.active_set]
-        stale = solve_qp(qp_optimal_on(p, rest[:1], rng))
-        assert stale.active_set == rest[:1]
         # a fresh problem on the same H and A has its own J0
         twin = QpProblem(p.H, p.f, p.A, p.b)
         twin_cold = solve_qp(twin)
-        for factors in (foreign.factors, same_set.factors, stale.factors,
-                        twin_cold.factors):
-            hot = solve_qp(p, warm_start=cold.active_set,
-                           warm_factors=factors)
+        assert twin_cold.active_set == cold.active_set
+        for factors in (foreign.factors, same_set.factors, twin_cold.factors,
+                        None):
+            before = [] if factors is None else \
+                [arr.copy() for arr in factors[2:]]
+            hot = solve_qp(p, warm_start=factors)
             assert_bit_equal(hot, cold)
-            assert hot.iterations == 0 and hot.factorizations == 1
+            assert hot.iterations == cold.iterations
+            assert hot.factorizations == cold.factorizations
+            for arr, snap in zip([] if factors is None else factors[2:],
+                                 before):
+                assert not arr.flags.writeable
+                np.testing.assert_array_equal(arr, snap)
+        checked += 1
+    assert checked >= 10, checked
 
 
 def test_qp_kept_factors_are_never_written():
@@ -1071,7 +1119,7 @@ def test_qp_kept_factors_are_never_written():
         before = [arr.copy() for arr in factors[2:]]
         b = p.b + rng.uniform(-0.3, 0.3, size=p.b.size)
         st = solve_qp(p.with_linear(p.f + rng.normal(size=6), b),
-                      warm_start=record.active_set, warm_factors=factors)
+                      warm_start=factors)
         assert st.status is Status.OPTIMAL
         for arr, snap in zip(factors[2:], before):
             assert not arr.flags.writeable

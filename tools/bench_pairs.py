@@ -40,7 +40,12 @@ perfbench measures before and after the run (``env calibration_s a ->
 b``) and the CPU steal time during it (``env steal_s``). A side's
 calibration is the mean of its two readings; a pair whose two sides'
 calibrations differ by more than 25% of the smaller one ran on a host
-whose speed drifted between them, and is marked ``drift``.
+whose speed drifted between them, and is marked ``drift``. Beside its
+full verdict, every (workload, metric) gets a second one under
+``without_drift``: the same comparison over the pairs not marked, with
+their count. ``no_regression_without_drift`` is true when every one of
+those is "within". The full verdicts, ``no_regression`` and the claim
+still count every pair.
 
 A run that reports ``correct: false`` with no failed operation (a broken
 tracer guard, a set-up that is not deterministic, outputs that differ
@@ -186,6 +191,19 @@ def compare(parent, change, better, bound):
             "verdict": verdict}
 
 
+def without_drift(parent, change, drifted, better, bound):
+    """compare over the pairs whose index is not in drifted, with their
+    count under "pairs"; fewer than two such pairs tell nothing, and the
+    verdict is "unresolved"."""
+    keep = [i for i in range(len(parent)) if i not in drifted]
+    if len(keep) < 2:
+        return {"pairs": len(keep), "verdict": "unresolved"}
+    m = compare([parent[i] for i in keep], [change[i] for i in keep],
+                better, bound)
+    m["pairs"] = len(keep)
+    return m
+
+
 def main(argv=None):
     args = parse_args(argv)
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
@@ -236,6 +254,9 @@ def main(argv=None):
                       for side in sides}
             entry[name] = compare(values["parent"], values["change"],
                                   spec["better"], spec["bound"])
+            entry[name]["without_drift"] = without_drift(
+                values["parent"], values["change"], drifted, spec["better"],
+                spec["bound"])
         traced = {side: run_once(sides[side], workload, args.seed, trace=1)
                   for side in sides}
         entry["traced_correct"] = {side: traced[side]["correct"]
@@ -251,6 +272,15 @@ def main(argv=None):
     report["no_regression"] = all(v == "within" for v in verdicts.values())
     print("no regression: {} ({})".format(report["no_regression"], ", ".join(
         "{} {}".format(k, v) for k, v in verdicts.items())), flush=True)
+    clean = {"{}:{}".format(workload, name):
+             entry[name]["without_drift"]["verdict"]
+             for workload, entry in report["pairs"].items()
+             for name in metrics}
+    report["no_regression_without_drift"] = all(
+        v == "within" for v in clean.values())
+    print("no regression without drifted pairs: {} ({})".format(
+        report["no_regression_without_drift"], ", ".join(
+            "{} {}".format(k, v) for k, v in clean.items())), flush=True)
     if args.claim:
         workload, name = args.claim.split(":")
         m = report["pairs"][workload][name]
