@@ -533,27 +533,34 @@ def main(argv=None):
                     "offline set construction, closed-loop simulation, "
                     "controller comparison, and minimal-horizon search.")
     sub = parser.add_subparsers(dest="command", required=True)
+    verbs = {}
     for verb, helptext in (
             ("sets", "build and export T, Gamma_N, Lambda, R_eps, ROA"),
             ("simulate", "run one closed loop and audit its invariants"),
             ("compare", "run several controller variants side by side"),
             ("nstar", "find the smallest feasible horizon")):
-        p = sub.add_parser(verb, help=helptext)
+        p = verbs[verb] = sub.add_parser(verb, help=helptext)
         p.add_argument("--config", required=True,
                        help="path to the JSON scenario config")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config 'out' "
-                            "field, else the working directory)")
-        p.add_argument("--tol", type=_tolerance, default=1e-7,
-                       help="membership tolerance for invariant audits")
-        p.add_argument("--cap", type=int, default=None,
-                       help="largest horizon the nstar search may probe")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
+    # a verb takes only the options it reads: a misplaced one exits 2
+    for verb in ("sets", "simulate", "compare"):
+        verbs[verb].add_argument("--out", default=None,
+                                 help="output directory (default: config "
+                                      "'out' field, else the working "
+                                      "directory)")
+    verbs["simulate"].add_argument("--tol", type=_tolerance, default=1e-7,
+                                   help="membership tolerance for invariant "
+                                        "audits")
+    verbs["nstar"].add_argument("--cap", type=int, default=None,
+                                help="largest horizon the search may probe")
     args = parser.parse_args(argv)
 
     try:
         cfg = ScenarioConfig.from_file(args.config)
+        if args.command == "nstar":
+            return cmd_nstar(cfg, cap=args.cap, quiet=args.quiet)
         out_dir = args.out or cfg.out or "."
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "sets":
@@ -561,9 +568,7 @@ def main(argv=None):
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, tol=args.tol,
                                 quiet=args.quiet)
-        if args.command == "compare":
-            return cmd_compare(cfg, out_dir, quiet=args.quiet)
-        return cmd_nstar(cfg, cap=args.cap, quiet=args.quiet)
+        return cmd_compare(cfg, out_dir, quiet=args.quiet)
     except (ValueError, RuntimeError, OSError) as err:
         print("error: {}".format(err), file=sys.stderr)
         return 1

@@ -184,7 +184,8 @@ def mpc_feedback(qp, x, v, warm_start=None):
     u is the first input block of the unique minimizer. warm_start is
     optional: the factors a previous solve of this qp returned (typically
     the previous step's record.factors), which hot-start the QP solver
-    from that solve's active set. They never change u.
+    from that solve's active set. u is then equal to a cold solve's up to
+    rounding.
     """
     x = np.asarray(x, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()

@@ -58,14 +58,12 @@ class SolveStatus:
         of phase 1 on the call that ran it (a SupportLp's first call).
     factors : QpFactors or None
         QP only: the factors of the final active set, for the next solve's
-        warm_start; None when that set is empty or the solve failed.
-    factorizations : int
-        QP only: the batch factorizations (QRs of J0' N) the solve ran: at
-        most one, the recompute of a final set that the solve changed.
+        warm_start, with that set in path order; None when it is empty or
+        the solve failed.
     """
 
     def __init__(self, status, x=None, value=None, active_set=None, lam=None,
-                 iterations=0, factors=None, factorizations=0):
+                 iterations=0, factors=None):
         self.status = status
         self.x = x
         self.value = value
@@ -73,7 +71,6 @@ class SolveStatus:
         self.lam = lam
         self.iterations = iterations
         self.factors = factors
-        self.factorizations = factorizations
 
     @property
     def optimal(self):
@@ -513,7 +510,8 @@ def min_violation(A, b, x0=None, max_pivots=None):
 
 
 # The factors of a solve's final active set: J = J0 Q, R and the inverse
-# Rinv of R's leading block, with the sorted set and the problem's J0 they
+# Rinv of R's leading block, with the set in path order (the order in which
+# the solve's adds and drops left R's columns) and the problem's J0 they
 # were built on. The arrays are read-only; a solve that takes them back
 # updates a copy.
 QpFactors = collections.namedtuple("QpFactors",
@@ -526,44 +524,6 @@ def _invert_column(R, Rinv, q):
     if q:
         Rinv[:q, q] = -(Rinv[:q, :q] @ R[:q, q]) / R[q, q]
     Rinv[q, q] = 1.0 / R[q, q]
-
-
-# A triangle of at most this order is inverted column by column, by the
-# add path's back-substitution, so the governor's and short-horizon QPs
-# keep its arithmetic; a larger one is split in halves down to blocks of
-# at most this order, each one LAPACK inverse.
-_TRIANGLE_BLOCK = 32
-_UPPER = np.triu(np.ones((_TRIANGLE_BLOCK, _TRIANGLE_BLOCK), dtype=bool))
-
-
-def _invert_triangle(R, q):
-    """The inverse of the upper triangle R[:q, :q] in the leading block of
-    an n x n array of zeros. Above _TRIANGLE_BLOCK it is the recursive
-    2 x 2 block inverse [[A, B], [0, D]]^{-1} = [[A^{-1}, -A^{-1} B D^{-1}],
-    [0, D^{-1}]], whose off-diagonal blocks are matrix products rather than
-    one matrix-vector product per column."""
-    Rinv = np.zeros(R.shape)
-    if q <= _TRIANGLE_BLOCK:
-        for j in range(q):
-            _invert_column(R, Rinv, j)
-    else:
-        _invert_blocks(R, Rinv, 0, q)
-    return Rinv
-
-
-def _invert_blocks(R, Rinv, lo, hi):
-    """Write the inverse of the upper triangle R[lo:hi, lo:hi] into the
-    same block of Rinv, whose strict lower triangle stays zero."""
-    k = hi - lo
-    if k <= _TRIANGLE_BLOCK:
-        np.copyto(Rinv[lo:hi, lo:hi], np.linalg.inv(R[lo:hi, lo:hi]),
-                  where=_UPPER[:k, :k])
-        return
-    mid = (lo + hi) // 2
-    _invert_blocks(R, Rinv, lo, mid)
-    _invert_blocks(R, Rinv, mid, hi)
-    Rinv[lo:mid, mid:hi] = -(Rinv[lo:mid, lo:mid] @ R[lo:mid, mid:hi]) \
-        @ Rinv[mid:hi, mid:hi]
 
 
 def _add_constraint(J, R, Rinv, d, q):
@@ -612,35 +572,15 @@ def _drop_constraint(J, R, Rinv, q, k):
     Rinv[:, q - 1] = 0.0
 
 
-def _factorize(J0, normals):
-    """The factors of a working set in one batch: a QR of J0' N, with the
-    scaled normals as the rows of normals, gives J = J0 Q and R (n x n,
-    zero beyond column q), so that J[:, :q]' N = R and J J' = H^{-1}.
-    A single nonzero normal takes the add path's one reflection instead,
-    which costs a third of the LAPACK call at the governor's sizes."""
-    n, q = J0.shape[0], normals.shape[0]
-    G = J0.T @ normals.T
-    R = np.zeros((n, n))
-    if q == 1 and G.any():
-        J = J0.copy()
-        _add_constraint(J, R, np.zeros((n, n)), G[:, 0], 0)
-        return J, R
-    Q, R[:, :q] = np.linalg.qr(G, mode="complete")
-    return J0 @ Q, R
-
-
-def _equality_solve(J, R, x0, normals, rhs, Rinv=None):
+def _equality_solve(J, Rinv, x0, normals, rhs):
     """Minimizer and multipliers of the QP with the working set held at
-    equality (normals x = rhs), from its factors J and R, and the inverse
-    Rinv of R's leading block, built here when not given. With x0 the
-    unconstrained minimizer, lam = (R'R)^{-1} (N x0 - rhs) and
-    x = x0 - J[:, :q] R^{-T} (N x0 - rhs).
+    equality (normals x = rhs), from its factor J and the inverse Rinv of
+    R's leading block. With x0 the unconstrained minimizer,
+    lam = (R'R)^{-1} (N x0 - rhs) and x = x0 - J[:, :q] R^{-T} (N x0 - rhs).
     """
     q = normals.shape[0]
-    if Rinv is None:
-        Rinv = _invert_triangle(R, q)
     w = Rinv[:q, :q].T @ (normals @ x0 - rhs)
-    return x0 - J[:, :q] @ w, Rinv[:q, :q] @ w, Rinv
+    return x0 - J[:, :q] @ w, Rinv[:q, :q] @ w
 
 
 def solve_qp(problem, warm_start=None, max_iterations=None):
@@ -670,12 +610,13 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     None, give the cold start at the unconstrained minimum. The solve
     updates a copy of the factors and never writes to them.
 
-    The minimizer is unique (H is positive definite), and the returned x
-    and lam come from the same equality solve on the sorted final active
-    set, so their bits depend only on the problem and that set: a warm
-    and a cold solve that end on the same set agree exactly. Whenever
-    drops or iterations changed the warm set, x and lam (and the returned
-    factors) are recomputed from a batch factorization of the final set.
+    The solve ends on the factors its own adds and drops built and
+    refactorizes nothing. When iterations moved x, x and lam are
+    recomputed by one equality solve on those factors; an empty final
+    set returns exactly x0. A warm and a cold solve that end on the same
+    active set agree up to rounding, not bit for bit, but the same calls
+    give the same bits, and a solve warm-started from its own returned
+    factors repeats them in 0 iterations. active_set is returned sorted.
     """
     H, f, A, b = problem.H, problem.f, problem.A, problem.b
     n = f.size
@@ -690,15 +631,13 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     inv_norms = 1.0 / norms
     bs = b / norms
 
-    factorizations = 0
-    warm = []
+    active = []
     if warm_start is not None and warm_start.J0 is problem.J:
-        warm = list(warm_start.active_set)
+        active = list(warm_start.active_set)
         J, R = warm_start.J.copy(), warm_start.R.copy()
         Rinv = warm_start.Rinv.copy()
-    active = list(warm)
     while active:
-        x, lam, Rinv = _equality_solve(J, R, x0, As[active], bs[active], Rinv)
+        x, lam = _equality_solve(J, Rinv, x0, As[active], bs[active])
         negative = np.flatnonzero(~(lam >= 0.0))  # a NaN counts as negative
         if not negative.size:
             break
@@ -721,15 +660,10 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
             s_raw[active] = 0.0
         viol = s_raw > TOL
         if not np.any(viol):
-            if iters or active != warm:
-                # recompute from the sorted set, whatever path reached it
-                active.sort()
-                x, lam = x0, np.zeros(0)
-                if active:
-                    J, R = _factorize(problem.J, As[active])
-                    factorizations += 1
-                    x, lam, Rinv = _equality_solve(J, R, x0, As[active],
-                                                   bs[active])
+            if iters:
+                # the iterate accumulated its steps' rounding: solve again
+                # on the factors the iterations built
+                x, lam = _equality_solve(J, Rinv, x0, As[active], bs[active])
             lam_full = np.zeros(m)
             lam_full[active] = lam / norms[active]
             val = 0.5 * x @ H @ x + f @ x
@@ -739,9 +673,8 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
                     arr.setflags(write=False)
                 factors = QpFactors(problem.J, tuple(active), J, R, Rinv)
             return SolveStatus(Status.OPTIMAL, x=x, value=float(val),
-                               active_set=list(active), lam=lam_full,
-                               iterations=iters, factors=factors,
-                               factorizations=factorizations)
+                               active_set=sorted(active), lam=lam_full,
+                               iterations=iters, factors=factors)
         cand = np.nonzero(viol)[0]
         p = int(cand[np.argmax(s[cand])])
         npl = As[p]
@@ -749,8 +682,7 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
         while True:
             iters += 1
             if iters > max_iterations:
-                return SolveStatus(Status.ITERATION_LIMIT, iterations=iters,
-                                   factorizations=factorizations)
+                return SolveStatus(Status.ITERATION_LIMIT, iterations=iters)
             q = len(active)
             d = J.T @ npl
             z = J[:, q:] @ d[q:]
@@ -772,8 +704,7 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
                 if not np.isfinite(t1):
                     # no curvature left and no blocking constraint to drop:
                     # the constraints are inconsistent
-                    return SolveStatus(Status.INFEASIBLE, iterations=iters,
-                                       factorizations=factorizations)
+                    return SolveStatus(Status.INFEASIBLE, iterations=iters)
                 t = t1
                 x_step = None
             else:

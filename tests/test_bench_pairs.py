@@ -78,17 +78,59 @@ def run_with(cal, steal=0.0):
 
 
 @pytest.mark.parametrize("parent, change, drift", [
-    ([0.04, 0.04], [0.04, 0.05], False),  # means 0.040 and 0.045
+    ([0.04, 0.04], [0.04, 0.049], False),  # means 0.040 and 0.0445
     ([0.04, 0.04], [0.05, 0.0501], True),  # 0.05005 is 25.1% above
     ([0.05, 0.0501], [0.04, 0.04], True),  # either side may be the slower
     ([0.04, 0.04], [0.0499, 0.0499], False),  # 24.75% is not marked
     ([0.04, 0.04], None, False),  # a side without readings
+    # equal means, but one run's own readings drift apart
+    ([0.04, 0.0501], [0.0501, 0.04], True),
+    ([0.0412, 0.0412], [0.0501, 0.04], True),
+    ([0.0412, 0.0412], [0.0163, 0.0103], True),  # 58% within one run
+    ([0.04, 0.0499], [0.0499, 0.04], False),  # 24.75% within each run
+    ([0.04, 0.0501], None, True),  # one side's own readings suffice
 ])
 def test_host_drift_marks_pairs_beyond_a_quarter(parent, change, drift):
     pair = bench_pairs.host_drift(run_with(parent), run_with(change, 2.0))
     assert pair["drift"] is drift
     assert pair["parent"] == {"calibration_s": parent, "steal_s": 0.0}
     assert pair["change"] == {"calibration_s": change, "steal_s": 2.0}
+
+
+def traced(metrics):
+    return {"metrics": {name: {"value": value, "unit": unit}
+                        for name, (value, unit) in metrics.items()}}
+
+
+def test_counts_compare_the_deterministic_metrics():
+    """Counts, rows, bytes and the frac shares of counts are compared;
+    timings and the tracer's time ratio trace.overhead_frac are not."""
+    parent = traced({
+        "solver.solve_qp.mpc.iters": (120, "count"),
+        "solver.solve_qp.mpc.warm_frac": (0.99, "frac"),
+        "solver.support_value.early_exit_frac": (0.25, "frac"),
+        "polytope.write.bytes": (4096, "bytes"),
+        "trace.overhead_frac": (0.1, "frac"),
+        "solver.solve_qp.mpc.s": (0.5, "s")})
+    change = traced({
+        "solver.solve_qp.mpc.iters": (120, "count"),
+        "solver.solve_qp.mpc.warm_frac": (0.98, "frac"),
+        "solver.support_value.early_exit_frac": (0.25, "frac"),
+        "polytope.write.bytes": (4096, "bytes"),
+        "trace.overhead_frac": (0.2, "frac"),
+        "solver.solve_qp.mpc.s": (0.4, "s"),
+        "solver.solve_lp.pivots": (7, "count")})
+    out = bench_pairs.counts(parent, change)
+    assert sorted(out) == ["polytope.write.bytes", "solver.solve_lp.pivots",
+                           "solver.solve_qp.mpc.iters",
+                           "solver.solve_qp.mpc.warm_frac",
+                           "solver.support_value.early_exit_frac"]
+    assert out["solver.solve_qp.mpc.warm_frac"] == {
+        "unit": "frac", "parent": 0.99, "change": 0.98, "differs": True}
+    assert not out["solver.support_value.early_exit_frac"]["differs"]
+    assert not out["solver.solve_qp.mpc.iters"]["differs"]
+    assert out["solver.solve_lp.pivots"] == {
+        "unit": "count", "parent": None, "change": 7, "differs": True}
 
 
 def test_without_drift_compares_the_pairs_that_did_not_drift():

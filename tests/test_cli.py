@@ -333,3 +333,36 @@ def test_nstar_cap_error(tmp_path, capsys):
     code = main(["nstar", "--config", cfg, "--cap", "1", "--quiet"])
     assert code == 1
     assert "no feasible horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, flag, value", [
+    ("sets", "--tol", "5"), ("sets", "--cap", "3"),
+    ("simulate", "--cap", "3"),
+    ("compare", "--tol", "5"), ("compare", "--cap", "3"),
+    ("nstar", "--out", "D"), ("nstar", "--tol", "5"),
+])
+def test_option_of_another_verb_exits_2(tmp_path, capsys, verb, flag,
+                                        value):
+    """Each verb accepts only the options it reads: --out on sets,
+    simulate and compare, --tol on simulate and --cap on nstar. Any other
+    is refused by argparse with exit 2 before the config is read, and
+    creates no directory."""
+    cfg = write_config(tmp_path, fig2_config(x0=[-0.9], r=[0.5]))
+    if value == "D":
+        value = str(tmp_path / "D")
+    with pytest.raises(SystemExit) as exit_:
+        main([verb, "--config", cfg, flag, value, "--quiet"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: {} {}".format(flag, value) \
+        in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_nstar_creates_no_output_directory(tmp_path, capsys):
+    """nstar writes no file, so the config's 'out' directory is not
+    created for it."""
+    cfg = write_config(tmp_path, fig2_config(x0=[-0.9], r=[0.5],
+                                             out=str(tmp_path / "out")))
+    assert main(["nstar", "--config", cfg, "--cap", "40", "--quiet"]) == 0
+    assert "N* = " in capsys.readouterr().out
+    assert not os.path.exists(tmp_path / "out")

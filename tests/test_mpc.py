@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import systems
-from test_solver import batch_factors
+from test_solver import assert_bit_equal, assert_close, batch_factors
 
 from fgmpc import mpc
 from fgmpc.mpc import (CondensedQp, FeasibleSet, OcpDesign,
@@ -433,8 +433,9 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
     warm started from the previous solve's kept factors, next to a cold
     solve of every step. The hot start resumes from the previous active
     set, so the loop needs at most a third of the cold iterations (73
-    against 581). The step's result does not depend on the path: the same
-    active set and a bit-equal input."""
+    against 581). The step's result does not depend on the path beyond
+    rounding: the same active set, and an input within 1e-9 of the cold
+    one."""
     plant = y3["plant"]
     qp = condense(plant, systems.make_design(y3, 40), y3["em"])
     x, v = np.array([-0.6, 0.0]), np.array([0.5])
@@ -443,7 +444,7 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
         u, st = mpc_feedback(qp, x, v, warm_start=warm)
         u_cold, st_cold = mpc_feedback(qp, x, v)
         assert st.active_set == st_cold.active_set
-        np.testing.assert_array_equal(u, u_cold)
+        np.testing.assert_allclose(u, u_cold, rtol=0.0, atol=1e-9)
         hot += st.iterations
         cold += st_cold.iterations
         warm = st.factors
@@ -452,32 +453,34 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
     assert 3 * hot <= cold, (hot, cold)
 
 
-def test_kept_factors_mpc_loop_matches_index_and_cold_solves(y3):
+def test_kept_factors_mpc_loop_matches_reference_and_cold_solves(y3):
     """The N = 40 loop of the test above, warm started from the previous
-    record's kept factors, next to a warm start from a batch factorization
-    of the previous active set's indices, built outside the solve, and a
-    cold solve of every step. All three end on one active set with
-    bit-equal u, lam and value at every step. With the kept factors a
-    warm-started step runs at most one batch factorization (the final
-    recompute, when the set changed)."""
+    record's kept factors, next to a warm start from reference factors of
+    the previous active set, built outside the solve in the kept factors'
+    column order, and a cold solve of every step. All three end on one
+    active set with u and lam within 1e-9 of each other, relative to the
+    largest entry of each. At every step a solve warm-started from the
+    step's own factors repeats its bits in 0 iterations, the property
+    that makes the loop deterministic."""
     plant = y3["plant"]
     qp = condense(plant, systems.make_design(y3, 40), y3["em"])
     x, v = np.array([-0.6, 0.0]), np.array([0.5])
-    record, kept = None, []
+    record, warm_steps = None, 0
     for _ in range(150):
         factors = record.factors if record is not None else None
         u, st = mpc_feedback(qp, x, v, warm_start=factors)
-        indices = None if factors is None else \
-            batch_factors(qp.problem, list(factors.active_set))
-        from_indices = mpc_feedback(qp, x, v, warm_start=indices)
-        for u_other, other in (from_indices, mpc_feedback(qp, x, v)):
-            assert st.active_set == other.active_set
-            np.testing.assert_array_equal(u, u_other)
-            np.testing.assert_array_equal(st.lam, other.lam)
-            assert st.value == other.value
-        if factors is not None:
-            kept.append(st.factorizations)
+        reference = None if factors is None else \
+            batch_factors(qp.problem, factors.active_set)
+        for u_other, other in (mpc_feedback(qp, x, v, warm_start=reference),
+                               mpc_feedback(qp, x, v)):
+            assert_close(other, st)
+            np.testing.assert_allclose(u, u_other, rtol=0.0, atol=1e-9)
+        u_again, again = mpc_feedback(qp, x, v, warm_start=st.factors)
+        assert_bit_equal(again, st)
+        assert again.iterations == 0
+        np.testing.assert_array_equal(u_again, u)
+        warm_steps += factors is not None
         record = st
         x = plant.step(x, u)[0]
     np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-4)
-    assert len(kept) >= 30 and max(kept) <= 1, kept
+    assert warm_steps >= 30, warm_steps

@@ -7,7 +7,6 @@ search; and both against their KKT systems at the advertised tolerances.
 """
 
 import collections
-import gc
 import itertools
 import tracemalloc
 
@@ -19,10 +18,9 @@ import systems
 
 from fgmpc.mpc import n_star
 from fgmpc.solver import (LpProblem, QpFactors, QpProblem, Status,
-                          SupportLp, TOL, _SPARSE_MIN_COLS, _TRIANGLE_BLOCK,
-                          _drop_constraint, _factorize, _invert_column,
-                          _invert_triangle, _phase_one, _pivot,
-                          min_violation, solve_lp, solve_qp, support_value)
+                          SupportLp, TOL, _SPARSE_MIN_COLS, _drop_constraint,
+                          _phase_one, _pivot, min_violation, solve_lp,
+                          solve_qp, support_value)
 
 
 def lp_vertex_oracle(c, A, b):
@@ -781,12 +779,13 @@ def test_qp_with_linear_matches_fresh_problem():
         b = base.b + rng.uniform(0.0, 0.5, size=base.b.size)
         derived = base.with_linear(f, b)
         fresh = QpProblem(base.H, f, base.A, b)
-        # the factors of prev's set on each problem's own J0
-        warm = {"derived": prev.factors,
-                "fresh": factors_on(fresh, prev.active_set, rng)}
+        # the factors of prev's set, in its path order, on each problem's
+        # own J0
+        order = [] if prev.factors is None else prev.factors.active_set
         assert_same_solve(solve_qp(derived), solve_qp(fresh))
-        assert_same_solve(solve_qp(derived, warm_start=warm["derived"]),
-                          solve_qp(fresh, warm_start=warm["fresh"]))
+        assert_same_solve(
+            solve_qp(derived, warm_start=batch_factors(derived, order)),
+            solve_qp(fresh, warm_start=batch_factors(fresh, order)))
 
 
 def test_qp_with_linear_keeps_sizes():
@@ -879,8 +878,10 @@ def equality_multipliers(p, rows):
 @pytest.mark.parametrize("seed", [51, 52])
 def test_qp_hot_start_matches_cold_solve(seed):
     """Hot starts from the kept factors of exact, wrong, negative and
-    empty warm sets end on the cold solve's active set with bit-equal x,
-    lam and value, on random QPs where some rows are exact duplicates."""
+    empty warm sets end on the cold solve's active set, with x and lam
+    equal to the cold solve's up to rounding, on random QPs where some
+    rows are exact duplicates. A solve warm-started from its own factors
+    repeats its bits in 0 iterations."""
     rng = np.random.default_rng(seed)
     kinds = collections.Counter()
     for trial in range(40):
@@ -909,12 +910,11 @@ def test_qp_hot_start_matches_cold_solve(seed):
             hot = solve_qp(p, warm_start=factors_on(p, warm, rng))
             check_qp_kkt_tight(p, hot)
             assert hot.active_set == act, (trial, kind)
-            np.testing.assert_array_equal(hot.x, cold.x)
-            np.testing.assert_array_equal(hot.lam, cold.lam)
-            assert hot.value == cold.value
+            assert_close(hot, cold)
+            assert_repeats(p, hot)
             kinds[kind] += 1
+        assert_repeats(p, cold)
         if act:
-            assert solve_qp(p, warm_start=cold.factors).iterations == 0
             assert solve_qp(p, warm_start=factors_on(p, act, rng)) \
                 .iterations == 0
     # every kind of warm set was exercised
@@ -923,18 +923,15 @@ def test_qp_hot_start_matches_cold_solve(seed):
 
 @pytest.mark.parametrize("q", [1, 4, 7])
 def test_drop_constraint_retriangularizes_at_every_k(q):
-    """Dropping any column k of a batch factorization of q normals leaves
-    a triangular R with its inverse, J J' = H^{-1} and J' N = R for the
-    kept normals."""
+    """Dropping any column k of a reference factorization of q normals
+    leaves a triangular R with its inverse, J J' = H^{-1} and J' N = R for
+    the kept normals."""
     rng = np.random.default_rng(59 + q)
     n = 7
     M = rng.normal(size=(n, n))
     p = QpProblem(M @ M.T + np.eye(n), np.zeros(n),
                   rng.normal(size=(q, n)), np.ones(q))
-    J0, R0 = _factorize(p.J, p.A_scaled)
-    Rinv0 = np.zeros((n, n))
-    for j in range(q):
-        _invert_column(R0, Rinv0, j)
+    _, _, J0, R0, Rinv0 = batch_factors(p, list(range(q)))
     np.testing.assert_allclose(J0[:, :q].T @ p.A_scaled.T, R0[:q, :q],
                                atol=1e-12)
     for k in range(q):
@@ -952,38 +949,6 @@ def test_drop_constraint_retriangularizes_at_every_k(q):
         np.testing.assert_allclose(J[:, q - 1:].T @ kept.T, 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("q", [1, 2, _TRIANGLE_BLOCK + 1, 64, 116])
-def test_invert_triangle_in_blocks(monkeypatch, q):
-    """The inverse of R's leading q x q triangle, for the R of a batch
-    factorization: Rinv R = I to 1e-12, an exactly zero strict lower
-    triangle and zeros outside the leading block. Above _TRIANGLE_BLOCK it
-    is one block inversion, with no column-by-column step."""
-    rng = np.random.default_rng(71 + q)
-    n = 116
-    M = rng.normal(size=(n, n))
-    p = QpProblem(M @ M.T + n * np.eye(n), np.zeros(n),
-                  rng.normal(size=(q, n)), np.ones(q))
-    _, R = _factorize(p.J, p.A_scaled)
-    columns = []
-    real = fgmpc.solver._invert_column
-
-    def counted(R, Rinv, j):
-        columns.append(j)
-        real(R, Rinv, j)
-
-    monkeypatch.setattr(fgmpc.solver, "_invert_column", counted)
-    gc.collect()
-    Rinv = _invert_triangle(R, q)
-    # no reference cycle keeps R or Rinv alive until the cyclic collector
-    # runs: the MPC loop makes few objects that would trigger it
-    assert gc.collect() == 0
-    assert len(columns) == (q if q <= _TRIANGLE_BLOCK else 0)
-    err = np.abs(Rinv[:q, :q] @ R[:q, :q] - np.eye(q)).max()
-    assert err <= 1e-12
-    assert not np.tril(Rinv, -1).any()
-    assert not Rinv[q:].any() and not Rinv[:, q:].any()
-
-
 def assert_bit_equal(hot, cold):
     """Same sorted active set, and bit-equal x, lam and value."""
     assert hot.status is Status.OPTIMAL
@@ -991,6 +956,25 @@ def assert_bit_equal(hot, cold):
     np.testing.assert_array_equal(hot.x, cold.x)
     np.testing.assert_array_equal(hot.lam, cold.lam)
     assert hot.value == cold.value
+
+
+def assert_close(hot, cold):
+    """Same sorted active set, and x and lam within 1e-9 of cold's,
+    relative to the largest entry of each (at least 1)."""
+    assert hot.status is Status.OPTIMAL
+    assert hot.active_set == cold.active_set
+    for a, ref in ((hot.x, cold.x), (hot.lam, cold.lam)):
+        scale = max(1.0, np.abs(ref).max(initial=0.0))
+        assert np.abs(a - ref).max(initial=0.0) <= 1e-9 * scale, \
+            (np.abs(a - ref).max(), scale)
+
+
+def assert_repeats(p, st):
+    """A solve of p warm-started from st's own factors returns st's bits
+    (active set, x, lam and value) in 0 iterations."""
+    again = solve_qp(p, warm_start=st.factors)
+    assert_bit_equal(again, st)
+    assert again.iterations == 0
 
 
 def qp_optimal_on(p, rows, rng):
@@ -1021,13 +1005,17 @@ def independent_rows(p, size, rng):
 
 
 def batch_factors(p, rows):
-    """The factors of rows on p's J0 from one batch factorization (a QR
-    of J0' N and the inverse of its triangle), built outside any solve;
-    None for no rows."""
-    if not rows:
+    """Reference factors of rows, in that order, on p's J0, built outside
+    any solve: Q and R from one np.linalg.qr of J0' N give J = J0 Q, and
+    Rinv is np.linalg.inv of R's leading triangle. None for no rows."""
+    if not len(rows):
         return None
-    J, R = _factorize(p.J, p.A_scaled[rows])
-    Rinv = _invert_triangle(R, len(rows))
+    n, q = p.f.size, len(rows)
+    Q, R_q = np.linalg.qr(p.J.T @ p.A_scaled[list(rows)].T, mode="complete")
+    R, Rinv = np.zeros((n, n)), np.zeros((n, n))
+    R[:, :q] = R_q
+    Rinv[:q, :q] = np.triu(np.linalg.inv(R_q[:q]))
+    J = p.J @ Q
     for arr in (J, R, Rinv):
         arr.setflags(write=False)
     return QpFactors(p.J, tuple(rows), J, R, Rinv)
@@ -1037,10 +1025,10 @@ def batch_factors(p, rows):
 def test_qp_negative_warm_multipliers_dropped_in_place(seed):
     """Warm sets whose equality solve has negative multipliers lose those
     indices by the drop path, from the kept factors of that set or from
-    a batch factorization of it built outside the solve (bit-equal to the
-    kept ones). Either way the solve ends on the cold solve's sorted
-    active set with bit-equal x, lam and value, in the same iterations,
-    and runs one batch factorization at most (the final recompute)."""
+    reference factors of it built outside the solve, in the kept ones'
+    column order. Either way the solve ends on the cold solve's sorted
+    active set with x and lam equal to the cold ones up to rounding, in
+    the same iterations, and its own factors repeat its bits."""
     rng = np.random.default_rng(seed)
     checked = 0
     for trial in range(60):
@@ -1054,15 +1042,16 @@ def test_qp_negative_warm_multipliers_dropped_in_place(seed):
         prior = solve_qp(qp_optimal_on(p, warm, rng))
         assert prior.active_set == warm
         cold = solve_qp(p)
-        batch = batch_factors(p, warm)
-        for arr, same in zip(prior.factors[2:], batch[2:]):
-            np.testing.assert_array_equal(arr, same)
-        indices = solve_qp(p, warm_start=batch)
+        batch = batch_factors(p, prior.factors.active_set)
+        # R and its inverse are unique up to the signs of their rows
+        for arr, same in zip(prior.factors[3:], batch[3:]):
+            np.testing.assert_allclose(np.abs(arr), np.abs(same), atol=1e-9)
+        from_batch = solve_qp(p, warm_start=batch)
         kept = solve_qp(p, warm_start=prior.factors)
-        assert_bit_equal(indices, cold)
-        assert_bit_equal(kept, cold)
-        assert kept.iterations == indices.iterations
-        assert kept.factorizations == int(bool(cold.active_set))
+        assert_close(from_batch, cold)
+        assert_close(kept, cold)
+        assert kept.iterations == from_batch.iterations
+        assert_repeats(p, kept)
         checked += 1
     assert checked >= 20, checked
 
@@ -1072,8 +1061,7 @@ def test_qp_foreign_factors_give_a_cold_start():
     of the same shape (another H), even on the cold solve's own set, and
     those of a twin QpProblem(p.H, p.f, p.A, p.b) give the cold start, as
     None does. Each solve is bit-equal to the cold one, with its
-    iterations and factorizations, and the passed arrays stay read-only
-    and unchanged."""
+    iterations, and the passed arrays stay read-only and unchanged."""
     rng = np.random.default_rng(67)
     checked = 0
     for trial in range(30):
@@ -1097,7 +1085,6 @@ def test_qp_foreign_factors_give_a_cold_start():
             hot = solve_qp(p, warm_start=factors)
             assert_bit_equal(hot, cold)
             assert hot.iterations == cold.iterations
-            assert hot.factorizations == cold.factorizations
             for arr, snap in zip([] if factors is None else factors[2:],
                                  before):
                 assert not arr.flags.writeable
@@ -1126,7 +1113,6 @@ def test_qp_kept_factors_are_never_written():
             np.testing.assert_array_equal(arr, snap)
         if st.iterations == 0 and st.active_set == record.active_set:
             paths["unchanged"] += 1
-            assert st.factorizations == 0
             for arr, snap in zip(st.factors[2:], before):
                 np.testing.assert_array_equal(arr, snap)
         else:
@@ -1134,3 +1120,30 @@ def test_qp_kept_factors_are_never_written():
         if st.active_set:
             record = st
     assert paths["unchanged"] and paths["changed"] >= 10, paths
+
+
+def test_qp_adding_rows_only_runs_no_qr(monkeypatch):
+    """A cold solve whose iterations only add rows (one per iteration,
+    ending on q = 3 active rows) makes no np.linalg.qr call: it ends on
+    the factors its add path built, and those repeat its bits."""
+    calls = []
+    real = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    H = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    # the unconstrained minimizer (1, 2, 3) violates all three rows
+    p = QpProblem(H, -H @ np.array([1.0, 2.0, 3.0]),
+                  np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                            [0.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]),
+                  np.array([0.5, 1.0, 1.5, 10.0]))
+    st = solve_qp(p)
+    assert st.active_set == [0, 1, 2]
+    assert st.iterations == 3
+    assert (st.lam[:3] > 0.0).all()
+    assert calls == []
+    assert_repeats(p, st)
+    assert calls == []

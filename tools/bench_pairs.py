@@ -20,12 +20,14 @@ against the metric's regression bound, and a verdict (see ``compare``).
 
 After the pairs, each tree runs the workload once more with
 ``--trace 1``. Its count-, rows- and bytes-unit metrics (LPs, pivots, QP
-iterations, rows at each stage, bytes written) are deterministic, so they
-are written side by side, and every one that differs between the trees is
-marked. So is each run's op-0 fingerprint (the digest of the first
-operation's outputs that perfbench prints): the distinct ones of each
-side are recorded per workload, and a difference between the sides is
-marked.
+iterations, rows at each stage, bytes written) and its frac-unit shares
+of counts (warm-started QPs, support LPs that stopped early) are
+deterministic, so they are written side by side, and every one that
+differs between the trees is marked. ``trace.overhead_frac``, a ratio of
+times, is left out. Each run's op-0 fingerprint (the digest of the first
+operation's outputs that perfbench prints) is compared too: the distinct
+ones of each side are recorded per workload, and a difference between
+the sides is marked.
 
 The claim (``--claim WORKLOAD:METRIC``) is met when the change wins at
 least nine of the ten pairs, ties counting for neither side, the medians
@@ -40,7 +42,9 @@ perfbench measures before and after the run (``env calibration_s a ->
 b``) and the CPU steal time during it (``env steal_s``). A side's
 calibration is the mean of its two readings; a pair whose two sides'
 calibrations differ by more than 25% of the smaller one ran on a host
-whose speed drifted between them, and is marked ``drift``. Beside its
+whose speed drifted between them, and is marked ``drift``. So is a pair
+in which either run's own two readings differ by more than 25% of the
+smaller one: the host's speed drifted during that run. Beside its
 full verdict, every (workload, metric) gets a second one under
 ``without_drift``: the same comparison over the pairs not marked, with
 their count. ``no_regression_without_drift`` is true when every one of
@@ -63,7 +67,9 @@ import sys
 
 PAIRS = 10
 WINS_NEEDED = 9
-COUNT_UNITS = ("count", "rows", "bytes")
+COUNT_UNITS = ("count", "rows", "bytes", "frac")
+# frac metrics that are ratios of times, not of counts
+TIMED_FRACS = ("trace.overhead_frac",)
 FINGERPRINT = re.compile(r"fingerprint of op 0 = (\S+)")
 CALIBRATION = re.compile(r"env calibration_s = (\S+) -> (\S+)")
 STEAL = re.compile(r"env steal_s = (\S+)")
@@ -117,17 +123,25 @@ def first_match(pattern, lines):
     return None
 
 
+def beyond_drift(readings):
+    """Whether the largest of readings exceeds the smallest by more than
+    DRIFT of the smallest."""
+    return max(readings) - min(readings) > DRIFT * min(readings)
+
+
 def host_drift(parent, change):
-    """The host readings of one pair's two runs, and whether their
-    calibrations (each the mean of the run's two readings) differ by more
-    than DRIFT of the smaller one; never marked when a side lacks one."""
+    """The host readings of one pair's two runs, and whether the host
+    drifted: the runs' calibrations (each the mean of the run's two
+    readings) differ by more than DRIFT of the smaller one, or so do the
+    two readings of either run. A side without readings marks nothing."""
     pair = {side: {"calibration_s": run["calibration_s"],
                    "steal_s": run["steal_s"]}
             for side, run in (("parent", parent), ("change", change))}
-    cal = [statistics.mean(run["calibration_s"]) for run in (parent, change)
-           if run["calibration_s"]]
-    pair["drift"] = len(cal) == 2 and \
-        max(cal) - min(cal) > DRIFT * min(cal)
+    runs = [run["calibration_s"] for run in (parent, change)
+            if run["calibration_s"]]
+    pair["drift"] = (len(runs) == 2
+                     and beyond_drift([statistics.mean(r) for r in runs])) \
+        or any(map(beyond_drift, runs))
     return pair
 
 
@@ -143,14 +157,15 @@ def src_lines(tree):
 
 
 def counts(parent, change):
-    """The count-, rows- and bytes-unit metrics of two traced runs side by
-    side, each marked when the two differ."""
+    """The deterministic metrics of two traced runs (count-, rows-,
+    bytes- and frac-unit, but no ratio of times) side by side, each
+    marked when the two differ."""
     out = {}
     for name in sorted(set(parent["metrics"]) | set(change["metrics"])):
         p = parent["metrics"].get(name)
         c = change["metrics"].get(name)
         unit = (p or c)["unit"]
-        if unit not in COUNT_UNITS:
+        if unit not in COUNT_UNITS or name in TIMED_FRACS:
             continue
         pv = p["value"] if p else None
         cv = c["value"] if c else None
