@@ -33,7 +33,8 @@ class GovernorProblem:
     TerminalSet T of the command governor. problem is the governor QP
     min ||v||^2 s.t. Lambda_v v <= Lambda.b, that is at x = 0 and r = 0,
     built once here; fg_step derives each step's instance from it with
-    problem.with_linear.
+    problem.with_linear. Lambda_x holds Lambda's x-columns as one
+    contiguous read-only block, the map from x to the instance's b.
     """
 
     def __init__(self, gamma, R_eps):
@@ -55,6 +56,8 @@ class GovernorProblem:
         self.Lambda = gamma_set.intersect(cylinder).remove_redundancy()
         self.problem = QpProblem(2.0 * np.eye(self.n_v), np.zeros(self.n_v),
                                  self.Lambda.A[:, self.n_x:], self.Lambda.b)
+        self.Lambda_x = np.ascontiguousarray(self.Lambda.A[:, :self.n_x])
+        self.Lambda_x.setflags(write=False)
 
 
 class GovernorState:
@@ -82,7 +85,7 @@ def _closest(problem, state=None, message="state outside governed ROA"):
             st.status.name))
     if state is not None:
         state.record = st
-    return st.x.copy()
+    return st.x
 
 
 def fg_step(gp, x, r, state=None):
@@ -96,9 +99,10 @@ def fg_step(gp, x, r, state=None):
     x = np.asarray(x, dtype=float).ravel()
     if x.size != gp.n_x:
         raise ValueError("expected state of size {}".format(gp.n_x))
-    rhs = gp.Lambda.b - gp.Lambda.A[:, :gp.n_x] @ x
     f = -2.0 * np.asarray(r, dtype=float)
-    return _closest(gp.problem.with_linear(f, rhs), state=state)
+    problem = gp.problem
+    return _closest(problem.with_linear(f, problem.b - gp.Lambda_x @ x),
+                    state=state)
 
 
 def r_star(R_eps, r):

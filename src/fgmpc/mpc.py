@@ -104,19 +104,6 @@ class FeasibleSet:
         return cls(T.set_xv, 0)
 
 
-def _prediction_maps(plant, N):
-    """Powers A^i (i = 0..N) and impulse blocks A^k B (k = 0..N-1)."""
-    n_x = plant.n_x
-    Apow = np.empty((N + 1, n_x, n_x))
-    Apow[0] = np.eye(n_x)
-    for i in range(N):
-        Apow[i + 1] = plant.A @ Apow[i]
-    G = np.empty((N, n_x, plant.n_u))
-    for k in range(N):
-        G[k] = Apow[k] @ plant.B
-    return Apow, G
-
-
 def _lag_blocks(lags, h):
     """The (h p) x (h q) matrix whose block (i, j) is lags[i - j + 1] for
     j <= i and lags[0] for j > i, from the stack lags of p x q blocks: one
@@ -181,7 +168,8 @@ def condense(plant, design, em=None):
 def mpc_feedback(qp, x, v, warm_start=None):
     """Solve the condensed QP at (x, v) and return (u, solve record).
 
-    u is the first input block of the unique minimizer. warm_start is
+    u is the first input block of the unique minimizer, a view of the
+    record's x. warm_start is
     optional: the factors a previous solve of this qp returned (typically
     the previous step's record.factors), which hot-start the QP solver
     from that solve's active set. u is then equal to a cold solve's up to
@@ -202,7 +190,7 @@ def mpc_feedback(qp, x, v, warm_start=None):
     if st.status != Status.OPTIMAL:
         raise RuntimeError("QP solve failed with status {}".format(
             st.status.name))
-    return st.x[:qp.n_u].copy(), st
+    return st.x[:qp.n_u], st
 
 
 def feasible_set(qp):
@@ -215,33 +203,58 @@ def feasible_set(qp):
 
 
 class _HorizonOracle:
-    """Constraint rows M mu + L theta <= b of every horizon up to cap, from
-    per-lag blocks computed and stacked once. condense takes the rows of
-    its horizon; n_star and ocp_feasible solve one feasibility LP per
-    probed horizon, which only assembles its rows. feasible keeps the rows
-    of the last horizon it assembled, so repeated queries at one horizon
-    reuse them.
+    """Constraint rows M mu + L theta <= b of every horizon up to its
+    depth, from per-lag blocks computed and stacked once. condense takes
+    the rows of its horizon; n_star and ocp_feasible solve one feasibility
+    LP per probed horizon, which only assembles its rows. feasible keeps
+    the rows of the last horizon it assembled, so repeated queries at one
+    horizon reuse them.
 
     Row block i = 0..h-1 constrains the output at step i, whose input mu_j
     enters through lags[i - j + 1]: Y.A D for j = i, Y.A C A^(i-1-j) B for
     j < i, and the zero block lags[0] for j > i. The terminal block at step
-    h sees mu_j through TG[h-1-j] = T_x A^(h-1-j) B.
+    h sees mu_j through TG[h-1-j] = T_x A^(h-1-j) B. The stacks start at
+    the given depth and grow, when a deeper horizon is assembled, to twice
+    their depth or to that horizon, whichever is deeper; every block is
+    computed as a build at full depth computes it, so the rows keep their
+    bits.
     """
 
-    def __init__(self, plant, design, cap):
+    def __init__(self, plant, design, depth):
         T, Y = design.T, design.Y
-        self.T, self.Y, self.n_u = T, Y, plant.n_u
-        self.Apow, self.G = _prediction_maps(plant, cap)
-        YaC = Y.A @ plant.C
-        self.lags = np.stack([np.zeros((Y.nrows, plant.n_u)), Y.A @ plant.D]
-                             + [YaC @ Gk for Gk in self.G])
-        self.TG = np.stack([T.T_x @ Gk for Gk in self.G])
-        self.YA = np.stack([YaC @ Ai for Ai in self.Apow[:cap]])
+        self.plant, self.T, self.Y, self.n_u = plant, T, Y, plant.n_u
+        self._YaC = Y.A @ plant.C
+        n_x, n_u = plant.n_x, plant.n_u
+        self.depth = 0
+        self.Apow = np.eye(n_x)[None]  # A^i, i = 0..depth
+        self.G = np.empty((0, n_x, n_u))  # A^k B, k < depth
+        self.lags = np.stack([np.zeros((Y.nrows, n_u)), Y.A @ plant.D])
+        self.TG = np.empty((0, T.nrows, n_u))
+        self.YA = np.empty((0, Y.nrows, n_x))
+        self._grow(depth)
         self._last = (None, None)  # (h, (M, L, b)) of the last feasible
+
+    def _grow(self, depth):
+        """Extend every stack from the current depth to depth."""
+        if depth <= self.depth:
+            return
+        A, B, YaC = self.plant.A, self.plant.B, self._YaC
+        Apow = [self.Apow[-1]]
+        for _ in range(self.depth, depth):
+            Apow.append(A @ Apow[-1])
+        G = [Ai @ B for Ai in Apow[:-1]]
+        self.Apow = np.concatenate([self.Apow, Apow[1:]])
+        self.G = np.concatenate([self.G, G])
+        self.lags = np.concatenate([self.lags, [YaC @ Gk for Gk in G]])
+        self.TG = np.concatenate([self.TG, [self.T.T_x @ Gk for Gk in G]])
+        self.YA = np.concatenate([self.YA, [YaC @ Ai for Ai in Apow[:-1]]])
+        self.depth = depth
 
     def assemble(self, h):
         """(M, L, b) of horizon h: output blocks i = 0..h-1 first, terminal
         block last."""
+        if h > self.depth:
+            self._grow(max(h, 2 * self.depth))
         T, Y, n_u = self.T, self.Y, self.n_u
         top, n_x = h * Y.nrows, T.n_x
         M = np.empty((top + T.nrows, h * n_u))
@@ -318,7 +331,7 @@ def n_star(plant, design, x0, r, cap, trace=None):
     r = np.asarray(r, dtype=float).ravel()
     em = equilibrium_basis(plant)
     u_pad = em.G_u @ r
-    oracle = _HorizonOracle(plant, design, cap)
+    oracle = _HorizonOracle(plant, design, 1)  # as deep as the probes
     probes = []
 
     def probe(h, lo, mu_lo):

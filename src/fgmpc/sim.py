@@ -149,22 +149,23 @@ def run_closed_loop(sc, qp=None, gp=None):
     t_mpc = np.zeros(n)
 
     x = sc.x0.copy()
+    r = sc.r
+    governed, lqr = sc.kind != "MPC", sc.kind == "MPC+CG(LQR)"
     gov_state = governor.GovernorState()
     factors = None  # of the last MPC solve, the next one's warm start
     K = sc.design.K
     for k in range(n):
-        if sc.kind == "MPC":
-            v = sc.r
-        else:
+        v = r
+        if governed:
             tic = time.perf_counter()
             try:
-                v = governor.fg_step(gp, x, sc.r, state=gov_state)
+                v = governor.fg_step(gp, x, r, state=gov_state)
             except governor.RoaError as err:
                 raise SimulationError(k, err) from err
             t_fg[k] = time.perf_counter() - tic
 
         tic = time.perf_counter()
-        if sc.kind == "MPC+CG(LQR)":
+        if lqr:
             u = em.u_bar(v) - K @ (x - em.x_bar(v))
         else:
             try:
@@ -177,7 +178,8 @@ def run_closed_loop(sc, qp=None, gp=None):
         X[k] = x
         U[k] = u
         Vref[k] = v
-        lyap[k] = float(np.dot(v - sc.r, v - sc.r))
+        dv = v - r
+        lyap[k] = dv.dot(dv)
         x, Y_log[k], Z[k] = plant.step(x, u)
 
     residual = np.max(Y_log @ sc.spec.Y.A.T - sc.spec.Y.b)

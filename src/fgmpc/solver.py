@@ -20,7 +20,6 @@ support_value may stop early at a threshold.
 """
 
 import collections
-import copy
 import enum
 
 import numpy as np
@@ -124,10 +123,11 @@ class QpProblem:
 
     H and A are validated once, here, together with what every solve
     needs of them: J = inv(L)' for the Cholesky factor L of H, the inverse
-    Hinv of H (the unconstrained minimizer is -Hinv f), and the row norms
-    of A with the rows they scale. These arrays are read-only and shared
-    by every problem that with_linear derives, so a loop that only changes
-    f and b never factorizes H again.
+    Hinv of H (the unconstrained minimizer is -Hinv f), and the row data
+    of A: the norms ||a_i|| (1 for a zero row), their reciprocals
+    inv_norms and the rows A_scaled they scale. These arrays are read-only
+    and shared by every problem that with_linear derives, so a loop that
+    only changes f and b never factorizes H or rescales A again.
     """
 
     def __init__(self, H, f, A, b):
@@ -150,22 +150,25 @@ class QpProblem:
         self.Hinv = np.linalg.inv(H)
         self.norms = np.linalg.norm(A, axis=1)
         self.norms[self.norms < 1e-300] = 1.0
+        self.inv_norms = 1.0 / self.norms
         self.A_scaled = A / self.norms[:, None]
         for arr in (self.H, self.A, self.J, self.Hinv, self.norms,
-                    self.A_scaled):
+                    self.inv_norms, self.A_scaled):
             arr.setflags(write=False)
 
     def with_linear(self, f, b):
         """The same problem with linear term f and right-hand side b,
         sharing the validated H and A data; only the sizes and finiteness
         of f and b are checked."""
-        problem = copy.copy(self)
-        problem.f = np.asarray(f, dtype=float).ravel()
-        problem.b = np.asarray(b, dtype=float).ravel()
-        if (problem.f.size, problem.b.size) != (self.f.size, self.b.size):
+        f = np.asarray(f, dtype=float).ravel()
+        b = np.asarray(b, dtype=float).ravel()
+        if (f.size, b.size) != (self.f.size, self.b.size):
             raise ValueError("f and b must keep their sizes {} and {}"
                              .format(self.f.size, self.b.size))
-        _check_finite(("f", problem.f), ("b", problem.b))
+        _check_finite(("f", f), ("b", b))
+        problem = object.__new__(type(self))
+        problem.__dict__.update(self.__dict__)
+        problem.f, problem.b = f, b
         return problem
 
 
@@ -513,7 +516,8 @@ def min_violation(A, b, x0=None, max_pivots=None):
 # Rinv of R's leading block, with the set in path order (the order in which
 # the solve's adds and drops left R's columns) and the problem's J0 they
 # were built on. The arrays are read-only; a solve that takes them back
-# updates a copy.
+# updates a copy once it changes the set, and returns them unchanged when
+# it does not.
 QpFactors = collections.namedtuple("QpFactors",
                                    ["J0", "active_set", "J", "R", "Rinv"])
 
@@ -602,13 +606,24 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     warm_start, when given, is the QpFactors a previous solve returned
     (SolveStatus.factors), typically the previous control step's. When
     they were built on this problem's own J0 array (an identity test:
-    every with_linear problem shares it, and with it the scaled rows),
-    the solve hot-starts from their active set: it solves the QP with
-    that set held at equality, and drops indices with negative
-    multipliers by the drop path until every multiplier is nonnegative.
-    The iterations go on from that pair. Factors built on another J0, or
-    None, give the cold start at the unconstrained minimum. The solve
-    updates a copy of the factors and never writes to them.
+    every with_linear problem shares it, and with it the row data), the
+    solve hot-starts from their active set: it solves the QP with that
+    set held at equality and, while a multiplier is negative, drops the
+    most negative one (the first NaN, when there is one, counts as most
+    negative) by the drop path and solves again. The iterations go on
+    from that pair. Factors built on another J0, or None, give the cold
+    start at the unconstrained minimum. The solve never writes to the
+    factors it is given: it copies them at its first drop or add, and a
+    solve that changes no index returns them as they came.
+
+    Only what the result needs is formed. The row data (norms,
+    inv_norms, A_scaled) is the problem's. Each test for violated rows
+    ranks only the violated ones, by their violation over ||a_i||, and
+    b_i / ||a_i|| is formed only for the active rows and the row being
+    added. J, R and Rinv are
+    allocated at the first add of a solve that starts with no active set,
+    so a solve that ends on an empty set allocates no n x n array and
+    returns factors None.
 
     The solve ends on the factors its own adds and drops built and
     refactorizes nothing. When iterations moved x, x and lam are
@@ -626,58 +641,48 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
 
     # a product with the kept inverse, not an LU of the fixed H per solve
     x0 = -(problem.Hinv @ f)
-    # row scaling makes the violation comparison scale-free
     norms, As = problem.norms, problem.A_scaled
-    inv_norms = 1.0 / norms
-    bs = b / norms
 
-    active = []
+    # kept: the read-only factors of the current set, until the solve
+    # changes the set and takes working copies of them
+    kept, active = None, []
     if warm_start is not None and warm_start.J0 is problem.J:
-        active = list(warm_start.active_set)
-        J, R = warm_start.J.copy(), warm_start.R.copy()
-        Rinv = warm_start.Rinv.copy()
+        kept, active = warm_start, list(warm_start.active_set)
+        J, R, Rinv = kept.J, kept.R, kept.Rinv
     while active:
-        x, lam = _equality_solve(J, Rinv, x0, As[active], bs[active])
-        negative = np.flatnonzero(~(lam >= 0.0))  # a NaN counts as negative
-        if not negative.size:
+        x, lam = _equality_solve(J, Rinv, x0, As[active],
+                                 b[active] / norms[active])
+        k = np.argmin(lam)  # the first NaN, when there is one
+        if lam[k] >= 0.0:
             break
-        for k in negative[::-1]:
-            _drop_constraint(J, R, Rinv, len(active), k)
-            del active[k]
+        if kept is not None:
+            J, R, Rinv, kept = J.copy(), R.copy(), Rinv.copy(), None
+        _drop_constraint(J, R, Rinv, len(active), k)
+        del active[k]
     if not active:
-        x, lam = x0, np.zeros(0)
-        J = problem.J.copy()  # rotated in place by the updates below
-        R = np.zeros((n, n))
-        Rinv = np.zeros((n, n))  # inverse of the active R block
+        # no factors yet: the first add builds them from a copy of J0
+        x, lam, J, kept = x0, np.zeros(0), None, None
 
     iters = 0
     while True:
         # violations are tested on the raw rows (that is the tolerance the
         # caller sees) but ranked on the normalized ones for scale freedom
         s_raw = A @ x - b
-        s = s_raw * inv_norms
         if active:
             s_raw[active] = 0.0
         viol = s_raw > TOL
         if not np.any(viol):
-            if iters:
-                # the iterate accumulated its steps' rounding: solve again
-                # on the factors the iterations built
-                x, lam = _equality_solve(J, Rinv, x0, As[active], bs[active])
-            lam_full = np.zeros(m)
-            lam_full[active] = lam / norms[active]
-            val = 0.5 * x @ H @ x + f @ x
-            factors = None
-            if active:
-                for arr in (J, R, Rinv):
-                    arr.setflags(write=False)
-                factors = QpFactors(problem.J, tuple(active), J, R, Rinv)
-            return SolveStatus(Status.OPTIMAL, x=x, value=float(val),
-                               active_set=sorted(active), lam=lam_full,
-                               iterations=iters, factors=factors)
+            break
         cand = np.nonzero(viol)[0]
-        p = int(cand[np.argmax(s[cand])])
+        p = int(cand[np.argmax(s_raw[cand] * problem.inv_norms[cand])])
+        if J is None:
+            J = problem.J.copy()  # rotated in place by the updates below
+            R = np.zeros((n, n))
+            Rinv = np.zeros((n, n))  # inverse of the active R block
+        elif kept is not None:
+            J, R, Rinv, kept = J.copy(), R.copy(), Rinv.copy(), None
         npl = As[p]
+        bp = b[p] / norms[p]
         u = 0.0  # multiplier of the incoming constraint
         while True:
             iters += 1
@@ -686,15 +691,12 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
             q = len(active)
             d = J.T @ npl
             z = J[:, q:] @ d[q:]
-            if q:
-                r = Rinv[:q, :q] @ d[:q]
-            else:
-                r = np.zeros(0)
             znorm = np.linalg.norm(z)
             # partial (dual) step length: first active multiplier to hit zero
             t1 = np.inf
             k_block = -1
             if q:
+                r = Rinv[:q, :q] @ d[:q]
                 pos = r > TOL
                 if np.any(pos):
                     ratios = np.where(pos, lam / np.where(pos, r, 1.0), np.inf)
@@ -708,7 +710,7 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
                 t = t1
                 x_step = None
             else:
-                t2 = (As[p] @ x - bs[p]) / (z @ npl)
+                t2 = (npl @ x - bp) / (z @ npl)
                 t = min(t1, t2)
                 x_step = z
             if x_step is not None:
@@ -726,3 +728,20 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
             _drop_constraint(J, R, Rinv, q, k_block)
             active.pop(k_block)
             lam = np.delete(lam, k_block)
+
+    if iters:
+        # the iterate accumulated its steps' rounding: solve again on the
+        # factors the iterations built
+        x, lam = _equality_solve(J, Rinv, x0, As[active],
+                                 b[active] / norms[active])
+    lam_full = np.zeros(m)
+    if active:
+        lam_full[active] = lam / norms[active]
+    val = 0.5 * x @ H @ x + f @ x
+    if active and kept is None:
+        for arr in (J, R, Rinv):
+            arr.setflags(write=False)
+        kept = QpFactors(problem.J, tuple(active), J, R, Rinv)
+    return SolveStatus(Status.OPTIMAL, x=x, value=float(val),
+                       active_set=sorted(active), lam=lam_full,
+                       iterations=iters, factors=kept)

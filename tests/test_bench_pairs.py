@@ -134,16 +134,20 @@ def test_counts_compare_the_deterministic_metrics():
 
 
 def test_without_drift_compares_the_pairs_that_did_not_drift():
-    # the parent's wide runs are the drifted pairs; the other four agree
-    drifted = [0, 1, 3, 4, 5, 8]
+    # the parent's widest runs are the drifted pairs; the other five agree
+    drifted = [0, 1, 3, 4, 5]
     assert bench_pairs.compare(WIDE, WIDE[::-1], "lower",
                                0.25)["verdict"] == "unresolved"
     m = bench_pairs.without_drift(WIDE, WIDE[::-1], drifted, "lower", 0.25)
-    assert m["pairs"] == 4
-    assert m["parent"]["runs"] == [1.0, 0.9, 1.1, 1.0]
-    assert m["change"]["runs"] == [1.1, 1.2, 1.0, 0.6]
-    assert m["parent_spread"] == pytest.approx(0.05)
+    assert m["pairs"] == 5
+    assert m["parent"]["runs"] == [1.0, 0.9, 1.1, 1.3, 1.0]
+    assert m["change"]["runs"] == [1.1, 1.2, 1.0, 0.8, 0.6]
+    assert m["parent_spread"] == pytest.approx(0.1)
     assert m["verdict"] == "within"
+    # four undrifted pairs are too few for a verdict, however they read
+    assert bench_pairs.without_drift(WIDE, WIDE[::-1], drifted + [8],
+                                     "lower", 0.25) == \
+        {"pairs": 4, "verdict": "unresolved"}
     # with no drifted pair it is the full comparison
     full = bench_pairs.compare(TIGHT, TIGHT[::-1], "higher", 0.25)
     assert bench_pairs.without_drift(TIGHT, TIGHT[::-1], [], "higher",
@@ -152,6 +156,7 @@ def test_without_drift_compares_the_pairs_that_did_not_drift():
     assert bench_pairs.without_drift(TIGHT, TIGHT, list(range(1, 10)),
                                      "lower", 0.25) == \
         {"pairs": 1, "verdict": "unresolved"}
+    assert bench_pairs.MIN_CLEAN_PAIRS == 5
 
 
 def test_main_reports_verdicts_without_drifted_pairs(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 import systems
 from test_solver import assert_bit_equal, assert_close, batch_factors
 
-from fgmpc import mpc
+from fgmpc import mpc, solver
 from fgmpc.mpc import (CondensedQp, FeasibleSet, OcpDesign,
                        OcpInfeasibleError, condense, feasible_set,
                        mpc_feedback, n_star, ocp_feasible)
@@ -154,6 +154,37 @@ def test_stacked_rows_equal_the_block_loop(monkeypatch, y3):
         for name in ("H", "W", "M", "L", "b"):
             assert np.array_equal(getattr(stacked, name),
                                   getattr(looped, name)), (N, name)
+
+
+def test_grown_oracle_rows_equal_a_full_depth_build(monkeypatch, y3):
+    """An oracle started at depth 1 grows, as horizons are assembled, to
+    twice its depth or to the horizon, and assembles the same (M, L, b)
+    bits as one built at depth 400. n_star's oracle grows only as deep as
+    its probes reach: 64 for the search that ends at N* = 55."""
+    plant = y3["plant"]
+    design = systems.make_design(y3, 1)
+    full = mpc._HorizonOracle(plant, design, 400)
+    grown = mpc._HorizonOracle(plant, design, 1)
+    depths = []
+    for h in (1, 2, 3, 8, 5, 64, 116, 40, 300):
+        for new, ref in zip(grown.assemble(h), full.assemble(h)):
+            assert np.array_equal(new, ref), h
+        depths.append(grown.depth)
+    assert depths == [1, 2, 4, 8, 8, 64, 128, 128, 300]
+    for name in ("Apow", "G", "lags", "TG", "YA"):
+        size = getattr(grown, name).shape[0]
+        assert np.array_equal(getattr(grown, name),
+                              getattr(full, name)[:size]), name
+    reached = []
+    real = mpc._HorizonOracle._grow
+
+    def grow(self, depth):
+        reached.append(depth)
+        return real(self, depth)
+
+    monkeypatch.setattr(mpc._HorizonOracle, "_grow", grow)
+    assert n_star(plant, design, [-2.0, 0.0], [1.0], 400) == 55
+    assert max(reached) == 64
 
 
 def test_horizon_rows_match_a_stepped_plant(y3):
@@ -451,6 +482,31 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
         x = plant.step(x, u)[0]
     np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-4)
     assert 3 * hot <= cold, (hot, cold)
+
+
+def test_hot_start_iterations_and_drops_pinned(monkeypatch, y3):
+    """30 warm-started MPC steps at N = 40 from (-1.8, 0) toward v = 0
+    take 99 QP iterations and 51 constraint drops in all. The hot start
+    drops the most negative multiplier and solves again; dropping every
+    negative one at once takes 121 iterations and 73 drops, because most
+    of the dropped rows come back."""
+    drops = []
+    real = solver._drop_constraint
+
+    def counted(J, R, Rinv, q, k):
+        drops.append(q)
+        return real(J, R, Rinv, q, k)
+
+    monkeypatch.setattr(solver, "_drop_constraint", counted)
+    plant = y3["plant"]
+    qp = condense(plant, systems.make_design(y3, 40), y3["em"])
+    x, warm, iterations = np.array([-1.8, 0.0]), None, 0
+    for _ in range(30):
+        u, st = mpc_feedback(qp, x, [0.0], warm_start=warm)
+        iterations += st.iterations
+        warm = st.factors
+        x = plant.step(x, u)[0]
+    assert (iterations, len(drops)) == (99, 51)
 
 
 def test_kept_factors_mpc_loop_matches_reference_and_cold_solves(y3):

@@ -816,13 +816,15 @@ def test_qp_rejects_non_finite_data(bad):
 
 
 def test_qp_cached_factor_is_read_only_and_unchanged_by_solves():
+    """The arrays a QpProblem keeps are read-only, unchanged by solves and
+    shared, not copied, by every problem with_linear derives."""
     rng = np.random.default_rng(47)
     H_in = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
     p = QpProblem(H_in, rng.normal(size=3) * 5.0,
                   np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))]),
                   np.full(10, 0.2))
     assert H_in.flags.writeable  # the caller's array keeps its flags
-    cached = (p.H, p.A, p.J, p.Hinv, p.norms, p.A_scaled)
+    cached = (p.H, p.A, p.J, p.Hinv, p.norms, p.inv_norms, p.A_scaled)
     before = [arr.copy() for arr in cached]
     np.testing.assert_allclose(p.J @ p.J.T, np.linalg.inv(H_in), atol=1e-12)
     np.testing.assert_array_equal(p.Hinv, np.linalg.inv(H_in))
@@ -832,10 +834,57 @@ def test_qp_cached_factor_is_read_only_and_unchanged_by_solves():
     for arr, snap in zip(cached, before):
         assert not arr.flags.writeable
         np.testing.assert_array_equal(arr, snap)
-    derived = p.with_linear(-p.f, p.b)
-    assert all(a is b for a, b in zip(
-        (derived.H, derived.A, derived.J, derived.Hinv, derived.norms,
-         derived.A_scaled), cached))
+    np.testing.assert_array_equal(p.inv_norms, 1.0 / p.norms)
+    # a chain of warm-started solves on derived problems: each holds the
+    # base's arrays themselves and its own f and b, and the base's f and b
+    # keep their bits
+    f0, b0 = p.f.copy(), p.b.copy()
+    factors = None
+    for step in range(60):
+        f = f0 + rng.normal(size=3)
+        rhs = b0 + rng.uniform(0.0, 0.5, size=b0.size)
+        derived = p.with_linear(f, rhs)
+        assert all(a is b for a, b in zip(
+            (derived.H, derived.A, derived.J, derived.Hinv, derived.norms,
+             derived.inv_norms, derived.A_scaled), cached))
+        np.testing.assert_array_equal(derived.f, f)
+        np.testing.assert_array_equal(derived.b, rhs)
+        st = solve_qp(derived, warm_start=factors)
+        check_qp_kkt(derived, st)
+        factors = st.factors
+    np.testing.assert_array_equal(p.f, f0)
+    np.testing.assert_array_equal(p.b, b0)
+
+
+def test_qp_empty_final_set_returns_x0_and_allocates_no_square_array():
+    """A solve whose unconstrained minimizer is feasible, cold or
+    warm-started from factors whose rows all drop, ends on the empty set
+    with factors None and x exactly -Hinv f. At n = 300 a cold one
+    allocates no n x n array (720 kB)."""
+    rng = np.random.default_rng(83)
+    p = random_qp(rng, 4, 6)
+    inside = p.with_linear(p.f, p.b + 100.0)
+    x0 = -(p.Hinv @ p.f)
+    prior = solve_qp(qp_optimal_on(p, [0, 5], rng))
+    assert prior.factors is not None
+    for warm in (None, prior.factors):
+        st = solve_qp(inside, warm_start=warm)
+        assert st.status is Status.OPTIMAL and st.active_set == []
+        assert st.factors is None and st.iterations == 0
+        np.testing.assert_array_equal(st.x, x0)
+        assert not st.lam.any()
+    n = 300
+    big = QpProblem(np.eye(n), np.ones(n), np.vstack([np.eye(n), -np.eye(n)]),
+                    np.full(2 * n, 2.0))
+    tracemalloc.start()
+    try:
+        st = solve_qp(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.active_set == [] and st.factors is None
+    np.testing.assert_array_equal(st.x, -np.ones(n))
+    assert peak < 8 * n * n // 4, peak
 
 
 def test_qp_without_constraints():

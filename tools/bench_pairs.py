@@ -47,9 +47,10 @@ in which either run's own two readings differ by more than 25% of the
 smaller one: the host's speed drifted during that run. Beside its
 full verdict, every (workload, metric) gets a second one under
 ``without_drift``: the same comparison over the pairs not marked, with
-their count. ``no_regression_without_drift`` is true when every one of
-those is "within". The full verdicts, ``no_regression`` and the claim
-still count every pair.
+their count; fewer than MIN_CLEAN_PAIRS (5) such pairs tell nothing, and
+that verdict is "unresolved". ``no_regression_without_drift`` is true
+when every one of those is "within". The full verdicts,
+``no_regression`` and the claim still count every pair.
 
 A run that reports ``correct: false`` with no failed operation (a broken
 tracer guard, a set-up that is not deterministic, outputs that differ
@@ -74,6 +75,8 @@ FINGERPRINT = re.compile(r"fingerprint of op 0 = (\S+)")
 CALIBRATION = re.compile(r"env calibration_s = (\S+) -> (\S+)")
 STEAL = re.compile(r"env steal_s = (\S+)")
 DRIFT = 0.25
+# the fewest undrifted pairs a without_drift verdict is read from
+MIN_CLEAN_PAIRS = 5
 
 
 def parse_args(argv):
@@ -208,10 +211,10 @@ def compare(parent, change, better, bound):
 
 def without_drift(parent, change, drifted, better, bound):
     """compare over the pairs whose index is not in drifted, with their
-    count under "pairs"; fewer than two such pairs tell nothing, and the
-    verdict is "unresolved"."""
+    count under "pairs"; fewer than MIN_CLEAN_PAIRS such pairs tell
+    nothing, and the verdict is "unresolved"."""
     keep = [i for i in range(len(parent)) if i not in drifted]
-    if len(keep) < 2:
+    if len(keep) < MIN_CLEAN_PAIRS:
         return {"pairs": len(keep), "verdict": "unresolved"}
     m = compare([parent[i] for i in keep], [change[i] for i in keep],
                 better, bound)
