@@ -6,8 +6,8 @@ reference governor that keeps the MPC problem feasible. A simulation
 harness ties the two together and reports closed-loop metrics.
 """
 
-from fgmpc.governor import GovernorProblem, GovernorState, RoaError, \
-    fg_step, r_star, roa
+from fgmpc.governor import GovernorProblem, RoaError, fg_step, r_star, \
+    roa
 from fgmpc.mpc import CondensedQp, FeasibleSet, OcpDesign, \
     OcpInfeasibleError, condense, feasible_set, mpc_feedback, n_star, \
     ocp_feasible
@@ -30,7 +30,6 @@ __all__ = [
     "EquilibriumMap",
     "FeasibleSet",
     "GovernorProblem",
-    "GovernorState",
     "HPolyhedron",
     "KINDS",
     "LpProblem",

@@ -40,11 +40,21 @@ def _fail(field, problem):
     raise ConfigError("config field '{}': {}".format(field, problem))
 
 
+def _numeric(raw):
+    """True when every leaf of the nested lists raw is an int or a float:
+    JSON's true and false parse as bools, and "1" as a string."""
+    if isinstance(raw, (list, tuple)):
+        return all(_numeric(item) for item in raw)
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _floats(raw, field, problem):
     """raw as a float array; the ConfigError names the field and the
-    problem when raw is not numeric, and says so when a number is not
-    finite (JSON's NaN and Infinity, or an integer beyond the float
+    problem when a leaf of raw is not a number, and says so when a number
+    is not finite (JSON's NaN and Infinity, or an integer beyond the float
     range)."""
+    if not _numeric(raw):
+        _fail(field, problem)
     try:
         arr = np.array(raw, dtype=float)
     except OverflowError:
@@ -71,7 +81,7 @@ def _vector(raw, field):
 
 
 def _number(raw, field):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if isinstance(raw, (list, tuple)):
         _fail(field, "must be a number")
     return float(_floats(raw, field, "must be a number"))
 
@@ -234,11 +244,7 @@ class ScenarioConfig:
         out = []
         for i, entry in enumerate(raw):
             where = "slices[{}]".format(i)
-            if isinstance(entry, (int, float)) and not isinstance(entry,
-                                                                  bool):
-                val = np.array([_number(entry, where)])
-            else:
-                val = _vector(entry, where)
+            val = _vector(entry if isinstance(entry, list) else [entry], where)
             if val.size != self.plant.n_z:
                 _fail(where, "has size {} but references have size {}"
                       .format(val.size, self.plant.n_z))
@@ -373,8 +379,11 @@ def cmd_simulate(cfg, out_dir, tol=1e-7, quiet=False):
 
     off = _offline(cfg)
     design = _design(cfg, off, N)
-    qp = condense(cfg.plant, design, off["em"])
-    gp = governor.GovernorProblem(feasible_set(qp), off["spec"].R_eps)
+    qp, gamma = None, off["T"]
+    if kind != "MPC+CG(LQR)":
+        qp = condense(cfg.plant, design, off["em"])
+        gamma = feasible_set(qp)
+    gp = governor.GovernorProblem(gamma, off["spec"].R_eps)
     sc = Scenario(cfg.plant, off["spec"], design, kind, x0, r, budget)
     log = run_closed_loop(sc, qp=qp, gp=gp)
 
@@ -408,11 +417,11 @@ def _compare_one(cfg, off, entry, slug, out_dir, default_N):
                   .format(entry["kind"]))
         design = _design(cfg, off, N)
         qp = gp = None
-        if entry["kind"] in ("MPC", "MPC+FG"):
+        if entry["kind"] != "MPC+CG(LQR)":
             qp = condense(cfg.plant, design, off["em"])
-        if entry["kind"] == "MPC+FG":
-            gp = governor.GovernorProblem(feasible_set(qp),
-                                          off["spec"].R_eps)
+        if entry["kind"] != "MPC":
+            gamma = off["T"] if qp is None else feasible_set(qp)
+            gp = governor.GovernorProblem(gamma, off["spec"].R_eps)
         sc = Scenario(cfg.plant, off["spec"], design, entry["kind"],
                       cfg.x0, cfg.r, cfg.budget)
         log = None

@@ -29,12 +29,13 @@ class GovernorProblem:
 
     Lambda = Gamma_N intersected with {(x, v) : v in R_eps}; the state
     dimension is recovered from the two operand dimensions. gamma is an
-    HPolyhedron or a set holding one as set_xv: a FeasibleSet, or the
-    TerminalSet T of the command governor. problem is the governor QP
-    min ||v||^2 s.t. Lambda_v v <= Lambda.b, that is at x = 0 and r = 0,
-    built once here; fg_step derives each step's instance from it with
-    problem.with_linear. Lambda_x holds Lambda's x-columns as one
-    contiguous read-only block, the map from x to the instance's b.
+    HPolyhedron or a set holding one as set_xv: the FeasibleSet Gamma_N
+    of the feasibility governor, or the TerminalSet T of the command
+    governor. problem is the governor QP min ||v||^2 s.t. Lambda_v v <=
+    Lambda.b, that is at x = 0 and r = 0, built once here; fg_step derives
+    each step's instance from it with problem.with_linear. Lambda_x holds
+    Lambda's x-columns as one contiguous read-only block, the map from x
+    to the instance's b.
     """
 
     def __init__(self, gamma, R_eps):
@@ -60,49 +61,35 @@ class GovernorProblem:
         self.Lambda_x.setflags(write=False)
 
 
-class GovernorState:
-    """Carries the last solve record between steps of one control loop;
-    its kept factors warm start the next solve, and its x is the applied
-    reference."""
-
-    def __init__(self):
-        self.record = None
-
-
-def _closest(problem, state=None, message="state outside governed ROA"):
-    """Solve the distance QP problem (Hessian 2I, f = -2r), warm started
-    from the factors of state's record when given, record the solve into
-    state, and return its minimizer. solve_qp ignores factors that were
-    not built on this problem's shared J0."""
-    factors = None
-    if state is not None and state.record is not None:
-        factors = state.record.factors
-    st = solve_qp(problem, warm_start=factors)
+def _closest(problem, warm_start, message):
+    """Solve the distance QP problem (Hessian 2I, f = -2r) warm started
+    from warm_start and return its record. solve_qp ignores factors that
+    were not built on this problem's shared J0."""
+    st = solve_qp(problem, warm_start=warm_start)
     if st.status == Status.INFEASIBLE:
         raise RoaError(message)
     if st.status != Status.OPTIMAL:
         raise RuntimeError("governor QP failed with status {}".format(
             st.status.name))
-    if state is not None:
-        state.record = st
-    return st.x
+    return st
 
 
-def fg_step(gp, x, r, state=None):
+def fg_step(gp, x, r, warm_start=None):
     """One feasibility-governor step: the admissible reference closest to r.
 
+    Returns (v, record) as mpc_feedback does: record.factors, passed as
+    the next step's warm_start, hot-start it from this step's active set.
     Strictly convex, so the minimizer is unique; when (x, r*) is already
     in Lambda the result is r* itself (the governor does not interfere).
-    The optional state carries the previous solve's factors as a warm
-    start.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != gp.n_x:
         raise ValueError("expected state of size {}".format(gp.n_x))
     f = -2.0 * np.asarray(r, dtype=float)
     problem = gp.problem
-    return _closest(problem.with_linear(f, problem.b - gp.Lambda_x @ x),
-                    state=state)
+    st = _closest(problem.with_linear(f, problem.b - gp.Lambda_x @ x),
+                  warm_start, "state outside governed ROA")
+    return st.x, st
 
 
 def r_star(R_eps, r):
@@ -110,7 +97,7 @@ def r_star(R_eps, r):
     value the governed reference converges to in finite time."""
     f = -2.0 * np.asarray(r, dtype=float)
     problem = QpProblem(2.0 * np.eye(R_eps.dim), f, R_eps.A, R_eps.b)
-    return _closest(problem, message="admissible reference set is empty")
+    return _closest(problem, None, "admissible reference set is empty").x
 
 
 def roa(gp):

@@ -216,13 +216,13 @@ class HPolyhedron:
                 raise RuntimeError("containment LP failed: {}".format(out))
         return True
 
-    def is_empty(self, tol=TOL):
+    def is_empty(self):
         if self.nrows == 0:
             return False
         t, _, outcome = min_violation(self._A, self._b)
         if outcome not in ("feasible", "optimal"):
             raise RuntimeError("emptiness LP failed: {}".format(outcome))
-        return t > tol
+        return t > TOL
 
     def chebyshev_center(self):
         """Center and radius of the largest inscribed ball, via one LP.
@@ -250,12 +250,12 @@ class HPolyhedron:
 
     # -- reduction ---------------------------------------------------------
 
-    def remove_redundancy(self, tol=TOL):
+    def remove_redundancy(self):
         """Minimal representation: drops every row whose removal provably
         leaves the set unchanged (one support LP per row, early exit)."""
         sel = _dedup(self._A, self._b)
         A, b = self._A[sel], self._b[sel]
-        kept = _prune_lp(A, b, tol)
+        kept = _prune_lp(A, b)
         return HPolyhedron(A[kept], b[kept])
 
     def project(self, keep_indices, row_cap=DEFAULT_ROW_CAP):
@@ -361,7 +361,7 @@ def _dedup(A, b):
     return np.sort(order[first])
 
 
-def _prune_lp(A, b, tol=TOL):
+def _prune_lp(A, b):
     """Sequential redundancy scan: row i goes when its support value over
     the rows still kept (plus the relaxed bound b_i + 1, which keeps the
     LP bounded) stays at or below b_i. Returns the kept row indices, in
@@ -374,8 +374,8 @@ def _prune_lp(A, b, tol=TOL):
             continue
         A_lp = np.vstack([A[others], A[i]])
         b_lp = np.concatenate([b[others], [b[i] + 1.0]])
-        out, val, _ = support_value(A[i], A_lp, b_lp, stop_above=b[i] + tol)
-        if out == "optimal" and val <= b[i] + tol:
+        out, val, _ = support_value(A[i], A_lp, b_lp, stop_above=b[i] + TOL)
+        if out == "optimal" and val <= b[i] + TOL:
             keep[i] = False
         elif out == "iteration_limit":
             raise RuntimeError("redundancy LP failed: {}".format(out))

@@ -12,7 +12,6 @@ is a safety violation, never an expected outcome.
 """
 
 import collections
-import functools
 import platform
 import time
 
@@ -25,6 +24,8 @@ from fgmpc.plant import equilibrium_basis
 from fgmpc.polytope import write_csv
 
 KINDS = ("MPC", "MPC+FG", "MPC+CG(LQR)")
+CONV_TOL = 1e-3  # terminal state-tracking tolerance of the audit
+V_TOL = 1e-8  # reference-convergence tolerance of metrics and the audit
 
 Verdict = collections.namedtuple("Verdict", ["name", "passed",
                                              "first_failure"])
@@ -45,12 +46,10 @@ class Scenario:
 
     kind selects the controller: "MPC" tracks v = r directly, "MPC+FG"
     filters r through the feasibility governor, "MPC+CG(LQR)" pairs the
-    command governor over the terminal set with the LQR law. conv_tol is
-    the terminal state-tracking tolerance.
+    command governor over the terminal set with the LQR law.
     """
 
-    def __init__(self, plant, spec, design, kind, x0, r, budget,
-                 conv_tol=1e-3):
+    def __init__(self, plant, spec, design, kind, x0, r, budget):
         if kind not in KINDS:
             raise ValueError("controller kind must be one of {}, got {!r}"
                              .format(list(KINDS), kind))
@@ -69,7 +68,6 @@ class Scenario:
         self.budget = int(budget)
         if self.budget < 1:
             raise ValueError("step budget must be at least 1")
-        self.conv_tol = float(conv_tol)
 
 
 class TrajectoryLog:
@@ -82,8 +80,7 @@ class TrajectoryLog:
     t_mpc holds the (trivial) LQR evaluation time.
     """
 
-    def __init__(self, scenario, x, u, y, z, v, V, t_fg, t_mpc, x_final,
-                 feasible=True, constraint_satisfied=True):
+    def __init__(self, scenario, x, u, y, z, v, V, t_fg, t_mpc, x_final):
         self.scenario = scenario
         self.x = np.atleast_2d(np.asarray(x, dtype=float))
         self.u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -100,43 +97,34 @@ class TrajectoryLog:
         if len(lengths) != 1:
             raise ValueError("log arrays disagree in length: {}".format(
                 sorted(lengths)))
-        self.feasible = bool(feasible)
-        self.constraint_satisfied = bool(constraint_satisfied)
 
     @property
     def n_steps(self):
         return self.x.shape[0]
 
 
-@functools.lru_cache(maxsize=1)
-def _command_governor(T, R_eps):
-    """GovernorProblem(T, R_eps) of the last (T, R_eps), keyed on
-    identity: neither class defines equality, and both are treated as
-    immutable. Repeated runs of one scenario build it once."""
-    return governor.GovernorProblem(T, R_eps)
-
-
 def run_closed_loop(sc, qp=None, gp=None):
     """Simulate the scenario for its full step budget.
 
-    qp (condensed OCP) and gp (governor problem) are built on demand when
-    not supplied; passing precomputed ones avoids repeating the offline
-    set construction across runs. The command governor is fg_step on
-    GovernorProblem(T, R_eps), built before the loop and kept for the next
-    run on the same T and R_eps; it ignores qp and gp, since a gp over
-    Gamma_N would make it the feasibility governor. A failed solve raises
+    qp is the condensed OCP of "MPC" and "MPC+FG"; gp is
+    GovernorProblem(Gamma_N, R_eps) for "MPC+FG" and GovernorProblem(T,
+    R_eps) for "MPC+CG(LQR)", which pairs it with the LQR law. Each is
+    built here when not supplied; prebuilt ones spare repeating the
+    offline set construction across runs. Each solver warm-starts from
+    its own previous solve's factors. A failed solve raises
     SimulationError with the step index; at step 0 that means the initial
     condition is outside the governed region of attraction (governed
     kinds) or outside Gamma_N (plain MPC).
     """
     plant = sc.plant
-    if sc.kind == "MPC+CG(LQR)":
+    governed, lqr = sc.kind != "MPC", sc.kind == "MPC+CG(LQR)"
+    if lqr:
         em = equilibrium_basis(plant)
-        gp = _command_governor(sc.design.T, sc.spec.R_eps)
     elif qp is None:
         qp = condense(plant, sc.design)
-    if sc.kind == "MPC+FG" and gp is None:
-        gp = governor.GovernorProblem(feasible_set(qp), sc.spec.R_eps)
+    if governed and gp is None:
+        gamma = sc.design.T if lqr else feasible_set(qp)
+        gp = governor.GovernorProblem(gamma, sc.spec.R_eps)
 
     n = sc.budget
     X = np.empty((n, plant.n_x))
@@ -150,18 +138,17 @@ def run_closed_loop(sc, qp=None, gp=None):
 
     x = sc.x0.copy()
     r = sc.r
-    governed, lqr = sc.kind != "MPC", sc.kind == "MPC+CG(LQR)"
-    gov_state = governor.GovernorState()
-    factors = None  # of the last MPC solve, the next one's warm start
+    fg_factors = mpc_factors = None  # each solver's next warm start
     K = sc.design.K
     for k in range(n):
         v = r
         if governed:
             tic = time.perf_counter()
             try:
-                v = governor.fg_step(gp, x, r, state=gov_state)
+                v, record = governor.fg_step(gp, x, r, fg_factors)
             except governor.RoaError as err:
                 raise SimulationError(k, err) from err
+            fg_factors = record.factors
             t_fg[k] = time.perf_counter() - tic
 
         tic = time.perf_counter()
@@ -169,10 +156,10 @@ def run_closed_loop(sc, qp=None, gp=None):
             u = em.u_bar(v) - K @ (x - em.x_bar(v))
         else:
             try:
-                u, status = mpc_feedback(qp, x, v, warm_start=factors)
+                u, record = mpc_feedback(qp, x, v, warm_start=mpc_factors)
             except OcpInfeasibleError as err:
                 raise SimulationError(k, err) from err
-            factors = status.factors
+            mpc_factors = record.factors
         t_mpc[k] = time.perf_counter() - tic
 
         X[k] = x
@@ -182,10 +169,7 @@ def run_closed_loop(sc, qp=None, gp=None):
         lyap[k] = dv.dot(dv)
         x, Y_log[k], Z[k] = plant.step(x, u)
 
-    residual = np.max(Y_log @ sc.spec.Y.A.T - sc.spec.Y.b)
-    return TrajectoryLog(sc, X, U, Y_log, Z, Vref, lyap, t_fg, t_mpc,
-                         x_final=x, feasible=True,
-                         constraint_satisfied=bool(residual <= 1e-8))
+    return TrajectoryLog(sc, X, U, Y_log, Z, Vref, lyap, t_fg, t_mpc, x)
 
 
 def _transition_fraction(z, z_target):
@@ -203,13 +187,13 @@ def _first_crossing(frac, level):
     return int(hits[0]) if hits.size else None
 
 
-def metrics(log, r_star, Y, v_tol=1e-8):
+def metrics(log, r_star, Y):
     """Summary report for one trajectory log.
 
     Rise time is the 10% to 90% span of the tracked-output transition
     toward the steady output at r_star, in steps and in seconds via the
     plant sample time (inf when 90% is never crossed). The convergence
-    step is the first k from which v stays within v_tol of r_star to the
+    step is the first k from which v stays within V_TOL of r_star to the
     end. Solve-time statistics are wall-clock per-step; tave/tmax
     aggregate governor plus controller time, and the hardware fingerprint
     notes what machine produced them.
@@ -226,7 +210,7 @@ def metrics(log, r_star, Y, v_tol=1e-8):
 
     devs = np.max(np.abs(log.v - r_star), axis=1)
     conv = None
-    bad = np.nonzero(devs > v_tol)[0]
+    bad = np.nonzero(devs > V_TOL)[0]
     if bad.size == 0:
         conv = 0
     elif bad[-1] + 1 < log.n_steps:
@@ -255,13 +239,14 @@ def metrics(log, r_star, Y, v_tol=1e-8):
     }
 
 
-def audit_invariants(log, gp, Y, tol=1e-7, v_tol=1e-8):
+def audit_invariants(log, gp, Y, tol=1e-7):
     """Safety, stability, and convergence verdicts for a governed log.
 
-    Returns five Verdict rows: (a) joint membership (x_k, v_k) in Lambda,
-    (b) output admissibility y_k in Y, (c) Lyapunov value non-increasing,
-    (d) v constant at the projected reference after its convergence step,
-    (e) final state within the scenario tolerance of the commanded
+    gp has Lambda over Gamma_N for "MPC" and "MPC+FG", over T for
+    "MPC+CG(LQR)". Returns five Verdict rows: (a) joint membership
+    (x_k, v_k) in Lambda, (b) output admissibility y_k in Y, (c) Lyapunov
+    value non-increasing, (d) v constant at the projected reference after
+    its convergence step, (e) final state within CONV_TOL of the commanded
     equilibrium. A plain-MPC log with fixed v in R_eps passes the same
     audit, since Lambda and Gamma_N have identical slices there.
     """
@@ -286,7 +271,7 @@ def audit_invariants(log, gp, Y, tol=1e-7, v_tol=1e-8):
 
     target = governor.r_star(gp.R_eps, log.scenario.r)
     devs = np.max(np.abs(log.v - target), axis=1)
-    hit = np.nonzero(devs <= v_tol)[0]
+    hit = np.nonzero(devs <= V_TOL)[0]
     if hit.size == 0:
         verdicts.append(Verdict("reference_convergence", False, None))
     else:
@@ -299,8 +284,7 @@ def audit_invariants(log, gp, Y, tol=1e-7, v_tol=1e-8):
 
     em = equilibrium_basis(log.scenario.plant)
     err = float(np.linalg.norm(log.x_final - em.x_bar(target)))
-    verdicts.append(Verdict("terminal_tracking",
-                            err <= log.scenario.conv_tol, None))
+    verdicts.append(Verdict("terminal_tracking", err <= CONV_TOL, None))
     return verdicts
 
 

@@ -8,6 +8,7 @@ import stat
 import numpy as np
 import pytest
 
+from fgmpc import cli, sim
 from fgmpc.cli import ConfigError, ScenarioConfig, cmd_simulate, main
 from fgmpc.polytope import HPolyhedron
 
@@ -95,6 +96,20 @@ def test_config_rejects_non_finite_numbers(tmp_path, field):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_file(path)
         assert "'{}': must be finite".format(field) in str(err.value)
+
+
+@pytest.mark.parametrize("field", sorted(NUMBER_AT))
+@pytest.mark.parametrize("value", [True, "1"])
+def test_config_rejects_booleans_and_numeric_strings(tmp_path, field,
+                                                      value):
+    """JSON's true is a bool and "1" a string, though numpy would read
+    either as 1.0; each must be rejected by a ConfigError naming the
+    field."""
+    cfg = fig2_config(x0=[0.1], r=[0.2], slices=[0.0])
+    NUMBER_AT[field](cfg, value)
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_file(write_config(tmp_path, cfg))
+    assert "config field '{}': must be".format(field) in str(err.value)
 
 
 def test_sets_and_simulate_exit_nonzero_on_non_finite(tmp_path, capsys):
@@ -193,6 +208,26 @@ def test_simulate_governed_run(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 61
     assert rows[0][0] == "k"
+
+
+def test_simulate_command_governor_builds_only_its_gp(tmp_path,
+                                                     monkeypatch):
+    """A command-governor run condenses no OCP and projects no Gamma_N:
+    it runs and is audited on GovernorProblem(T, R_eps) alone."""
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a command-governor run needs no Gamma_N")
+    for module in (cli, sim):
+        monkeypatch.setattr(module, "condense", unexpected)
+        monkeypatch.setattr(module, "feasible_set", unexpected)
+    cfg = write_config(tmp_path, fig2_config(
+        kind="MPC+CG(LQR)", x0=[-0.2], r=[0.6], budget=200))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    audits = [line for line in (out / "metrics.txt").read_text().split()
+              if line.startswith("audit_")]
+    assert len(audits) == 6
+    assert all(line.endswith("=pass") for line in audits), audits
 
 
 def test_failed_rename_keeps_existing_outputs(tmp_path, monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 import systems
 
 import fgmpc
-from fgmpc.governor import (GovernorProblem, GovernorState, RoaError,
-                            fg_step, r_star, roa)
+from fgmpc import governor
+from fgmpc.governor import GovernorProblem, RoaError, fg_step, r_star, roa
 from fgmpc.polytope import HPolyhedron
 
 
@@ -31,7 +31,7 @@ def test_lambda_joint_set(fig2, fig2_gov):
 def test_fg_step_no_interference_at_equilibrium(fig2, fig2_gov):
     em, gp = fig2["em"], fig2_gov["gp"]
     for r in (0.5, -0.7, 0.0):
-        v = fg_step(gp, em.x_bar([r]), [r])
+        v, _ = fg_step(gp, em.x_bar([r]), [r])
         np.testing.assert_allclose(v, [r], atol=1e-8)
 
 
@@ -39,7 +39,7 @@ def test_fg_step_projects_unreachable_reference(fig2, fig2_gov):
     em, gp = fig2["em"], fig2_gov["gp"]
     # target beyond R_eps from the matching equilibrium: result is the
     # projection r* onto R_eps
-    v = fg_step(gp, em.x_bar([0.8]), [2.0])
+    v, _ = fg_step(gp, em.x_bar([0.8]), [2.0])
     np.testing.assert_allclose(v, [0.8], atol=1e-8)
 
 
@@ -47,7 +47,7 @@ def test_fg_step_grid_search_oracle(y1_gov):
     gp = y1_gov["gp"]
     x = np.array([-1.0, 0.0])
     r = np.array([0.75])
-    v = fg_step(gp, x, r)
+    v, _ = fg_step(gp, x, r)
     assert gp.Lambda.contains_point(np.concatenate([x, v]), tol=1e-7)
     assert abs(v[0] - 0.75) > 1e-3  # (x, 0.75) is not feasible
 
@@ -66,7 +66,7 @@ def test_fg_step_minimal_interference_inside_slice(fig2_gov):
     s_x = gp.Lambda.slice([1], target)
     rng = np.random.default_rng(3)
     for x in systems.sample_in_polytope(s_x, rng, 40):
-        np.testing.assert_allclose(fg_step(gp, x, target), target,
+        np.testing.assert_allclose(fg_step(gp, x, target)[0], target,
                                    atol=1e-8)
 
 
@@ -77,10 +77,10 @@ def test_fg_step_deterministic(fig2_gov):
         x = rng.uniform(-1.0, 1.0, size=1)
         r = rng.uniform(-1.5, 1.5, size=1)
         try:
-            v1 = fg_step(gp, x, r)
+            v1, _ = fg_step(gp, x, r)
         except RoaError:
             continue
-        v2 = fg_step(gp, x, r)
+        v2, _ = fg_step(gp, x, r)
         assert np.array_equal(v1, v2)
 
 
@@ -92,37 +92,41 @@ def test_fg_step_outside_roa(fig2_gov):
 @pytest.mark.parametrize("x, r", [([np.nan, 0.0], [0.5]),
                                   ([-1.0, np.inf], [0.5]),
                                   ([-1.0, 0.0], [np.nan])])
-def test_fg_step_rejects_non_finite_input(y1_gov, x, r):
-    """A NaN or infinite state or target raises ValueError instead of
-    returning the target unchanged."""
-    state = GovernorState()
+def test_fg_step_rejects_non_finite_input(monkeypatch, y1_gov, x, r):
+    """A NaN or infinite state or target raises ValueError before any QP
+    is solved, instead of returning the target unchanged."""
+    solves = []
+    monkeypatch.setattr(governor, "solve_qp",
+                        lambda *args, **kwargs: solves.append(args))
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="must be finite"):
-        fg_step(y1_gov["gp"], x, r, state=state)
-    assert state.record is None
+        fg_step(y1_gov["gp"], x, r)
+    assert solves == []
 
 
-def test_governor_state_warm_start(y1_gov):
+def test_fg_step_warm_start_from_its_record(y1_gov):
+    """A step warm-started from its own record's factors at the same (x, r)
+    repeats v bit for bit in 0 iterations; at a nearby state it agrees
+    with a cold solve to 1e-10."""
     gp = y1_gov["gp"]
-    state = GovernorState()
     x = np.array([-1.0, 0.0])
-    v_cold = fg_step(gp, x, [0.75])
-    v1 = fg_step(gp, x, [0.75], state=state)
-    assert state.record is not None
-    assert np.array_equal(state.record.x, v1)
-    # warm-started re-solve at a nearby state agrees with the cold solve
+    v, record = fg_step(gp, x, [0.75])
+    assert record.factors is not None  # the governor interferes here
+    assert v is record.x
+    v_again, again = fg_step(gp, x, [0.75], warm_start=record.factors)
+    assert np.array_equal(v_again, v)
+    assert again.iterations == 0
     x2 = x + np.array([0.01, 0.005])
-    v_warm = fg_step(gp, x2, [0.75], state=state)
-    v_cold2 = fg_step(gp, x2, [0.75])
-    np.testing.assert_allclose(v_warm, v_cold2, atol=1e-10)
-    assert np.array_equal(v_cold, v1)
+    v_warm, _ = fg_step(gp, x2, [0.75], warm_start=record.factors)
+    v_cold, _ = fg_step(gp, x2, [0.75])
+    np.testing.assert_allclose(v_warm, v_cold, atol=1e-10)
 
 
 def test_cg_step_equilibrium_and_empty_slice(fig2):
     em, T = fig2["em"], fig2["T"]
     gp_T = GovernorProblem(T, fig2["spec"].R_eps)
     for r in (0.4, -0.6):
-        v = fg_step(gp_T, em.x_bar([r]), [r])
+        v, _ = fg_step(gp_T, em.x_bar([r]), [r])
         np.testing.assert_allclose(v, [r], atol=1e-8)
     with pytest.raises(RoaError, match="outside governed ROA"):
         fg_step(gp_T, [5.0], [0.0])
@@ -135,8 +139,8 @@ def test_cg_never_closer_than_fg(fig2, fig2_gov):
     W = systems.sample_in_polytope(T.set_xv, rng, 60)
     for w in W:
         r = rng.uniform(-1.5, 1.5, size=1)
-        v_cg = fg_step(gp_T, w[:1], r)
-        v_fg = fg_step(gp, w[:1], r)
+        v_cg, _ = fg_step(gp_T, w[:1], r)
+        v_fg, _ = fg_step(gp, w[:1], r)
         assert np.linalg.norm(v_fg - r) <= np.linalg.norm(v_cg - r) + 1e-9
 
 

@@ -9,8 +9,7 @@ import pytest
 
 import systems
 
-from fgmpc import sim
-from fgmpc.governor import roa
+from fgmpc.governor import GovernorProblem, roa
 from fgmpc.solver import QpProblem, solve_qp
 from fgmpc.sim import (Scenario, SimulationError, TrajectoryLog,
                        audit_invariants, metrics, run_closed_loop,
@@ -60,7 +59,7 @@ def test_log_is_internally_consistent(fig2, fig2_gov):
     sc = make_scenario(fig2, 2, "MPC+FG", [-0.9], [0.7], 50)
     log = run_closed_loop(sc, qp=fig2_gov["qp"], gp=fig2_gov["gp"])
     assert log.n_steps == 50
-    assert log.feasible and log.constraint_satisfied
+    assert metrics(log, [0.7], fig2["Y"])["max_output_residual"] <= 1e-8
     for arr in (log.u, log.y, log.z, log.v, log.V, log.t_fg, log.t_mpc):
         assert arr.shape[0] == 50
     # logged outputs match recomputation from (x_k, u_k), and the state
@@ -161,7 +160,7 @@ def test_y1_governed_run(y1, y1_gov, y1_log):
     assert abs(log.v[0, 0] - 0.75) > 1e-3  # the governor interferes early
     np.testing.assert_allclose(log.v[-1], [0.75], atol=1e-8)
     assert np.linalg.norm(log.x_final - [0.75, 0.0]) <= 1e-3
-    assert log.constraint_satisfied
+    assert metrics(log, [0.75], y1["Y"])["max_output_residual"] <= 1e-8
     for vd in audit_invariants(log, y1_gov["gp"], y1["Y"]):
         assert vd.passed, vd
 
@@ -223,29 +222,30 @@ def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
     assert calls["solve"] == 0
 
 
-def test_command_governor_loop_builds_its_qp_once(monkeypatch, fig2,
-                                                   fig2_gov):
-    """An MPC+CG(LQR) loop factorizes the command-governor Hessian once,
-    before the loop (one cholesky and two inv: J and the kept inverse of
-    the Hessian); the one other inv is the equilibrium map of the LQR law.
+def test_command_governor_loop_uses_the_gp_it_is_given(monkeypatch, fig2):
+    """An MPC+CG(LQR) loop given GovernorProblem(T, R_eps) factorizes no
+    Hessian and equals bit for bit the loop that builds that gp itself;
+    the latter factorizes the command-governor Hessian once, before the
+    loop (one cholesky and two inv: J and the kept inverse of the
+    Hessian), and the one other inv is the equilibrium map of the LQR law.
     No step solves with a Hessian. Every step matches to 1e-9 a cold solve
     of the command-governor QP over the rows of T and R_eps, built here
-    without the governor module. A gp over Gamma_N passed in is ignored,
-    and a second run on the same T and R_eps builds nothing again."""
+    without the governor module."""
     sc = make_scenario(fig2, 2, "MPC+CG(LQR)", [-0.2], [0.6], 100)
-    sim._command_governor.cache_clear()  # earlier tests share fig2's T
-    calls = count_factorizations(monkeypatch)
-    log = run_closed_loop(sc)
-    assert log.n_steps == 100
-    assert calls["cholesky"] == 1 and calls["inv"] == 3
-    assert calls["solve"] == 0
     T, R_eps = sc.design.T, sc.spec.R_eps
+    gp_T = GovernorProblem(T, R_eps)
+    calls = count_factorizations(monkeypatch)
+    log = run_closed_loop(sc, gp=gp_T)
+    assert log.n_steps == 100
+    assert calls["cholesky"] == 0 and calls["inv"] == 1
+    built = run_closed_loop(sc)
+    assert calls["cholesky"] == 1 and calls["inv"] == 1 + 3
+    assert calls["solve"] == 0
+    for name in ("x", "u", "v", "V", "x_final"):
+        assert np.array_equal(getattr(built, name), getattr(log, name))
     A_v = np.vstack([T.T_v, R_eps.A])
     for x, v in zip(log.x, log.v):
         rhs = np.concatenate([T.c - T.T_x @ x, R_eps.b])
         st = solve_qp(QpProblem(2.0 * np.eye(A_v.shape[1]), -2.0 * sc.r,
                                 A_v, rhs))
         np.testing.assert_allclose(st.x, v, atol=1e-9)
-    built = calls["cholesky"]
-    assert np.array_equal(run_closed_loop(sc, gp=fig2_gov["gp"]).v, log.v)
-    assert calls["cholesky"] == built
