@@ -373,14 +373,15 @@ def cmd_simulate(cfg, out_dir, tol=1e-7, quiet=False):
     x0 = _require(cfg, "x0", "simulate")
     r = _require(cfg, "r", "simulate")
     budget = _require(cfg, "budget", "simulate")
-    N = _require(cfg, "N", "simulate")
+    lqr = kind == "MPC+CG(LQR)"  # the CG reads only K and T: N is moot
+    N = max(cfg.N or 1, 1) if lqr else _require(cfg, "N", "simulate")
     if N < 1:
         _fail("N", "must be at least 1 for the simulate command")
 
     off = _offline(cfg)
     design = _design(cfg, off, N)
     qp, gamma = None, off["T"]
-    if kind != "MPC+CG(LQR)":
+    if not lqr:
         qp = condense(cfg.plant, design, off["em"])
         gamma = feasible_set(qp)
     gp = governor.GovernorProblem(gamma, off["spec"].R_eps)
@@ -412,12 +413,13 @@ def _compare_one(cfg, off, entry, slug, out_dir, default_N):
     """Build, run, and time one controller variant; never raises."""
     try:
         N = entry["N"] if entry["N"] is not None else default_N
-        if N is None or N < 1:
+        lqr = entry["kind"] == "MPC+CG(LQR)"  # reads only K and T
+        if not lqr and (N is None or N < 1):
             _fail("N", "required (>= 1) for controller '{}'"
                   .format(entry["kind"]))
-        design = _design(cfg, off, N)
+        design = _design(cfg, off, max(N or 1, 1))
         qp = gp = None
-        if entry["kind"] != "MPC+CG(LQR)":
+        if not lqr:
             qp = condense(cfg.plant, design, off["em"])
         if entry["kind"] != "MPC":
             gamma = off["T"] if qp is None else feasible_set(qp)
@@ -470,7 +472,7 @@ def cmd_compare(cfg, out_dir, quiet=False):
         if row["ok"]:
             table.append(
                 "{:<14} {:>4} {:>11g} {:>9g} {:>11.6f} {:>11.6f}  ok"
-                .format(row["kind"], row["N"], row["rise_steps"],
+                .format(row["kind"], row["N"] or "-", row["rise_steps"],
                         row["rise_s"], row["tave_s"], row["tmax_s"]))
         else:
             table.append("{:<14} {:>4} {:>11} {:>9} {:>11} {:>11}  "

@@ -363,18 +363,18 @@ def _dedup(A, b):
 
 def _prune_lp(A, b):
     """Sequential redundancy scan: row i goes when its support value over
-    the rows still kept (plus the relaxed bound b_i + 1, which keeps the
-    LP bounded) stays at or below b_i. Returns the kept row indices, in
-    input order."""
+    the other rows still kept stays at or below b_i. The LP holds only
+    those rows: it stops early once its value passes b_i, and an
+    unbounded or infeasible LP keeps the row. Returns the kept row
+    indices, in input order."""
     keep = np.ones(b.size, dtype=bool)
     for i in range(b.size):
         others = np.nonzero(keep)[0]
         others = others[others != i]
         if others.size == 0:
             continue
-        A_lp = np.vstack([A[others], A[i]])
-        b_lp = np.concatenate([b[others], [b[i] + 1.0]])
-        out, val, _ = support_value(A[i], A_lp, b_lp, stop_above=b[i] + TOL)
+        out, val, _ = support_value(A[i], A[others], b[others],
+                                    stop_above=b[i] + TOL)
         if out == "optimal" and val <= b[i] + TOL:
             keep[i] = False
         elif out == "iteration_limit":

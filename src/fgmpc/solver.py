@@ -474,7 +474,7 @@ def support_value(a, A, b, stop_above=None, max_pivots=None):
     return ("above" if outcome == "cap" else "optimal"), float(a @ x), x
 
 
-def min_violation(A, b, x0=None, max_pivots=None):
+def min_violation(A, b, x0=None):
     """Minimize the worst constraint violation t >= 0 over
     {(x, t) : A x - t <= b}, x free.
 
@@ -486,21 +486,20 @@ def min_violation(A, b, x0=None, max_pivots=None):
     scans over families of related problems.
 
     Returns (t_star, x, outcome); outcome "feasible" means the search was
-    stopped early because t dropped below tol, in which case t_star is an
-    upper bound on the true minimum.
+    stopped early because t dropped below TOL, in which case t_star is an
+    upper bound on the true minimum. Past 50 (m + n) pivots it gives up
+    with (inf, None, "iteration_limit").
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape
-    if max_pivots is None:
-        max_pivots = 50 * (m + n)
     shift = np.zeros(n)
     if x0 is not None:
         shift = np.asarray(x0, dtype=float).ravel()
         b = b - A @ shift
     if (b >= -TOL).all():
         return 0.0, shift.copy(), "feasible"
-    outcome, T, basis, _, _ = _phase_one(A, b, max_pivots, value_cap=TOL)
+    outcome, T, basis, _, _ = _phase_one(A, b, 50 * (m + n), value_cap=TOL)
     if outcome not in ("optimal", "cap"):
         return np.inf, None, outcome
     x, t = _extract(T, basis, n)

@@ -34,8 +34,11 @@ def solve_dare(A, B, Q, R, max_iterations=_DARE_CAP):
 
     Requires Q PSD with (A, Q) detectable and R PD (both checked), which
     together with stabilizability of (A, B) guarantee convergence to the
-    unique stabilizing solution. Raises on assumption violations, and on
-    non-convergence past max_iterations.
+    unique stabilizing solution. From P = Q, each iteration takes one
+    Riccati step P -> F(P), whose one linear solve also gives P's gain K.
+    F(P) - P is the DARE residual of P, so the first P whose step is at
+    most 1e-8 in Frobenius norm is returned, with that K. Raises on
+    assumption violations, and on non-convergence past max_iterations.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -57,28 +60,20 @@ def solve_dare(A, B, Q, R, max_iterations=_DARE_CAP):
     P = Q.copy()
     for _ in range(max_iterations):
         BtPA = B.T @ P @ A
-        gain = np.linalg.solve(R + B.T @ P @ B, BtPA)
-        P_next = Q + A.T @ P @ A - BtPA.T @ gain
+        K = np.linalg.solve(R + B.T @ P @ B, BtPA)
+        P_next = Q + A.T @ P @ A - BtPA.T @ K
         P_next = 0.5 * (P_next + P_next.T)
-        if _dare_residual(A, B, Q, R, P_next) <= _DARE_RESIDUAL:
-            P = P_next
+        if np.linalg.norm(P_next - P, ord="fro") <= _DARE_RESIDUAL:
             break
         P = P_next
     else:
         raise RuntimeError("Riccati iteration did not converge within {} "
                            "iterations".format(max_iterations))
-    K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     closed = np.max(np.abs(np.linalg.eigvals(A - B @ K)))
     if not closed < 1.0:
         raise RuntimeError("closed loop is not Schur stable (spectral "
                            "radius {:.6g})".format(closed))
     return RiccatiSolution(P, K)
-
-
-def _dare_residual(A, B, Q, R, P):
-    BtP = B.T @ P
-    term = (A.T @ BtP.T) @ np.linalg.solve(R + BtP @ B, BtP @ A)
-    return np.linalg.norm(Q + A.T @ P @ A - term - P, ord="fro")
 
 
 def _psd_sqrt(Q):

@@ -4,6 +4,8 @@ and the host readings it keeps from each run's report."""
 import importlib.util
 import json
 import os
+import re
+import time
 
 import pytest
 
@@ -71,6 +73,22 @@ def test_run_once_keeps_the_host_readings(tmp_path):
     res = bench_pairs.run_once(fake_tree(tmp_path / "b", "0.0412 -> 0.0530",
                                          None), "long_horizon", 3)
     assert res["steal_s"] is None  # perfbench found no /proc/stat
+
+
+def test_run_once_kills_a_run_past_its_timeout(tmp_path, monkeypatch):
+    root = tmp_path / "slow"
+    os.makedirs(root / "perfbench")
+    (root / "perfbench" / "run.py").write_text(
+        "import os, time\nopen('pid', 'w').write(str(os.getpid()))\n"
+        "time.sleep(60)\n")
+    monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_S", 3.0)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="run.py.*in {}.*killed after "
+                       "3.0 s".format(re.escape(str(root)))):
+        bench_pairs.run_once(str(root), "long_horizon", 3)
+    assert time.monotonic() - start < 30.0
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int((root / "pid").read_text()), 0)
 
 
 def run_with(cal, steal=0.0):

@@ -230,6 +230,20 @@ def test_simulate_command_governor_builds_only_its_gp(tmp_path,
     assert all(line.endswith("=pass") for line in audits), audits
 
 
+def test_simulate_command_governor_needs_no_horizon(tmp_path):
+    """The command governor reads only K and T from the design, so its
+    run needs no N."""
+    cfg = fig2_config(kind="MPC+CG(LQR)", x0=[-0.2], r=[0.6], budget=200)
+    del cfg["N"]
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out), "--quiet"]) == 0
+    audits = [line for line in (out / "metrics.txt").read_text().split()
+              if line.startswith("audit_")]
+    assert len(audits) == 6
+    assert all(line.endswith("=pass") for line in audits), audits
+
+
 def test_failed_rename_keeps_existing_outputs(tmp_path, monkeypatch):
     # a write whose final rename fails raises, leaves no temp file and
     # leaves the file it would have replaced as it was
@@ -317,6 +331,20 @@ def test_compare_two_kinds(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "z_0_mpc_fg[0]", "z_1_mpc_cg_lqr[0]"]
     assert len(rows) == 41
+
+
+def test_compare_command_governor_needs_no_horizon(tmp_path):
+    cfg = fig2_config(controllers=[{"kind": "MPC+FG", "N": 2},
+                                   {"kind": "MPC+CG(LQR)"}],
+                      x0=[-0.2], r=[0.5], budget=40)
+    del cfg["N"]
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out), "--quiet"]) == 0
+    rows = (out / "compare.txt").read_text().splitlines()
+    assert rows[1].split()[:2] == ["MPC+FG", "2"]
+    assert rows[2].split()[:2] == ["MPC+CG(LQR)", "-"]
+    assert rows[2].endswith("  ok")
 
 
 def test_compare_identical_kinds_match(tmp_path):

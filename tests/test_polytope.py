@@ -417,6 +417,64 @@ def test_remove_redundancy_weakly_redundant_rows():
         assert R.contains_set(P) and P.contains_set(R), trial
 
 
+def record_support_values(monkeypatch):
+    """Replace the support_value that polytope calls by one that records
+    each LP's rows and outcome."""
+    calls = []
+    real = fgmpc.polytope.support_value
+
+    def record(a, A, b, **kwargs):
+        out = real(a, A, b, **kwargs)
+        calls.append((np.array(a), np.array(A), np.array(b), out[0]))
+        return out
+
+    monkeypatch.setattr(fgmpc.polytope, "support_value", record)
+    return calls
+
+
+def test_prune_lp_holds_only_the_other_kept_rows(monkeypatch):
+    """Row i's LP is the rows still kept, without row i: those before it
+    that survived and all those after it; no relaxed copy of row i."""
+    rng = np.random.default_rng(3)
+    A, b = random_bounded_polytope(rng, 3, 8)
+    implied = rng.uniform(0.2, 1.0, size=(4, 2))
+    pairs = [rng.choice(b.size, size=2, replace=False) for _ in range(4)]
+    A = np.vstack([A] + [w @ A[ij] for w, ij in zip(implied, pairs)])
+    b = np.concatenate([b] + [[w @ b[ij] + 0.5]
+                              for w, ij in zip(implied, pairs)])
+    P = HPolyhedron(A, b)
+    calls = record_support_values(monkeypatch)
+    kept = fgmpc.polytope._prune_lp(P.A, P.b)
+    assert kept.size < P.nrows  # the implied rows go
+    assert len(calls) == P.nrows
+    for i, (a, A_lp, b_lp, _) in enumerate(calls):
+        others = [j for j in range(P.nrows)
+                  if j > i or (j < i and j in kept)]
+        np.testing.assert_array_equal(a, P.A[i])
+        np.testing.assert_array_equal(A_lp, P.A[others])
+        np.testing.assert_array_equal(b_lp, P.b[others])
+
+
+def test_prune_lp_keeps_rows_whose_lp_is_unbounded(monkeypatch):
+    """{x <= 1, y <= 1, x + y <= 3, -x - y <= 1}: without x <= 1 (or
+    y <= 1, or -x - y <= 1) the others leave that row's objective
+    unbounded, so it stays; x + y <= 3 is implied and goes."""
+    pytest.importorskip("scipy")
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+    b = np.array([1.0, 1.0, 3.0, 1.0])
+    P = HPolyhedron(A, b)
+    calls = record_support_values(monkeypatch)
+    R = P.remove_redundancy()
+    outcomes = [out for *_, out in calls]
+    # an LP that passes b_i stops early ("above") or ends unbounded
+    assert outcomes[2] == "optimal" and outcomes[3] == "unbounded"
+    assert set(outcomes[:2]) <= {"above", "unbounded"}
+    assert R.nrows == 3
+    assert not any(np.allclose(row, A[2] / np.sqrt(2.0)) for row in R.A)
+    assert irredundant_rows(R.A, R.b).all()
+    assert R.contains_set(P) and P.contains_set(R)
+
+
 def test_contains_point_tolerance():
     P = unit_box(2)
     assert P.contains_point([0.0, 0.0])

@@ -75,6 +75,76 @@ def test_dare_iteration_cap():
         solve_dare(p.A, p.B, np.eye(2), [[1.0]], max_iterations=2)
 
 
+def riccati_steps(A, B, Q, R):
+    """Frobenius norms of the Riccati steps F(P) - P from P = Q, up to the
+    first one at most 1e-8, by the textbook formula."""
+    P, steps = Q, []
+    while not steps or steps[-1] > 1e-8:
+        gain = np.linalg.inv(R + B.T @ P @ B) @ (B.T @ P @ A)
+        P_next = Q + A.T @ P @ A - A.T @ P @ B @ gain
+        steps.append(np.linalg.norm(P_next - P, ord="fro"))
+        P = P_next
+    return steps
+
+
+@pytest.mark.parametrize("weight", [1.0, 100.0])
+def test_dare_solves_once_per_riccati_step(monkeypatch, weight):
+    """Each iteration takes one Riccati step, whose linear solve also
+    gives the gain: the step that meets the tolerance is not repeated to
+    test it, and K is not solved for again."""
+    p = systems.double_integrator_plant()
+    Q, R = weight * np.eye(2), np.eye(1)
+    steps = riccati_steps(p.A, p.B, Q, R)
+    # the tolerance falls clear of rounding, so the count is exact
+    assert steps[-1] < 1e-8 - 1e-10 and steps[-2] > 1e-8 + 1e-10
+    calls = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(a.shape)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rs = solve_dare(p.A, p.B, Q, R)
+    assert len(calls) == len(steps)
+    assert dare_residual(p.A, p.B, Q, R, rs.P) <= 1e-8
+
+
+def test_dare_matches_scipy():
+    """P against scipy's Schur-method solver, which shares no code with
+    fgmpc. The iteration stops on a step of 1e-8, and the iterates
+    approach P* like the Lyapunov sum W = sum_k (A_cl')^k A_cl^k, so
+    |P - P*| is bounded by 1e-8 |W| (measured: at most 0.96 of it), and
+    by 1e-8 |P*| on the repo's weights."""
+    linalg = pytest.importorskip("scipy.linalg")
+    p = systems.double_integrator_plant()
+    cases = [(p.A, p.B, w * np.eye(2), np.eye(1)) for w in (1.0, 100.0)]
+    cases.append((np.eye(1), np.eye(1), np.eye(1), np.eye(1)))
+    for A, B, Q, R in cases:
+        P_ref = linalg.solve_discrete_are(A, B, Q, R)
+        P = solve_dare(A, B, Q, R).P
+        assert np.linalg.norm(P - P_ref) <= 1e-8 * np.linalg.norm(P_ref)
+    rng = np.random.default_rng(7)
+    tested = 0
+    while tested < 100:
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+        L, M = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        Q, R = L @ L.T + 0.1 * np.eye(n), M @ M.T + 0.1 * np.eye(m)
+        ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B
+                          for k in range(n)])
+        if np.linalg.svd(ctrb, compute_uv=False)[-1] < 1e-3:
+            continue  # too close to uncontrollable
+        tested += 1
+        rs = solve_dare(A, B, Q, R)
+        P_ref = linalg.solve_discrete_are(A, B, Q, R)
+        K_ref = np.linalg.solve(R + B.T @ P_ref @ B, B.T @ P_ref @ A)
+        W = linalg.solve_discrete_lyapunov((A - B @ K_ref).T, np.eye(n))
+        assert (np.linalg.norm(rs.P - P_ref)
+                <= 1e-8 * np.linalg.norm(W, 2) + 1e-12 * np.linalg.norm(P_ref))
+        np.testing.assert_allclose(rs.K, K_ref, rtol=1e-6, atol=1e-8)
+
+
 def test_terminal_set_fig2_structure(fig2):
     T = fig2["T"]
     assert T.set_xv.dim == 2

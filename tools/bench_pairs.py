@@ -52,9 +52,11 @@ that verdict is "unresolved". ``no_regression_without_drift`` is true
 when every one of those is "within". The full verdicts,
 ``no_regression`` and the claim still count every pair.
 
-A run that reports ``correct: false`` with no failed operation (a broken
-tracer guard, a set-up that is not deterministic, outputs that differ
-between operations) stops the tool with that run's report.
+A run still going after RUN_TIMEOUT_S (900 s) is killed, and stops the
+tool with an error naming its command and tree. A run that reports
+``correct: false`` with no failed operation (a broken tracer guard, a
+set-up that is not deterministic, outputs that differ between
+operations) stops the tool with that run's report.
 """
 
 import argparse
@@ -77,6 +79,8 @@ STEAL = re.compile(r"env steal_s = (\S+)")
 DRIFT = 0.25
 # the fewest undrifted pairs a without_drift verdict is read from
 MIN_CLEAN_PAIRS = 5
+# a run lasts perfbench's 30 s plus its set-ups and checks
+RUN_TIMEOUT_S = 900
 
 
 def parse_args(argv):
@@ -95,11 +99,17 @@ def run_once(tree, workload, seed, trace=0):
     """One benchmark run in tree; returns its result record, with the
     op-0 fingerprint of its report under "fingerprint", its calibration
     times before and after under "calibration_s" and its steal time under
-    "steal_s" (None when the report lacks them)."""
+    "steal_s" (None when the report lacks them). A run still going after
+    RUN_TIMEOUT_S seconds is killed, and RuntimeError names it."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--trace",
            str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
+    try:
+        proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
+                              text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError("{} in {} was killed after {} s".format(
+            " ".join(cmd), tree, RUN_TIMEOUT_S)) from None
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError("{} in {} exited {}".format(
