@@ -30,6 +30,7 @@ _TOP_KEYS = ("plant", "Y", "eps", "eps_terminal", "Q", "R", "N", "kind",
              "controllers", "x0", "r", "budget", "cap", "slices", "out")
 _PLANT_KEYS = ("A", "B", "C", "D", "E", "F", "ts")
 _REPEATS = 5  # timing repetitions per variant in compare; TAVE is their median
+_BOUNDARY_RAYS = 256  # boundary samples of a 2-D set in the CSV exports
 
 
 class ConfigError(ValueError):
@@ -286,7 +287,7 @@ def _format_value(value):
     return str(value)
 
 
-def _boundary_points(P, count=256):
+def _boundary_points(P):
     """Boundary samples of a 1- or 2-D polytope: rays from the center of
     the largest inscribed ball to the first facet they hit."""
     if P.dim not in (1, 2):
@@ -298,7 +299,7 @@ def _boundary_points(P, count=256):
     if P.dim == 1:
         dirs = np.array([[-1.0], [1.0]])
     else:
-        angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * np.pi, _BOUNDARY_RAYS, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     margins = P.b - P.A @ center
     points = []

@@ -18,6 +18,7 @@ feasible horizon search.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -29,6 +30,17 @@ from fgmpc.solver import TOL, QpProblem, Status, check_weight, \
 
 class OcpInfeasibleError(RuntimeError):
     """The optimal control problem has no solution at the queried (x, v)."""
+
+
+def _vector(value, name, size):
+    """value as a finite float vector of the given size, or ValueError."""
+    vec = np.asarray(value, dtype=float).ravel()
+    if vec.size != size:
+        raise ValueError("expected {} of size {}, got size {}".format(
+            name, size, vec.size))
+    if not all(map(math.isfinite, vec.tolist())):
+        raise ValueError("{} must be finite".format(name))
+    return vec
 
 
 class OcpDesign:
@@ -299,11 +311,13 @@ def ocp_feasible(plant, design, x, v, horizon):
 
     The rows are built once per (plant, design, horizon): the oracle of
     the last call is kept, so a scan over many points assembles them once.
+    An x or v of the wrong size or with a non-finite entry raises
+    ValueError before any LP.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    x = np.asarray(x, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    x = _vector(x, "x", plant.n_x)
+    v = _vector(v, "v", plant.n_z)
     ok, _, _ = _oracle(plant, design, horizon).feasible(horizon, x, v)
     return ok
 
@@ -323,12 +337,13 @@ def n_star(plant, design, x0, r, cap, trace=None):
     When given, trace receives one (horizon, worst violation) pair per
     probed horizon, sorted by horizon, also when the search raises. It
     always holds N* and, for N* > 0, the infeasible horizon N* - 1, so the
-    answer can be checked from the trace alone.
+    answer can be checked from the trace alone. An x0 or r of the wrong
+    size or with a non-finite entry raises ValueError before any LP.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    x0 = np.asarray(x0, dtype=float).ravel()
-    r = np.asarray(r, dtype=float).ravel()
+    x0 = _vector(x0, "x0", plant.n_x)
+    r = _vector(r, "r", plant.n_z)
     em = equilibrium_basis(plant)
     u_pad = em.G_u @ r
     oracle = _HorizonOracle(plant, design, 1)  # as deep as the probes

@@ -31,6 +31,19 @@ def _as_matrix(M, name, rows=None, cols=None):
     return M
 
 
+def unstabilizable_mode(A, B):
+    """The first eigenvalue lam of A with |lam| >= 1 at which [lam I - A, B]
+    loses rank (PBH test), or None when (A, B) is stabilizable."""
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) < 1.0 - _EIG_TOL:
+            continue
+        sv = np.linalg.svd(np.hstack([lam * np.eye(A.shape[0]) - A, B]),
+                           compute_uv=False)
+        if sv[-1] <= _EIG_TOL * max(1.0, sv[0]):
+            return lam
+    return None
+
+
 class LtiPlant:
     """Immutable LTI model with constrained and tracking output maps.
 
@@ -57,18 +70,14 @@ class LtiPlant:
         for M in (self.A, self.B, self.C, self.D, self.E, self.F):
             M.setflags(write=False)
 
-        for lam in np.linalg.eigvals(self.A):
-            if abs(lam) < 1.0 - _EIG_TOL:
-                continue
-            pbh = np.hstack([lam * np.eye(n_x) - self.A, self.B])
-            sv = np.linalg.svd(pbh, compute_uv=False)
-            if sv[-1] <= _EIG_TOL * max(1.0, sv[0]):
-                mode = ("{:g}".format(lam.real)
-                        if abs(lam.imag) < 1e-12 else str(lam))
-                raise ValueError(
-                    "(A, B) is not stabilizable: the mode at {} (magnitude "
-                    "{:.6g}) cannot be moved inside the unit circle"
-                    .format(mode, abs(lam)))
+        lam = unstabilizable_mode(self.A, self.B)
+        if lam is not None:
+            mode = ("{:g}".format(lam.real)
+                    if abs(lam.imag) < 1e-12 else str(lam))
+            raise ValueError(
+                "(A, B) is not stabilizable: the mode at {} (magnitude "
+                "{:.6g}) cannot be moved inside the unit circle"
+                .format(mode, abs(lam)))
 
     @property
     def n_x(self):

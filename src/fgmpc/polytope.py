@@ -31,12 +31,12 @@ from fgmpc.solver import (LpProblem, Status, SupportLp, TOL, min_violation,
 # rows whose coefficient vector is numerically zero carry no geometry
 ZERO_ROW = 1e-12
 
-DEFAULT_ROW_CAP = 100_000
+DEFAULT_ROW_CAP = 100_000  # hull facets before a projection gives up
 
 
 class ProjectionBlowupError(RuntimeError):
-    """Raised when the inner hull of a projection has more facets than the
-    configured cap."""
+    """Raised when the inner hull of a projection has more facets than
+    DEFAULT_ROW_CAP."""
 
     def __init__(self, rows, cap):
         self.rows = rows
@@ -258,7 +258,7 @@ class HPolyhedron:
         kept = _prune_lp(A, b)
         return HPolyhedron(A[kept], b[kept])
 
-    def project(self, keep_indices, row_cap=DEFAULT_ROW_CAP):
+    def project(self, keep_indices):
         """Orthogonal projection onto the kept coordinates, by the convex
         hull method (Lassez and Lassez, 1992).
 
@@ -286,8 +286,8 @@ class HPolyhedron:
 
         When every coordinate is kept the rows are only permuted, without
         a support LP. Raises ValueError on an empty input, and on an image
-        that is unbounded or not full-dimensional (naming the direction);
-        ProjectionBlowupError when the hull has more than row_cap facets.
+        that is unbounded or not full-dimensional (naming the direction),
+        and ProjectionBlowupError past DEFAULT_ROW_CAP hull facets.
         """
         keep = [int(i) for i in keep_indices]
         if len(set(keep)) != len(keep):
@@ -300,7 +300,7 @@ class HPolyhedron:
             raise ValueError("cannot project an empty polyhedron")
         if len(keep) == self.dim:
             return HPolyhedron(self._A[:, keep], self._b)
-        rows, offsets = _hull_facets(self._A, self._b, keep, row_cap)
+        rows, offsets = _hull_facets(self._A, self._b, keep)
         sel = _dedup(rows, offsets)
         return HPolyhedron(rows[sel], offsets[sel])
 
@@ -425,10 +425,10 @@ def _plane(P, center):
     return n, float(np.max(P @ n))
 
 
-def _hull_facets(A, b, keep, row_cap):
+def _hull_facets(A, b, keep):
     """The facet rows of the projection of {x : A x <= b} onto keep, by
     the convex hull method (see HPolyhedron.project), one row per
-    confirmed plane."""
+    confirmed plane (ProjectionBlowupError past DEFAULT_ROW_CAP)."""
     d = len(keep)
     lp = SupportLp(A, b)
 
@@ -490,6 +490,6 @@ def _hull_facets(A, b, keep, row_cap):
         for r, count in ridges.items():
             if count == 1:
                 add_facet(list(r) + [len(V) - 1])
-        if len(facets) > row_cap:
-            raise ProjectionBlowupError(len(facets), row_cap)
+        if len(facets) > DEFAULT_ROW_CAP:
+            raise ProjectionBlowupError(len(facets), DEFAULT_ROW_CAP)
     return rows, offsets

@@ -12,6 +12,7 @@ is a safety violation, never an expected outcome.
 """
 
 import collections
+import numbers
 import platform
 import time
 
@@ -65,6 +66,10 @@ class Scenario:
         if self.r.size != plant.n_z:
             raise ValueError("r has size {} but the plant tracks {} outputs"
                              .format(self.r.size, plant.n_z))
+        if isinstance(budget, bool) \
+                or not isinstance(budget, numbers.Integral):
+            raise ValueError("step budget must be an integer, got {!r}"
+                             .format(budget))
         self.budget = int(budget)
         if self.budget < 1:
             raise ValueError("step budget must be at least 1")

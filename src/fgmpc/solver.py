@@ -217,6 +217,7 @@ def _check_finite(*named):
 # ratios.
 
 _DEGENERATE_STREAK = 12
+_LP_PIVOTS_PER_SIZE = 50  # an LP of m rows, n variables: 50 (m + n) pivots
 _SPARSE_MIN_COLS = 32
 
 
@@ -238,7 +239,7 @@ def _pivot(T, basis, nonbasic, row, col):
     basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _iterate(T, basis, nonbasic, max_pivots, pivots_done, value_cap=None):
+def _iterate(T, basis, nonbasic, pivots_done, value_cap=None):
     """Run simplex exchanges on the short tableau T (minimization,
     objective in the last row).
 
@@ -247,8 +248,8 @@ def _iterate(T, basis, nonbasic, max_pivots, pivots_done, value_cap=None):
     value_cap, when given, stops early once the phase objective drops below
     it (used for feasibility checks and bound tests).
     """
-    m = T.shape[0] - 1
-    n = T.shape[1] - 2
+    m, n = T.shape[0] - 1, T.shape[1] - 2
+    max_pivots = _LP_PIVOTS_PER_SIZE * (m + n)  # pivots_done included
     free = nonbasic < n  # nonbasic x columns, which enter either way
     n_free = int(np.count_nonzero(free))
     bounded = basis >= n  # rows whose basic variable may leave
@@ -304,7 +305,7 @@ def _iterate(T, basis, nonbasic, max_pivots, pivots_done, value_cap=None):
             return "iteration_limit", pivots
 
 
-def _phase_one(A, b, max_pivots, value_cap=None):
+def _phase_one(A, b, value_cap=None):
     """Build the short tableau of A x - t <= b and minimize t >= 0 over it.
 
     Returns (outcome, T, basis, nonbasic, pivots) with an outcome of
@@ -324,7 +325,7 @@ def _phase_one(A, b, max_pivots, value_cap=None):
     # drive t into the basis on the most violated row: rhs becomes b - min(b)
     T[-1, n] = 1.0
     _pivot(T, basis, nonbasic, int(b.argmin()), n)
-    outcome, pivots = _iterate(T, basis, nonbasic, max_pivots, 1, value_cap)
+    outcome, pivots = _iterate(T, basis, nonbasic, 1, value_cap)
     return outcome, T, basis, nonbasic, pivots
 
 
@@ -386,16 +387,15 @@ def _optimum(T, basis, nonbasic, c, A, b, pivots):
                        active_set=active, lam=lam, iterations=pivots)
 
 
-def solve_lp(problem, max_pivots=None):
+def solve_lp(problem):
     """Two-phase primal simplex for ``maximize c'x s.t. A x <= b``.
 
-    Runs on the short tableau, with x free: one fresh SupportLp and one
-    call. Phase 1 is the auxiliary problem of min_violation, and its
-    pivots count toward iterations and max_pivots. Returns a SolveStatus.
-    On OPTIMAL the duals satisfy A'lam = c, lam >= 0 and b'lam = value
-    (strong duality).
+    One call on a fresh SupportLp (the short tableau, x free), returning
+    its SolveStatus. Phase 1 is the problem of min_violation; its pivots
+    count toward iterations and the budget of _LP_PIVOTS_PER_SIZE (m + n).
+    On OPTIMAL the duals satisfy A'lam = c, lam >= 0 and b'lam = value.
     """
-    return SupportLp(problem.A, problem.b, max_pivots).maximize(problem.c)
+    return SupportLp(problem.A, problem.b).maximize(problem.c)
 
 
 class SupportLp:
@@ -410,18 +410,17 @@ class SupportLp:
     that call's outcome, and goes on pivoting from its basis, so that
     close successive directions cost few pivots. The pivots of phase 1,
     and the one that retires t, count toward the first call, in its
-    iterations and in its max_pivots budget (50 (m + n) by default, per
-    call), so a fresh SupportLp pivots as one cold solve does. Results
+    iterations and in its budget of _LP_PIVOTS_PER_SIZE (m + n) pivots
+    per call, so a fresh SupportLp pivots as one cold solve does. Results
     and duals are those of solve_lp.
     """
 
-    def __init__(self, A, b, max_pivots=None):
+    def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
-        m, n = self.A.shape
-        self.max_pivots = 50 * (m + n) if max_pivots is None else max_pivots
+        n = self.A.shape[1]
         outcome, self._T, self._basis, self._nonbasic, self._pending = \
-            _phase_one(self.A, self.b, self.max_pivots)
+            _phase_one(self.A, self.b)
         self._failed = None  # the status of a failed phase 1
         if outcome == "iteration_limit":
             self._failed = Status.ITERATION_LIMIT
@@ -441,8 +440,8 @@ class SupportLp:
         if self._failed is not None:
             return self._failed.value, pivots
         _set_objective(self._T, self._basis, self._nonbasic, c)
-        return _iterate(self._T, self._basis, self._nonbasic,
-                        self.max_pivots, pivots, value_cap)
+        return _iterate(self._T, self._basis, self._nonbasic, pivots,
+                        value_cap)
 
     def maximize(self, c):
         """A SolveStatus for maximize c'x, warm started."""
@@ -454,7 +453,7 @@ class SupportLp:
                         self.b, pivots)
 
 
-def support_value(a, A, b, stop_above=None, max_pivots=None):
+def support_value(a, A, b, stop_above=None):
     """Maximize a'x over {x : A x <= b}, stopping early once the objective
     provably exceeds ``stop_above``.
 
@@ -462,10 +461,10 @@ def support_value(a, A, b, stop_above=None, max_pivots=None):
     stop), "infeasible", "unbounded" or "iteration_limit". Membership and
     redundancy tests only need the comparison against a threshold, so the
     early exit saves most of the pivots on irredundant rows. One fresh
-    SupportLp solves it.
+    SupportLp solves it, within _LP_PIVOTS_PER_SIZE (m + n) pivots.
     """
     a = np.asarray(a, dtype=float).ravel()
-    lp = SupportLp(A, b, max_pivots)
+    lp = SupportLp(A, b)
     cap = -stop_above if stop_above is not None else None
     outcome, _ = lp._run(a, value_cap=cap)
     if outcome not in ("optimal", "cap"):
@@ -487,19 +486,19 @@ def min_violation(A, b, x0=None):
 
     Returns (t_star, x, outcome); outcome "feasible" means the search was
     stopped early because t dropped below TOL, in which case t_star is an
-    upper bound on the true minimum. Past 50 (m + n) pivots it gives up
-    with (inf, None, "iteration_limit").
+    upper bound on the true minimum. Past _LP_PIVOTS_PER_SIZE (m + n)
+    pivots it gives up with (inf, None, "iteration_limit").
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
-    m, n = A.shape
+    n = A.shape[1]
     shift = np.zeros(n)
     if x0 is not None:
         shift = np.asarray(x0, dtype=float).ravel()
         b = b - A @ shift
     if (b >= -TOL).all():
         return 0.0, shift.copy(), "feasible"
-    outcome, T, basis, _, _ = _phase_one(A, b, 50 * (m + n), value_cap=TOL)
+    outcome, T, basis, _, _ = _phase_one(A, b, value_cap=TOL)
     if outcome not in ("optimal", "cap"):
         return np.inf, None, outcome
     x, t = _extract(T, basis, n)
@@ -510,6 +509,7 @@ def min_violation(A, b, x0=None):
 # Dual active-set QP
 # ---------------------------------------------------------------------------
 
+_QP_ITERATIONS_PER_SIZE = 50  # a QP gives up past 50 (m + n) + 10 iterations
 
 # The factors of a solve's final active set: J = J0 Q, R and the inverse
 # Rinv of R's leading block, with the set in path order (the order in which
@@ -586,7 +586,7 @@ def _equality_solve(J, Rinv, x0, normals, rhs):
     return x0 - J[:, :q] @ w, Rinv[:q, :q] @ w
 
 
-def solve_qp(problem, warm_start=None, max_iterations=None):
+def solve_qp(problem, warm_start=None):
     """Dual active-set method for strictly convex QPs (Goldfarb-Idnani).
 
     The method moves between dual-feasible pairs: x minimizes the
@@ -619,10 +619,9 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     inv_norms, A_scaled) is the problem's. Each test for violated rows
     ranks only the violated ones, by their violation over ||a_i||, and
     b_i / ||a_i|| is formed only for the active rows and the row being
-    added. J, R and Rinv are
-    allocated at the first add of a solve that starts with no active set,
-    so a solve that ends on an empty set allocates no n x n array and
-    returns factors None.
+    added. J, R and Rinv are allocated at the first add of a solve that
+    starts with no active set, so a solve that ends on an empty set
+    allocates no n x n array and returns factors None.
 
     The solve ends on the factors its own adds and drops built and
     refactorizes nothing. When iterations moved x, x and lam are
@@ -631,12 +630,11 @@ def solve_qp(problem, warm_start=None, max_iterations=None):
     active set agree up to rounding, not bit for bit, but the same calls
     give the same bits, and a solve warm-started from its own returned
     factors repeats them in 0 iterations. active_set is returned sorted.
+    Past _QP_ITERATIONS_PER_SIZE (m + n) + 10 iterations it gives up.
     """
     H, f, A, b = problem.H, problem.f, problem.A, problem.b
-    n = f.size
-    m = A.shape[0]
-    if max_iterations is None:
-        max_iterations = 50 * (m + n) + 10
+    m, n = A.shape
+    max_iterations = _QP_ITERATIONS_PER_SIZE * (m + n) + 10
 
     # a product with the kept inverse, not an LU of the fixed H per solve
     x0 = -(problem.Hinv @ f)

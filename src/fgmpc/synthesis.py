@@ -10,13 +10,13 @@ determined.
 
 import numpy as np
 
+from fgmpc.plant import unstabilizable_mode
 from fgmpc.polytope import HPolyhedron
 from fgmpc.solver import check_weight
 
-_ASSUMPTION_TOL = 1e-8
 _DARE_RESIDUAL = 1e-8
-_DARE_CAP = 10_000
-_TERMINAL_CAP = 500
+_DARE_CAP = 10_000  # Riccati steps before solve_dare gives up
+_TERMINAL_CAP = 500  # forward layers before terminal_set gives up
 
 
 class RiccatiSolution:
@@ -29,7 +29,7 @@ class RiccatiSolution:
         self.K.setflags(write=False)
 
 
-def solve_dare(A, B, Q, R, max_iterations=_DARE_CAP):
+def solve_dare(A, B, Q, R):
     """Fixed-point solution of P = Q + A'PA - (A'PB)(R + B'PB)^{-1}(B'PA).
 
     Requires Q PSD with (A, Q) detectable and R PD (both checked), which
@@ -38,27 +38,22 @@ def solve_dare(A, B, Q, R, max_iterations=_DARE_CAP):
     Riccati step P -> F(P), whose one linear solve also gives P's gain K.
     F(P) - P is the DARE residual of P, so the first P whose step is at
     most 1e-8 in Frobenius norm is returned, with that K. Raises on
-    assumption violations, and on non-convergence past max_iterations.
+    assumption violations, and on non-convergence within _DARE_CAP steps.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[0]
     Q, _ = check_weight(Q, "Q", n, semidefinite=True)
     R, _ = check_weight(R, "R", B.shape[1])
-    # detectability of (A, Q): no unobservable mode on/outside the circle
-    Qh = _psd_sqrt(Q)
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) < 1.0 - _ASSUMPTION_TOL:
-            continue
-        pbh = np.vstack([lam * np.eye(n) - A, Qh])
-        sv = np.linalg.svd(pbh, compute_uv=False)
-        if sv[-1] <= _ASSUMPTION_TOL * max(1.0, sv[0]):
-            raise ValueError(
-                "(A, Q) is not detectable: the mode at magnitude {:.6g} "
-                "is invisible to the cost".format(abs(lam)))
+    # detectability of (A, Q): stabilizability of (A', Q^1/2), by duality
+    lam = unstabilizable_mode(A.T, _psd_sqrt(Q))
+    if lam is not None:
+        raise ValueError(
+            "(A, Q) is not detectable: the mode at magnitude {:.6g} "
+            "is invisible to the cost".format(abs(lam)))
 
     P = Q.copy()
-    for _ in range(max_iterations):
+    for _ in range(_DARE_CAP):
         BtPA = B.T @ P @ A
         K = np.linalg.solve(R + B.T @ P @ B, BtPA)
         P_next = Q + A.T @ P @ A - BtPA.T @ K
@@ -68,7 +63,7 @@ def solve_dare(A, B, Q, R, max_iterations=_DARE_CAP):
         P = P_next
     else:
         raise RuntimeError("Riccati iteration did not converge within {} "
-                           "iterations".format(max_iterations))
+                           "iterations".format(_DARE_CAP))
     closed = np.max(np.abs(np.linalg.eigvals(A - B @ K)))
     if not closed < 1.0:
         raise RuntimeError("closed loop is not Schur stable (spectral "
@@ -111,7 +106,7 @@ class TerminalSet:
         return self.set_xv.nrows
 
 
-def terminal_set(plant, em, rs, Y, eps, max_layers=_TERMINAL_CAP):
+def terminal_set(plant, em, rs, Y, eps):
     """Maximal output admissible set of the reference-augmented loop.
 
     Under the terminal law u = -K x + (G_u + K G_x) v the augmented state
@@ -125,7 +120,7 @@ def terminal_set(plant, em, rs, Y, eps, max_layers=_TERMINAL_CAP):
     iteration finitely determined (Gilbert & Tan, 1991). Each row of layer
     t+1 is tested once, by one support LP over the set so far, and only the
     rows that cut the set are added; the first layer with no such row ends
-    the iteration at t* = t, and the rows are pruned once, at the end.
+    the iteration at t* = t < _TERMINAL_CAP, then the rows are pruned once.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
@@ -147,7 +142,7 @@ def terminal_set(plant, em, rs, Y, eps, max_layers=_TERMINAL_CAP):
     )
 
     power = A_cl
-    for t in range(max_layers):
+    for t in range(_TERMINAL_CAP):
         layer = HPolyhedron(Y.A @ Ymat @ power, Y.b)
         cuts = [i for i in range(layer.nrows)
                 if not HPolyhedron(layer.A[i:i + 1], layer.b[i:i + 1])
@@ -158,4 +153,4 @@ def terminal_set(plant, em, rs, Y, eps, max_layers=_TERMINAL_CAP):
                                                  layer.b[cuts]))
         power = power @ A_cl
     raise RuntimeError("terminal set not finitely determined within {} "
-                       "layers".format(max_layers))
+                       "layers".format(_TERMINAL_CAP))

@@ -91,6 +91,20 @@ def test_run_once_kills_a_run_past_its_timeout(tmp_path, monkeypatch):
         os.kill(int((root / "pid").read_text()), 0)
 
 
+def test_run_once_reports_the_tail_of_a_failed_run(tmp_path):
+    root = tmp_path / "failing"
+    os.makedirs(root / "perfbench")
+    (root / "perfbench" / "run.py").write_text(
+        "import sys\nfor i in range(30):\n    print('op', i, 'failed')\n"
+        "sys.exit(3)\n")
+    with pytest.raises(RuntimeError) as err:
+        bench_pairs.run_once(str(root), "long_horizon", 3)
+    lines = str(err.value).splitlines()
+    assert "run.py" in lines[0]
+    assert lines[0].endswith(" in {} exited 3:".format(root))
+    assert lines[1:] == ["op {} failed".format(i) for i in range(10, 30)]
+
+
 def run_with(cal, steal=0.0):
     return {"calibration_s": cal, "steal_s": steal}
 

@@ -429,6 +429,38 @@ def test_n_star_cap_error(fig2):
         n_star(plant, design, [0.0], [0.0], -3)
 
 
+def no_lp(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
+@pytest.mark.parametrize("x, v, message", [
+    ([np.nan], [0.1], "x must be finite"),
+    ([0.0], [np.inf], "v must be finite"),
+    ([0.0, 0.0], [0.1], "expected x of size 1, got size 2"),
+    ([0.0], [], "expected v of size 1, got size 0")])
+def test_ocp_feasible_rejects_bad_points(monkeypatch, fig2, x, v, message):
+    """A NaN state used to read as infeasible, and a point of the wrong
+    size failed inside numpy; each raises ValueError before any LP."""
+    design = systems.make_design(fig2, 2)
+    monkeypatch.setattr(mpc, "min_violation", no_lp)
+    for horizon in (0, 2):
+        with pytest.raises(ValueError, match=message):
+            ocp_feasible(fig2["plant"], design, x, v, horizon)
+
+
+@pytest.mark.parametrize("x0, r, message", [
+    ([np.nan], [0.1], "x0 must be finite"),
+    ([0.0], [np.nan], "r must be finite"),
+    ([0.0, 0.0], [0.1], "expected x0 of size 1, got size 2"),
+    ([0.0], [0.1, 0.2], "expected r of size 1, got size 2")])
+def test_n_star_rejects_bad_points(monkeypatch, fig2, x0, r, message):
+    """A NaN state used to end in "no feasible horizon <= cap"."""
+    design = systems.make_design(fig2, 2)
+    monkeypatch.setattr(mpc, "min_violation", no_lp)
+    with pytest.raises(ValueError, match=message):
+        n_star(fig2["plant"], design, x0, r, 10)
+
+
 def test_closed_loop_recursive_feasibility_and_convergence(fig2):
     plant, em = fig2["plant"], fig2["em"]
     design = systems.make_design(fig2, 3)

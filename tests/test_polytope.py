@@ -151,11 +151,12 @@ def test_project_flat_image_rejected():
         P.project([0, 1])
 
 
-def test_project_blowup_guard():
+def test_project_blowup_guard(monkeypatch):
     rng = np.random.default_rng(8)
     A, b = random_bounded_polytope(rng, 4, 12)
-    with pytest.raises(ProjectionBlowupError):
-        HPolyhedron(A, b).project([0, 1], row_cap=3)
+    monkeypatch.setattr(fgmpc.polytope, "DEFAULT_ROW_CAP", 3)
+    with pytest.raises(ProjectionBlowupError, match="exceed the cap of 3"):
+        HPolyhedron(A, b).project([0, 1])
 
 
 def test_project_matches_vertex_hull_oracle():

@@ -39,6 +39,18 @@ def test_scenario_validation(fig2):
         make_scenario(fig2, 2, "MPC", [0.0], [0.0, 1.0], 10)
 
 
+@pytest.mark.parametrize("budget", [2.5, 3.0, True, "3", None])
+def test_scenario_budget_must_be_an_integer(fig2, budget):
+    """A budget of 2.5 used to run 2 steps, and True 1 step."""
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        make_scenario(fig2, 2, "MPC", [0.0], [0.0], budget)
+
+
+def test_scenario_accepts_numpy_integer_budget(fig2):
+    sc = make_scenario(fig2, 2, "MPC", [0.0], [0.0], np.int64(3))
+    assert sc.budget == 3 and type(sc.budget) is int
+
+
 def test_equilibrium_run_is_constant(fig2, fig2_gov):
     em = fig2["em"]
     sc = make_scenario(fig2, 2, "MPC+FG", em.x_bar([0.5]), [0.5], 30)

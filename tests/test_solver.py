@@ -7,6 +7,7 @@ search; and both against their KKT systems at the advertised tolerances.
 """
 
 import collections
+import inspect
 import itertools
 import tracemalloc
 
@@ -17,10 +18,12 @@ import fgmpc.solver
 import systems
 
 from fgmpc.mpc import n_star
+from fgmpc.polytope import HPolyhedron
 from fgmpc.solver import (LpProblem, QpFactors, QpProblem, Status,
                           SupportLp, TOL, _SPARSE_MIN_COLS, _drop_constraint,
                           _phase_one, _pivot, min_violation, solve_lp,
                           solve_qp, support_value)
+from fgmpc.synthesis import solve_dare, terminal_set
 
 
 def lp_vertex_oracle(c, A, b):
@@ -159,24 +162,42 @@ def test_lp_unbounded():
     assert res.status is Status.UNBOUNDED
 
 
-def test_lp_iteration_limit_status():
+def test_lp_iteration_limit_status(monkeypatch):
+    # a budget of 0 pivots stops every run of the simplex at its first
+    # pivot, as a budget of 1 does
+    monkeypatch.setattr(fgmpc.solver, "_LP_PIVOTS_PER_SIZE", 0)
     rng = np.random.default_rng(7)
     c, A, b = random_bounded_lp(rng, 4, 10)
-    res = solve_lp(LpProblem(c, A, b), max_pivots=1)
+    res = solve_lp(LpProblem(c, A, b))
     assert res.status is Status.ITERATION_LIMIT
-    # phase 1 of this LP needs 2 pivots, so a cap of 1 stops it there:
+    # phase 1 of this LP needs 2 pivots, so the budget stops it there:
     # every entry point reports the cap, and a SupportLp reports it on
     # every call, charging the phase-1 pivots to the first
     A = np.array([[-1.0, -1.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
     b = np.array([-1.0, 10.0, 3.0, 5.0])
     c = np.array([-1.0, 0.0])
-    res = solve_lp(LpProblem(c, A, b), max_pivots=1)
+    res = solve_lp(LpProblem(c, A, b))
     assert res.status is Status.ITERATION_LIMIT and res.iterations == 2
-    assert support_value(c, A, b, max_pivots=1) == ("iteration_limit", None,
-                                                    None)
-    lp = SupportLp(A, b, max_pivots=1)
+    assert support_value(c, A, b) == ("iteration_limit", None, None)
+    assert min_violation(A, b) == (np.inf, None, "iteration_limit")
+    lp = SupportLp(A, b)
     assert [(st.status, st.iterations) for st in map(lp.maximize, [c, -c])] \
         == [(Status.ITERATION_LIMIT, 2), (Status.ITERATION_LIMIT, 0)]
+
+
+@pytest.mark.parametrize("func, params", [
+    (solve_lp, ["problem"]),
+    (SupportLp, ["A", "b"]),
+    (support_value, ["a", "A", "b", "stop_above"]),
+    (min_violation, ["A", "b", "x0"]),
+    (solve_qp, ["problem", "warm_start"]),
+    (solve_dare, ["A", "B", "Q", "R"]),
+    (terminal_set, ["plant", "em", "rs", "Y", "eps"]),
+    (HPolyhedron.project, ["self", "keep_indices"])])
+def test_give_up_limits_are_not_parameters(func, params):
+    """Each limit is a module constant: _LP_PIVOTS_PER_SIZE,
+    _QP_ITERATIONS_PER_SIZE, _DARE_CAP, _TERMINAL_CAP, DEFAULT_ROW_CAP."""
+    assert list(inspect.signature(func).parameters) == params
 
 
 def test_lp_matches_vertex_enumeration():
@@ -382,11 +403,11 @@ def test_lp_auxiliary_column_left_basic():
     A = np.vstack([np.zeros((2, 2)), np.eye(2), -np.eye(2)])
     b = np.array([-5e-9, -5e-9, 1.0, 1.0, 1.0, 1.0])
     t = A.shape[1]  # the label of t on the short tableau
-    _, T, basis, _, _ = _phase_one(A, b, 100)
+    _, T, basis, _, _ = _phase_one(A, b)
     assert t in basis and 0.0 < T[list(basis).index(t), -1] <= TOL
     c = np.array([1.0, -2.0])
     # phase 2 pivots t out and zeroes its column
-    lp = SupportLp(A, b, 100)
+    lp = SupportLp(A, b)
     lp.maximize(c)
     T, nonbasic = lp._T, lp._nonbasic
     assert t in nonbasic and not np.any(T[:, list(nonbasic).index(t)])
@@ -406,14 +427,17 @@ def test_lp_beale_cycling_ends_on_bland_switch(monkeypatch):
     A = np.vstack([[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
                     [0.0, 0.0, 1.0, 0.0]], -np.eye(4)])
     b = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    res = solve_lp(LpProblem(c, A, b), max_pivots=200)
-    assert res.status is Status.OPTIMAL
+    res = solve_lp(LpProblem(c, A, b))
+    assert res.status is Status.OPTIMAL and res.iterations < 200
     np.testing.assert_allclose(res.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
     assert res.value == pytest.approx(1.25, abs=1e-12)
     check_lp_kkt(c, A, b, res)
+    # without the switch Dantzig's rule cycles up to the budget of
+    # 50 (m + n) pivots
     monkeypatch.setattr(fgmpc.solver, "_DEGENERATE_STREAK", 10 ** 9)
-    res = solve_lp(LpProblem(c, A, b), max_pivots=200)
+    res = solve_lp(LpProblem(c, A, b))
     assert res.status is Status.ITERATION_LIMIT
+    assert res.iterations == 50 * (7 + 4)
 
 
 def test_lp_free_variable_enters_negative():
@@ -426,7 +450,7 @@ def test_lp_free_variable_enters_negative():
     assert res.status is Status.OPTIMAL and res.iterations == 1
     np.testing.assert_array_equal(res.x, [-3.0])
     np.testing.assert_array_equal(res.lam, [0.0, 1.0])
-    lp = SupportLp(A, b, 10)
+    lp = SupportLp(A, b)
     lp.maximize(c)
     T, basis, nonbasic = lp._T, lp._basis, lp._nonbasic
     assert list(basis).count(0) == 1 and 0 not in nonbasic
@@ -440,7 +464,7 @@ def test_lp_free_variable_passes_through_zero():
     A = np.array([[-1.0, -1.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
     b = np.array([-1.0, 10.0, 3.0, 5.0])
     c = np.array([-1.0, 0.0])
-    _, T, basis, _, pivots = _phase_one(A, b, 10)
+    _, T, basis, _, pivots = _phase_one(A, b)
     assert pivots == 2 and T[list(basis).index(0), -1] == 1.0
     res = solve_lp(LpProblem(c, A, b))
     assert res.status is Status.OPTIMAL and res.iterations == 3
@@ -661,13 +685,16 @@ def test_qp_infeasible():
     assert res.x is None
 
 
-def test_qp_iteration_limit_status():
-    H = np.eye(2)
-    f = np.array([-10.0, -10.0])
-    A = np.vstack([np.eye(2), -np.eye(2)])
-    b = np.array([1.0, 2.0, 0.0, 0.0])
-    res = solve_qp(QpProblem(H, f, A, b), max_iterations=0)
-    assert res.status is Status.ITERATION_LIMIT
+def test_qp_iteration_limit_status(monkeypatch):
+    # min ||x - 10||^2 over x <= 1 in 12 dimensions: one iteration per
+    # bound, 12 in all, past a budget of 0 (m + n) + 10
+    problem = QpProblem(np.eye(12), np.full(12, -10.0), np.eye(12),
+                        np.ones(12))
+    res = solve_qp(problem)
+    assert res.status is Status.OPTIMAL and res.iterations == 12
+    monkeypatch.setattr(fgmpc.solver, "_QP_ITERATIONS_PER_SIZE", 0)
+    res = solve_qp(problem)
+    assert res.status is Status.ITERATION_LIMIT and res.iterations == 11
 
 
 def test_qp_validation():

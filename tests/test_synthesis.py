@@ -7,6 +7,7 @@ import pytest
 import systems
 from oracles import implied_rows, irredundant_rows
 
+from fgmpc import synthesis
 from fgmpc.plant import equilibrium_basis, steady_state_ref_set
 from fgmpc.polytope import HPolyhedron
 from fgmpc.synthesis import RiccatiSolution, solve_dare, terminal_set
@@ -69,10 +70,11 @@ def test_dare_rejects_non_finite_weights(name):
             solve_dare([[0.5]], [[1.0]], weights["Q"], weights["R"])
 
 
-def test_dare_iteration_cap():
+def test_dare_iteration_cap(monkeypatch):
     p = systems.double_integrator_plant()
-    with pytest.raises(RuntimeError, match="converge"):
-        solve_dare(p.A, p.B, np.eye(2), [[1.0]], max_iterations=2)
+    monkeypatch.setattr(synthesis, "_DARE_CAP", 2)
+    with pytest.raises(RuntimeError, match="converge within 2 iterations"):
+        solve_dare(p.A, p.B, np.eye(2), [[1.0]])
 
 
 def riccati_steps(A, B, Q, R):
@@ -245,13 +247,13 @@ def test_terminal_set_support_lp_count(y1, support_lps):
     assert len(support_lps) <= 300
 
 
-def test_terminal_set_layer_cap(y1):
+def test_terminal_set_layer_cap(monkeypatch, y1):
     plant, em, rs, Y = (y1[k] for k in ("plant", "em", "rs", "Y"))
     assert y1["T"].t_star >= 1
     # capping the iteration one layer before determination must raise
+    monkeypatch.setattr(synthesis, "_TERMINAL_CAP", y1["T"].t_star)
     with pytest.raises(RuntimeError, match="finitely determined"):
-        terminal_set(plant, em, rs, Y, y1["eps"],
-                     max_layers=y1["T"].t_star)
+        terminal_set(plant, em, rs, Y, y1["eps"])
 
 
 def terminal_layers(bundle, eps, count):

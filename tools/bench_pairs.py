@@ -53,7 +53,9 @@ when every one of those is "within". The full verdicts,
 ``no_regression`` and the claim still count every pair.
 
 A run still going after RUN_TIMEOUT_S (900 s) is killed, and stops the
-tool with an error naming its command and tree. A run that reports
+tool with an error naming its command and tree. A run that exits
+non-zero stops it with the last 20 lines of the run's stdout, which
+hold perfbench's per-operation errors. A run that reports
 ``correct: false`` with no failed operation (a broken tracer guard, a
 set-up that is not deterministic, outputs that differ between
 operations) stops the tool with that run's report.
@@ -100,7 +102,8 @@ def run_once(tree, workload, seed, trace=0):
     op-0 fingerprint of its report under "fingerprint", its calibration
     times before and after under "calibration_s" and its steal time under
     "steal_s" (None when the report lacks them). A run still going after
-    RUN_TIMEOUT_S seconds is killed, and RuntimeError names it."""
+    RUN_TIMEOUT_S seconds is killed, and RuntimeError names it; so does a
+    run that exits non-zero, with the last 20 lines of its stdout."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--trace",
            str(trace)]
@@ -112,8 +115,8 @@ def run_once(tree, workload, seed, trace=0):
             " ".join(cmd), tree, RUN_TIMEOUT_S)) from None
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError("{} in {} exited {}".format(
-            " ".join(cmd), tree, proc.returncode))
+        raise RuntimeError("{} in {} exited {}:\n{}".format(
+            " ".join(cmd), tree, proc.returncode, "\n".join(lines[-20:])))
     res = json.loads(lines[-1])
     if not res["correct"] and res["failed"] == 0:
         raise RuntimeError("{} in {} is not correct with no failed "
