@@ -17,8 +17,8 @@ from fgmpc.polytope import HPolyhedron
 from fgmpc.sim import KINDS, Scenario, SimulationError, TrajectoryLog, \
     Verdict, audit_invariants, metrics, run_closed_loop, \
     write_trajectory_csv
-from fgmpc.solver import LpProblem, QpProblem, SolveStatus, Status, \
-    min_violation, solve_lp, solve_qp, support_value
+from fgmpc.solver import LimitError, LpProblem, QpProblem, SolveStatus, \
+    Status, min_violation, solve_lp, solve_qp, support_value
 from fgmpc.synthesis import RiccatiSolution, TerminalSet, solve_dare, \
     terminal_set
 
@@ -32,6 +32,7 @@ __all__ = [
     "GovernorProblem",
     "HPolyhedron",
     "KINDS",
+    "LimitError",
     "LpProblem",
     "LtiPlant",
     "OcpDesign",

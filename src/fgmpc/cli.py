@@ -275,8 +275,11 @@ def _offline(cfg):
 
 
 def _design(cfg, off, N):
-    return OcpDesign(N, cfg.Q, cfg.R, off["rs"].P, off["rs"].K, off["T"],
-                     cfg.Y)
+    """The OcpDesign of horizon N. The command governor and nstar read
+    only K and T of it, so they may pass an N of None or 0: it gets the
+    placeholder horizon 1."""
+    return OcpDesign(max(N or 1, 1), cfg.Q, cfg.R, off["rs"].P,
+                     off["rs"].K, off["T"], cfg.Y)
 
 
 def _format_value(value):
@@ -375,8 +378,8 @@ def cmd_simulate(cfg, out_dir, tol=1e-7, quiet=False):
     r = _require(cfg, "r", "simulate")
     budget = _require(cfg, "budget", "simulate")
     lqr = kind == "MPC+CG(LQR)"  # the CG reads only K and T: N is moot
-    N = max(cfg.N or 1, 1) if lqr else _require(cfg, "N", "simulate")
-    if N < 1:
+    N = cfg.N if lqr else _require(cfg, "N", "simulate")
+    if not lqr and N < 1:
         _fail("N", "must be at least 1 for the simulate command")
 
     off = _offline(cfg)
@@ -418,7 +421,7 @@ def _compare_one(cfg, off, entry, slug, out_dir, default_N):
         if not lqr and (N is None or N < 1):
             _fail("N", "required (>= 1) for controller '{}'"
                   .format(entry["kind"]))
-        design = _design(cfg, off, max(N or 1, 1))
+        design = _design(cfg, off, N)
         qp = gp = None
         if not lqr:
             qp = condense(cfg.plant, design, off["em"])
@@ -513,7 +516,7 @@ def cmd_nstar(cfg, cap=None, quiet=False):
     if cap is None:
         cap = cfg.cap if cfg.cap is not None else 600
     off = _offline(cfg)
-    design = _design(cfg, off, max(cfg.N or 1, 1))
+    design = _design(cfg, off, cfg.N)
     trace = []
     try:
         n = n_star(cfg.plant, design, x0, r, cap, trace=trace)

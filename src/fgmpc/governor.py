@@ -49,7 +49,6 @@ class GovernorProblem:
             raise ValueError("feasible set dimension {} leaves no state "
                              "coordinates after {} reference coordinates"
                              .format(gamma_set.dim, self.n_v))
-        self.gamma = gamma_set
         self.R_eps = R_eps
         cylinder = HPolyhedron(
             np.hstack([np.zeros((R_eps.nrows, self.n_x)), R_eps.A]),
@@ -68,9 +67,6 @@ def _closest(problem, warm_start, message):
     st = solve_qp(problem, warm_start=warm_start)
     if st.status == Status.INFEASIBLE:
         raise RoaError(message)
-    if st.status != Status.OPTIMAL:
-        raise RuntimeError("governor QP failed with status {}".format(
-            st.status.name))
     return st
 
 

@@ -25,25 +25,13 @@ import tempfile
 
 import numpy as np
 
-from fgmpc.solver import (LpProblem, Status, SupportLp, TOL, min_violation,
-                          solve_lp, support_value)
+from fgmpc.solver import (LimitError, LpProblem, Status, SupportLp, TOL,
+                          min_violation, solve_lp, support_value)
 
 # rows whose coefficient vector is numerically zero carry no geometry
 ZERO_ROW = 1e-12
 
 DEFAULT_ROW_CAP = 100_000  # hull facets before a projection gives up
-
-
-class ProjectionBlowupError(RuntimeError):
-    """Raised when the inner hull of a projection has more facets than
-    DEFAULT_ROW_CAP."""
-
-    def __init__(self, rows, cap):
-        self.rows = rows
-        self.cap = cap
-        super().__init__(
-            "projection intractable: {} hull facets exceed the cap of {}"
-            .format(rows, cap))
 
 
 def write_atomic(path, text):
@@ -212,16 +200,12 @@ class HPolyhedron:
                 return True
             if out == "above" or out == "unbounded":
                 return False
-            if out == "iteration_limit":
-                raise RuntimeError("containment LP failed: {}".format(out))
         return True
 
     def is_empty(self):
         if self.nrows == 0:
             return False
-        t, _, outcome = min_violation(self._A, self._b)
-        if outcome not in ("feasible", "optimal"):
-            raise RuntimeError("emptiness LP failed: {}".format(outcome))
+        t, _, _ = min_violation(self._A, self._b)
         return t > TOL
 
     def chebyshev_center(self):
@@ -244,8 +228,6 @@ class HPolyhedron:
             return None, -np.inf
         if res.status is Status.UNBOUNDED:
             return None, np.inf
-        if res.status is not Status.OPTIMAL:
-            raise RuntimeError("chebyshev LP failed: {}".format(res.status))
         return res.x[:-1], float(res.x[-1])
 
     # -- reduction ---------------------------------------------------------
@@ -287,7 +269,7 @@ class HPolyhedron:
         When every coordinate is kept the rows are only permuted, without
         a support LP. Raises ValueError on an empty input, and on an image
         that is unbounded or not full-dimensional (naming the direction),
-        and ProjectionBlowupError past DEFAULT_ROW_CAP hull facets.
+        and LimitError past DEFAULT_ROW_CAP hull facets.
         """
         keep = [int(i) for i in keep_indices]
         if len(set(keep)) != len(keep):
@@ -377,8 +359,6 @@ def _prune_lp(A, b):
                                     stop_above=b[i] + TOL)
         if out == "optimal" and val <= b[i] + TOL:
             keep[i] = False
-        elif out == "iteration_limit":
-            raise RuntimeError("redundancy LP failed: {}".format(out))
     return np.nonzero(keep)[0]
 
 
@@ -428,7 +408,7 @@ def _plane(P, center):
 def _hull_facets(A, b, keep):
     """The facet rows of the projection of {x : A x <= b} onto keep, by
     the convex hull method (see HPolyhedron.project), one row per
-    confirmed plane (ProjectionBlowupError past DEFAULT_ROW_CAP)."""
+    confirmed plane (LimitError past DEFAULT_ROW_CAP)."""
     d = len(keep)
     lp = SupportLp(A, b)
 
@@ -491,5 +471,8 @@ def _hull_facets(A, b, keep):
             if count == 1:
                 add_facet(list(r) + [len(V) - 1])
         if len(facets) > DEFAULT_ROW_CAP:
-            raise ProjectionBlowupError(len(facets), DEFAULT_ROW_CAP)
+            raise LimitError("projection of {} rows onto {} coordinates, "
+                             "at {} hull facets,".format(b.size, d,
+                                                         len(facets)),
+                             "DEFAULT_ROW_CAP", DEFAULT_ROW_CAP)
     return rows, offsets

@@ -12,15 +12,14 @@ is a safety violation, never an expected outcome.
 """
 
 import collections
-import numbers
 import platform
 import time
 
 import numpy as np
 
 from fgmpc import governor
-from fgmpc.mpc import OcpInfeasibleError, condense, feasible_set, \
-    mpc_feedback
+from fgmpc.mpc import OcpInfeasibleError, check_integer, condense, \
+    feasible_set, mpc_feedback
 from fgmpc.plant import equilibrium_basis
 from fgmpc.polytope import write_csv
 
@@ -66,11 +65,7 @@ class Scenario:
         if self.r.size != plant.n_z:
             raise ValueError("r has size {} but the plant tracks {} outputs"
                              .format(self.r.size, plant.n_z))
-        if isinstance(budget, bool) \
-                or not isinstance(budget, numbers.Integral):
-            raise ValueError("step budget must be an integer, got {!r}"
-                             .format(budget))
-        self.budget = int(budget)
+        self.budget = check_integer(budget, "step budget")
         if self.budget < 1:
             raise ValueError("step budget must be at least 1")
 

@@ -32,7 +32,20 @@ class Status(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    ITERATION_LIMIT = "iteration_limit"
+
+
+class LimitError(RuntimeError):
+    """A loop of the solvers or of the set algorithms hit its fixed
+    give-up limit: what it was solving, the name of the module constant
+    that sets the limit, and cap, the number of pivots, iterations, steps,
+    layers or facets that constant allowed here. It is raised where the
+    limit is hit, since a result cut off there proves nothing."""
+
+    def __init__(self, what, limit, cap):
+        self.limit = limit
+        self.cap = cap
+        super().__init__("{} gave up at its cap of {} ({})".format(
+            what, cap, limit))
 
 
 class SolveStatus:
@@ -58,7 +71,7 @@ class SolveStatus:
     factors : QpFactors or None
         QP only: the factors of the final active set, for the next solve's
         warm_start, with that set in path order; None when it is empty or
-        the solve failed.
+        the QP is infeasible.
     """
 
     def __init__(self, status, x=None, value=None, active_set=None, lam=None,
@@ -244,9 +257,10 @@ def _iterate(T, basis, nonbasic, pivots_done, value_cap=None):
     objective in the last row).
 
     Returns (outcome, pivots) with outcome one of "optimal", "unbounded",
-    "iteration_limit", "cap". The current objective value is -T[-1, -1].
-    value_cap, when given, stops early once the phase objective drops below
-    it (used for feasibility checks and bound tests).
+    "cap". The current objective value is -T[-1, -1]. value_cap, when
+    given, stops early once the phase objective drops below it (used for
+    feasibility checks and bound tests). Raises LimitError at
+    _LP_PIVOTS_PER_SIZE (m + n) pivots.
     """
     m, n = T.shape[0] - 1, T.shape[1] - 2
     max_pivots = _LP_PIVOTS_PER_SIZE * (m + n)  # pivots_done included
@@ -302,7 +316,8 @@ def _iterate(T, basis, nonbasic, pivots_done, value_cap=None):
         _pivot(T, basis, nonbasic, row, col)
         pivots += 1
         if pivots >= max_pivots:
-            return "iteration_limit", pivots
+            raise LimitError("LP of {} rows, {} variables".format(m, n),
+                             "_LP_PIVOTS_PER_SIZE", max_pivots)
 
 
 def _phase_one(A, b, value_cap=None):
@@ -403,9 +418,8 @@ class SupportLp:
     for a sequence of objectives c: the one phase-2 driver of the LP
     engine.
 
-    Phase 1 runs once, here. When it stops at its pivot cap, or finds
-    the set empty, every call returns that status (ITERATION_LIMIT or
-    INFEASIBLE). Otherwise each call prices its objective into the
+    Phase 1 runs once, here. When it finds the set empty, every call
+    returns INFEASIBLE. Otherwise each call prices its objective into the
     tableau the previous call left, which is primal feasible whatever
     that call's outcome, and goes on pivoting from its basis, so that
     close successive directions cost few pivots. The pivots of phase 1,
@@ -419,12 +433,9 @@ class SupportLp:
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         n = self.A.shape[1]
-        outcome, self._T, self._basis, self._nonbasic, self._pending = \
+        _, self._T, self._basis, self._nonbasic, self._pending = \
             _phase_one(self.A, self.b)
         self._failed = None  # the status of a failed phase 1
-        if outcome == "iteration_limit":
-            self._failed = Status.ITERATION_LIMIT
-            return
         retired = _retire_t(self._T, self._basis, self._nonbasic, n)
         if retired is None:
             self._failed = Status.INFEASIBLE
@@ -458,10 +469,10 @@ def support_value(a, A, b, stop_above=None):
     provably exceeds ``stop_above``.
 
     Returns (outcome, value, x) with outcome "optimal", "above" (early
-    stop), "infeasible", "unbounded" or "iteration_limit". Membership and
-    redundancy tests only need the comparison against a threshold, so the
-    early exit saves most of the pivots on irredundant rows. One fresh
-    SupportLp solves it, within _LP_PIVOTS_PER_SIZE (m + n) pivots.
+    stop), "infeasible" or "unbounded". Membership and redundancy tests
+    only need the comparison against a threshold, so the early exit saves
+    most of the pivots on irredundant rows. One fresh SupportLp solves
+    it, within _LP_PIVOTS_PER_SIZE (m + n) pivots.
     """
     a = np.asarray(a, dtype=float).ravel()
     lp = SupportLp(A, b)
@@ -487,7 +498,7 @@ def min_violation(A, b, x0=None):
     Returns (t_star, x, outcome); outcome "feasible" means the search was
     stopped early because t dropped below TOL, in which case t_star is an
     upper bound on the true minimum. Past _LP_PIVOTS_PER_SIZE (m + n)
-    pivots it gives up with (inf, None, "iteration_limit").
+    pivots it raises LimitError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
@@ -499,8 +510,6 @@ def min_violation(A, b, x0=None):
     if (b >= -TOL).all():
         return 0.0, shift.copy(), "feasible"
     outcome, T, basis, _, _ = _phase_one(A, b, value_cap=TOL)
-    if outcome not in ("optimal", "cap"):
-        return np.inf, None, outcome
     x, t = _extract(T, basis, n)
     return t, x + shift, ("feasible" if outcome == "cap" else "optimal")
 
@@ -630,7 +639,8 @@ def solve_qp(problem, warm_start=None):
     active set agree up to rounding, not bit for bit, but the same calls
     give the same bits, and a solve warm-started from its own returned
     factors repeats them in 0 iterations. active_set is returned sorted.
-    Past _QP_ITERATIONS_PER_SIZE (m + n) + 10 iterations it gives up.
+    Past _QP_ITERATIONS_PER_SIZE (m + n) + 10 iterations it raises
+    LimitError.
     """
     H, f, A, b = problem.H, problem.f, problem.A, problem.b
     m, n = A.shape
@@ -684,7 +694,8 @@ def solve_qp(problem, warm_start=None):
         while True:
             iters += 1
             if iters > max_iterations:
-                return SolveStatus(Status.ITERATION_LIMIT, iterations=iters)
+                raise LimitError("QP of {} rows, {} variables".format(m, n),
+                                 "_QP_ITERATIONS_PER_SIZE", max_iterations)
             q = len(active)
             d = J.T @ npl
             z = J[:, q:] @ d[q:]

@@ -12,7 +12,7 @@ import numpy as np
 
 from fgmpc.plant import unstabilizable_mode
 from fgmpc.polytope import HPolyhedron
-from fgmpc.solver import check_weight
+from fgmpc.solver import LimitError, check_weight
 
 _DARE_RESIDUAL = 1e-8
 _DARE_CAP = 10_000  # Riccati steps before solve_dare gives up
@@ -37,8 +37,9 @@ def solve_dare(A, B, Q, R):
     unique stabilizing solution. From P = Q, each iteration takes one
     Riccati step P -> F(P), whose one linear solve also gives P's gain K.
     F(P) - P is the DARE residual of P, so the first P whose step is at
-    most 1e-8 in Frobenius norm is returned, with that K. Raises on
-    assumption violations, and on non-convergence within _DARE_CAP steps.
+    most 1e-8 in Frobenius norm is returned, with that K. Raises ValueError
+    on assumption violations, and LimitError on non-convergence within
+    _DARE_CAP steps.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -62,8 +63,8 @@ def solve_dare(A, B, Q, R):
             break
         P = P_next
     else:
-        raise RuntimeError("Riccati iteration did not converge within {} "
-                           "iterations".format(_DARE_CAP))
+        raise LimitError("Riccati iteration of {} states".format(n),
+                         "_DARE_CAP", _DARE_CAP)
     closed = np.max(np.abs(np.linalg.eigvals(A - B @ K)))
     if not closed < 1.0:
         raise RuntimeError("closed loop is not Schur stable (spectral "
@@ -120,7 +121,8 @@ def terminal_set(plant, em, rs, Y, eps):
     iteration finitely determined (Gilbert & Tan, 1991). Each row of layer
     t+1 is tested once, by one support LP over the set so far, and only the
     rows that cut the set are added; the first layer with no such row ends
-    the iteration at t* = t < _TERMINAL_CAP, then the rows are pruned once.
+    the iteration at t* = t < _TERMINAL_CAP, then the rows are pruned once;
+    with none by then it raises LimitError.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
@@ -152,5 +154,5 @@ def terminal_set(plant, em, rs, Y, eps):
         current = current.intersect(HPolyhedron(layer.A[cuts],
                                                  layer.b[cuts]))
         power = power @ A_cl
-    raise RuntimeError("terminal set not finitely determined within {} "
-                       "layers".format(_TERMINAL_CAP))
+    raise LimitError("terminal set of {} rows in {} dimensions".format(
+        current.nrows, n_x + n_v), "_TERMINAL_CAP", _TERMINAL_CAP)

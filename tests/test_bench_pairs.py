@@ -105,6 +105,22 @@ def test_run_once_reports_the_tail_of_a_failed_run(tmp_path):
     assert lines[1:] == ["op {} failed".format(i) for i in range(10, 30)]
 
 
+def test_run_once_reports_the_traceback_of_a_crashed_run(tmp_path):
+    """A run that dies of an uncaught exception leaves its traceback on
+    stderr; the error holds its last 20 lines after the stdout tail."""
+    root = tmp_path / "crashing"
+    os.makedirs(root / "perfbench")
+    (root / "perfbench" / "run.py").write_text(
+        "print('perfbench x')\nraise RuntimeError('boom')\n")
+    with pytest.raises(RuntimeError) as err:
+        bench_pairs.run_once(str(root), "long_horizon", 3)
+    lines = str(err.value).splitlines()
+    assert lines[0].endswith(" in {} exited 1:".format(root))
+    assert lines[1] == "perfbench x"
+    assert lines[2] == "Traceback (most recent call last):"
+    assert lines[-1] == "RuntimeError: boom"
+
+
 def run_with(cal, steal=0.0):
     return {"calibration_s": cal, "steal_s": steal}
 

@@ -8,7 +8,7 @@ import stat
 import numpy as np
 import pytest
 
-from fgmpc import cli, sim
+from fgmpc import cli, sim, solver
 from fgmpc.cli import ConfigError, ScenarioConfig, cmd_simulate, main
 from fgmpc.polytope import HPolyhedron
 
@@ -396,6 +396,19 @@ def test_nstar_cap_error(tmp_path, capsys):
     code = main(["nstar", "--config", cfg, "--cap", "1", "--quiet"])
     assert code == 1
     assert "no feasible horizon" in capsys.readouterr().err
+
+
+def test_sets_exits_1_at_a_give_up_limit(tmp_path, capsys, monkeypatch):
+    """A solver limit hit inside a verb is a LimitError, a RuntimeError:
+    the command exits 1 with an error that names the limit's constant,
+    and writes no file."""
+    monkeypatch.setattr(solver, "_LP_PIVOTS_PER_SIZE", 0)
+    cfg = write_config(tmp_path, fig2_config())
+    out = tmp_path / "out"
+    assert main(["sets", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LP of ") and "_LP_PIVOTS_PER_SIZE" in err
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("verb, flag, value", [

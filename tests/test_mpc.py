@@ -2,6 +2,7 @@
 checked against explicit rollouts and per-point feasibility LPs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +460,48 @@ def test_n_star_rejects_bad_points(monkeypatch, fig2, x0, r, message):
     monkeypatch.setattr(mpc, "min_violation", no_lp)
     with pytest.raises(ValueError, match=message):
         n_star(fig2["plant"], design, x0, r, 10)
+
+
+@pytest.mark.parametrize("cap", [True, 4.5, 4.0, "4"])
+def test_n_star_rejects_a_cap_that_is_not_an_integer(monkeypatch, fig2, cap):
+    """cap=True used to end in "no feasible horizon <= True", and 4.5 in a
+    TypeError inside numpy."""
+    design = systems.make_design(fig2, 2)
+    monkeypatch.setattr(mpc, "min_violation", no_lp)
+    with pytest.raises(ValueError, match="cap must be an integer, got "
+                       + re.escape(repr(cap))):
+        n_star(fig2["plant"], design, [-0.95], [0.6], cap)
+
+
+@pytest.mark.parametrize("horizon", [True, 2.5, 2.0, "2"])
+def test_ocp_feasible_rejects_a_horizon_that_is_not_an_integer(
+        monkeypatch, fig2, horizon):
+    """horizon=2.5 used to fail with a TypeError inside numpy, and True
+    with a numpy broadcast ValueError."""
+    design = systems.make_design(fig2, 2)
+    monkeypatch.setattr(mpc, "min_violation", no_lp)
+    with pytest.raises(ValueError, match="horizon must be an integer, got "
+                       + re.escape(repr(horizon))):
+        ocp_feasible(fig2["plant"], design, [0.0], [0.1], horizon)
+
+
+@pytest.mark.parametrize("N", [True, 2.5, 2.0, "2"])
+def test_design_rejects_a_horizon_that_is_not_an_integer(fig2, N):
+    """OcpDesign(2.5, ...) used to get N = 2 in silence, and True N = 1."""
+    rs = fig2["rs"]
+    with pytest.raises(ValueError, match="horizon N must be an integer, got "
+                       + re.escape(repr(N))):
+        OcpDesign(N, [[1.0]], [[1.0]], rs.P, rs.K, fig2["T"], fig2["Y"])
+
+
+def test_horizons_accept_numpy_integers(fig2):
+    plant, rs = fig2["plant"], fig2["rs"]
+    design = OcpDesign(np.int64(2), [[1.0]], [[1.0]], rs.P, rs.K, fig2["T"],
+                       fig2["Y"])
+    assert design.N == 2 and type(design.N) is int
+    assert n_star(plant, design, [-0.95], [0.6], np.int32(10)) == 5
+    assert ocp_feasible(plant, design, [-0.95], [0.6], np.int64(5))
+    assert not ocp_feasible(plant, design, [-0.95], [0.6], np.int64(4))
 
 
 def test_closed_loop_recursive_feasibility_and_convergence(fig2):

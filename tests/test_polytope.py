@@ -10,11 +10,11 @@ from oracles import (convex_hull_2d, enumerate_vertices, highs_support,
                      hull_to_hrep, irredundant_rows, random_bounded_polytope)
 
 import fgmpc.polytope
+import fgmpc.solver
 from fgmpc.governor import GovernorProblem, roa
 from fgmpc.mpc import condense, feasible_set
-from fgmpc.polytope import (DEFAULT_ROW_CAP, HPolyhedron,
-                            ProjectionBlowupError)
-from fgmpc.solver import SupportLp, TOL
+from fgmpc.polytope import DEFAULT_ROW_CAP, HPolyhedron
+from fgmpc.solver import LimitError, TOL
 
 
 def unit_box(n):
@@ -155,8 +155,11 @@ def test_project_blowup_guard(monkeypatch):
     rng = np.random.default_rng(8)
     A, b = random_bounded_polytope(rng, 4, 12)
     monkeypatch.setattr(fgmpc.polytope, "DEFAULT_ROW_CAP", 3)
-    with pytest.raises(ProjectionBlowupError, match="exceed the cap of 3"):
+    with pytest.raises(LimitError, match=r"^projection of 20 rows onto 2 "
+                       r"coordinates, at \d+ hull facets, gave up at its cap "
+                       r"of 3 \(DEFAULT_ROW_CAP\)$") as err:
         HPolyhedron(A, b).project([0, 1])
+    assert (err.value.limit, err.value.cap) == ("DEFAULT_ROW_CAP", 3)
 
 
 def test_project_matches_vertex_hull_oracle():
@@ -531,22 +534,19 @@ def test_is_empty():
                                    "remove_redundancy", "project_hull"])
 def test_failed_emptiness_lp_raises(monkeypatch, query):
     """An LP stopped at its pivot cap proves nothing: it must not read as
-    an empty set, a containment, a redundant row or a facet. The first two
-    queries fail at the emptiness LP, the others at their support LPs."""
-    if query in ("is_empty", "project"):
-        monkeypatch.setattr(fgmpc.polytope, "min_violation",
-                            lambda A, b: (np.inf, None, "iteration_limit"))
-    else:
-        monkeypatch.setattr(SupportLp, "_run",
-                            lambda self, c, value_cap=None:
-                            ("iteration_limit", 0))
-    P = unit_box(2)
+    an empty set, a containment, a redundant row or a facet. With no pivot
+    allowed, every LP that must pivot raises. The box [1, 2]^2 leaves the
+    origin outside, so its own phase 1 pivots: the first two queries fail
+    at the emptiness LP, the next two at their support LPs. The unit box
+    needs no LP to be non-empty, so its projection fails at a hull LP."""
+    monkeypatch.setattr(fgmpc.solver, "_LP_PIVOTS_PER_SIZE", 0)
+    P = HPolyhedron.from_box([1.0, 1.0], [2.0, 2.0])
     queries = {"is_empty": P.is_empty,
                "project": lambda: P.project([0]),
-               "contains_set": lambda: P.contains_set(unit_box(2)),
+               "contains_set": lambda: unit_box(2).contains_set(P),
                "remove_redundancy": P.remove_redundancy,
-               "project_hull": lambda: P.project([0])}
-    with pytest.raises(RuntimeError, match="iteration_limit"):
+               "project_hull": lambda: unit_box(2).project([0])}
+    with pytest.raises(LimitError, match="_LP_PIVOTS_PER_SIZE"):
         queries[query]()
 
 

@@ -14,15 +14,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fgmpc.polytope
 import fgmpc.solver
+import fgmpc.synthesis
 import systems
+from oracles import random_bounded_polytope
 
 from fgmpc.mpc import n_star
 from fgmpc.polytope import HPolyhedron
-from fgmpc.solver import (LpProblem, QpFactors, QpProblem, Status,
-                          SupportLp, TOL, _SPARSE_MIN_COLS, _drop_constraint,
-                          _phase_one, _pivot, min_violation, solve_lp,
-                          solve_qp, support_value)
+from fgmpc.solver import (LimitError, LpProblem, QpFactors, QpProblem,
+                          Status, SupportLp, TOL, _SPARSE_MIN_COLS,
+                          _drop_constraint, _phase_one, _pivot,
+                          min_violation, solve_lp, solve_qp, support_value)
 from fgmpc.synthesis import solve_dare, terminal_set
 
 
@@ -168,21 +171,20 @@ def test_lp_iteration_limit_status(monkeypatch):
     monkeypatch.setattr(fgmpc.solver, "_LP_PIVOTS_PER_SIZE", 0)
     rng = np.random.default_rng(7)
     c, A, b = random_bounded_lp(rng, 4, 10)
-    res = solve_lp(LpProblem(c, A, b))
-    assert res.status is Status.ITERATION_LIMIT
+    with pytest.raises(LimitError, match=r"^LP of 18 rows, 4 variables gave "
+                       r"up at its cap of 0 \(_LP_PIVOTS_PER_SIZE\)$"):
+        solve_lp(LpProblem(c, A, b))
     # phase 1 of this LP needs 2 pivots, so the budget stops it there:
-    # every entry point reports the cap, and a SupportLp reports it on
-    # every call, charging the phase-1 pivots to the first
+    # every entry point raises, a SupportLp already when it is built
     A = np.array([[-1.0, -1.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
     b = np.array([-1.0, 10.0, 3.0, 5.0])
     c = np.array([-1.0, 0.0])
-    res = solve_lp(LpProblem(c, A, b))
-    assert res.status is Status.ITERATION_LIMIT and res.iterations == 2
-    assert support_value(c, A, b) == ("iteration_limit", None, None)
-    assert min_violation(A, b) == (np.inf, None, "iteration_limit")
-    lp = SupportLp(A, b)
-    assert [(st.status, st.iterations) for st in map(lp.maximize, [c, -c])] \
-        == [(Status.ITERATION_LIMIT, 2), (Status.ITERATION_LIMIT, 0)]
+    for query in (lambda: solve_lp(LpProblem(c, A, b)),
+                  lambda: support_value(c, A, b),
+                  lambda: min_violation(A, b),
+                  lambda: SupportLp(A, b)):
+        with pytest.raises(LimitError, match="LP of 4 rows, 2 variables"):
+            query()
 
 
 @pytest.mark.parametrize("func, params", [
@@ -198,6 +200,37 @@ def test_give_up_limits_are_not_parameters(func, params):
     """Each limit is a module constant: _LP_PIVOTS_PER_SIZE,
     _QP_ITERATIONS_PER_SIZE, _DARE_CAP, _TERMINAL_CAP, DEFAULT_ROW_CAP."""
     assert list(inspect.signature(func).parameters) == params
+
+
+@pytest.mark.parametrize("module, limit, value, cap, call", [
+    (fgmpc.solver, "_LP_PIVOTS_PER_SIZE", 0, 0,
+     lambda b: solve_lp(LpProblem([1.0], [[1.0], [-1.0]], [1.0, 1.0]))),
+    # 12 iterations, past the 0 (12 + 12) + 10 the patched constant allows
+    (fgmpc.solver, "_QP_ITERATIONS_PER_SIZE", 0, 10,
+     lambda b: solve_qp(QpProblem(np.eye(12), np.full(12, -10.0),
+                                  np.eye(12), np.ones(12)))),
+    (fgmpc.polytope, "DEFAULT_ROW_CAP", 3, 3,
+     lambda b: HPolyhedron(*random_bounded_polytope(
+         np.random.default_rng(8), 4, 12)).project([0, 1])),
+    (fgmpc.synthesis, "_DARE_CAP", 2, 2,
+     lambda b: solve_dare(b["plant"].A, b["plant"].B, [[1.0]], [[1.0]])),
+    (fgmpc.synthesis, "_TERMINAL_CAP", 0, 0,
+     lambda b: terminal_set(b["plant"], b["em"], b["rs"], b["Y"], 0.05))],
+    ids=["lp", "qp", "projection", "dare", "terminal_set"])
+def test_every_give_up_limit_raises_limit_error(monkeypatch, fig2, module,
+                                                limit, value, cap, call):
+    """Each of the five fixed limits raises the one LimitError where it is
+    hit, naming its constant and the cap it set; no solve returns a
+    give-up status."""
+    assert [s.name for s in Status] == ["OPTIMAL", "INFEASIBLE", "UNBOUNDED"]
+    call(fig2)  # within the default limits
+    monkeypatch.setattr(module, limit, value)
+    with pytest.raises(LimitError) as err:
+        call(fig2)
+    assert isinstance(err.value, RuntimeError)
+    assert (err.value.limit, err.value.cap) == (limit, cap)
+    assert str(err.value).endswith(" gave up at its cap of {} ({})".format(
+        cap, limit))
 
 
 def test_lp_matches_vertex_enumeration():
@@ -435,9 +468,10 @@ def test_lp_beale_cycling_ends_on_bland_switch(monkeypatch):
     # without the switch Dantzig's rule cycles up to the budget of
     # 50 (m + n) pivots
     monkeypatch.setattr(fgmpc.solver, "_DEGENERATE_STREAK", 10 ** 9)
-    res = solve_lp(LpProblem(c, A, b))
-    assert res.status is Status.ITERATION_LIMIT
-    assert res.iterations == 50 * (7 + 4)
+    with pytest.raises(LimitError) as err:
+        solve_lp(LpProblem(c, A, b))
+    assert err.value.limit == "_LP_PIVOTS_PER_SIZE"
+    assert err.value.cap == 50 * (7 + 4)
 
 
 def test_lp_free_variable_enters_negative():
@@ -693,8 +727,9 @@ def test_qp_iteration_limit_status(monkeypatch):
     res = solve_qp(problem)
     assert res.status is Status.OPTIMAL and res.iterations == 12
     monkeypatch.setattr(fgmpc.solver, "_QP_ITERATIONS_PER_SIZE", 0)
-    res = solve_qp(problem)
-    assert res.status is Status.ITERATION_LIMIT and res.iterations == 11
+    with pytest.raises(LimitError, match=r"^QP of 12 rows, 12 variables gave "
+                       r"up at its cap of 10 \(_QP_ITERATIONS_PER_SIZE\)$"):
+        solve_qp(problem)
 
 
 def test_qp_validation():

@@ -10,6 +10,7 @@ from oracles import implied_rows, irredundant_rows
 from fgmpc import synthesis
 from fgmpc.plant import equilibrium_basis, steady_state_ref_set
 from fgmpc.polytope import HPolyhedron
+from fgmpc.solver import LimitError
 from fgmpc.synthesis import RiccatiSolution, solve_dare, terminal_set
 
 
@@ -73,8 +74,10 @@ def test_dare_rejects_non_finite_weights(name):
 def test_dare_iteration_cap(monkeypatch):
     p = systems.double_integrator_plant()
     monkeypatch.setattr(synthesis, "_DARE_CAP", 2)
-    with pytest.raises(RuntimeError, match="converge within 2 iterations"):
+    with pytest.raises(LimitError, match=r"^Riccati iteration of 2 states "
+                       r"gave up at its cap of 2 \(_DARE_CAP\)$") as err:
         solve_dare(p.A, p.B, np.eye(2), [[1.0]])
+    assert (err.value.limit, err.value.cap) == ("_DARE_CAP", 2)
 
 
 def riccati_steps(A, B, Q, R):
@@ -251,9 +254,13 @@ def test_terminal_set_layer_cap(monkeypatch, y1):
     plant, em, rs, Y = (y1[k] for k in ("plant", "em", "rs", "Y"))
     assert y1["T"].t_star >= 1
     # capping the iteration one layer before determination must raise
-    monkeypatch.setattr(synthesis, "_TERMINAL_CAP", y1["T"].t_star)
-    with pytest.raises(RuntimeError, match="finitely determined"):
+    cap = y1["T"].t_star
+    monkeypatch.setattr(synthesis, "_TERMINAL_CAP", cap)
+    with pytest.raises(LimitError, match=r"^terminal set of \d+ rows in 3 "
+                       r"dimensions gave up at its cap of {} "
+                       r"\(_TERMINAL_CAP\)$".format(cap)) as err:
         terminal_set(plant, em, rs, Y, y1["eps"])
+    assert (err.value.limit, err.value.cap) == ("_TERMINAL_CAP", cap)
 
 
 def terminal_layers(bundle, eps, count):

@@ -55,7 +55,8 @@ when every one of those is "within". The full verdicts,
 A run still going after RUN_TIMEOUT_S (900 s) is killed, and stops the
 tool with an error naming its command and tree. A run that exits
 non-zero stops it with the last 20 lines of the run's stdout, which
-hold perfbench's per-operation errors. A run that reports
+hold perfbench's per-operation errors, and the last 20 of its stderr,
+which hold the traceback of a run that crashed. A run that reports
 ``correct: false`` with no failed operation (a broken tracer guard, a
 set-up that is not deterministic, outputs that differ between
 operations) stops the tool with that run's report.
@@ -103,20 +104,23 @@ def run_once(tree, workload, seed, trace=0):
     times before and after under "calibration_s" and its steal time under
     "steal_s" (None when the report lacks them). A run still going after
     RUN_TIMEOUT_S seconds is killed, and RuntimeError names it; so does a
-    run that exits non-zero, with the last 20 lines of its stdout."""
+    run that exits non-zero, with the last 20 lines of its stdout and
+    then of its stderr (where a crash leaves its traceback)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--trace",
            str(trace)]
     try:
         proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
-                              text=True, timeout=RUN_TIMEOUT_S)
+                              stderr=subprocess.PIPE, text=True,
+                              timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         raise RuntimeError("{} in {} was killed after {} s".format(
             " ".join(cmd), tree, RUN_TIMEOUT_S)) from None
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
+        tail = lines[-20:] + proc.stderr.strip().splitlines()[-20:]
         raise RuntimeError("{} in {} exited {}:\n{}".format(
-            " ".join(cmd), tree, proc.returncode, "\n".join(lines[-20:])))
+            " ".join(cmd), tree, proc.returncode, "\n".join(tail)))
     res = json.loads(lines[-1])
     if not res["correct"] and res["failed"] == 0:
         raise RuntimeError("{} in {} is not correct with no failed "
