@@ -27,10 +27,11 @@ from fgmpc.sim import KINDS, Scenario, SimulationError, audit_invariants, \
 from fgmpc.synthesis import solve_dare, terminal_set
 
 _TOP_KEYS = ("plant", "Y", "eps", "eps_terminal", "Q", "R", "N", "kind",
-             "controllers", "x0", "r", "budget", "cap", "slices", "out")
+             "controllers", "x0", "r", "budget", "cap", "slices")
 _PLANT_KEYS = ("A", "B", "C", "D", "E", "F", "ts")
 _REPEATS = 5  # timing repetitions per variant in compare; TAVE is their median
 _BOUNDARY_RAYS = 256  # boundary samples of a 2-D set in the CSV exports
+_CAP = 600  # nstar's largest probed horizon when the config sets no cap
 
 
 class ConfigError(ValueError):
@@ -157,13 +158,8 @@ class ScenarioConfig:
         self.budget = _integer(data["budget"], "budget", 1) \
             if "budget" in data else None
         self.cap = _integer(data["cap"], "cap", 1) if "cap" in data \
-            else None
+            else _CAP
         self.slices = self._parse_slices(data.get("slices"))
-        self.out = None
-        if "out" in data:
-            if not isinstance(data["out"], str) or not data["out"]:
-                _fail("out", "must be a non-empty path string")
-            self.out = data["out"]
 
     @classmethod
     def from_file(cls, path):
@@ -282,6 +278,25 @@ def _design(cfg, off, N):
                      off["rs"].K, off["T"], cfg.Y)
 
 
+def _controller(cfg, off, kind, N):
+    """The (design, qp) of one controller kind. The command governor
+    reads only K and T, so it needs no N and gets the placeholder design
+    and no QP; every MPC kind needs N >= 1 and gets its condensed QP."""
+    if kind == "MPC+CG(LQR)":
+        return _design(cfg, off, None), None
+    if N is None or N < 1:
+        _fail("N", "required (>= 1) for controller '{}'".format(kind))
+    design = _design(cfg, off, N)
+    return design, condense(cfg.plant, design, off["em"])
+
+
+def _governor(off, qp):
+    """GovernorProblem over T when there is no qp (the command governor),
+    over Gamma_N of qp otherwise."""
+    gamma = off["T"] if qp is None else feasible_set(qp)
+    return governor.GovernorProblem(gamma, off["spec"].R_eps)
+
+
 def _format_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -370,31 +385,23 @@ def cmd_sets(cfg, out_dir, quiet=False):
     return 0
 
 
-def cmd_simulate(cfg, out_dir, tol=1e-7, quiet=False):
+def cmd_simulate(cfg, out_dir, quiet=False):
     """Run one closed loop, export trajectory.csv and metrics.txt, and
     exit 0 exactly when every invariant audit passes."""
     kind = _require(cfg, "kind", "simulate")
     x0 = _require(cfg, "x0", "simulate")
     r = _require(cfg, "r", "simulate")
     budget = _require(cfg, "budget", "simulate")
-    lqr = kind == "MPC+CG(LQR)"  # the CG reads only K and T: N is moot
-    N = cfg.N if lqr else _require(cfg, "N", "simulate")
-    if not lqr and N < 1:
-        _fail("N", "must be at least 1 for the simulate command")
 
     off = _offline(cfg)
-    design = _design(cfg, off, N)
-    qp, gamma = None, off["T"]
-    if not lqr:
-        qp = condense(cfg.plant, design, off["em"])
-        gamma = feasible_set(qp)
-    gp = governor.GovernorProblem(gamma, off["spec"].R_eps)
+    design, qp = _controller(cfg, off, kind, cfg.N)
+    gp = _governor(off, qp)
     sc = Scenario(cfg.plant, off["spec"], design, kind, x0, r, budget)
     log = run_closed_loop(sc, qp=qp, gp=gp)
 
     target = governor.r_star(off["spec"].R_eps, sc.r)
     report = metrics(log, target, cfg.Y)
-    verdicts = audit_invariants(log, gp, cfg.Y, tol=tol)
+    verdicts = audit_invariants(log, gp, cfg.Y)
 
     lines = ["{}={}".format(k, _format_value(v))
              for k, v in report.items()]
@@ -413,21 +420,12 @@ def cmd_simulate(cfg, out_dir, tol=1e-7, quiet=False):
     return 0 if all_pass else 1
 
 
-def _compare_one(cfg, off, entry, slug, out_dir, default_N):
+def _compare_one(cfg, off, entry, slug, out_dir):
     """Build, run, and time one controller variant; never raises."""
     try:
-        N = entry["N"] if entry["N"] is not None else default_N
-        lqr = entry["kind"] == "MPC+CG(LQR)"  # reads only K and T
-        if not lqr and (N is None or N < 1):
-            _fail("N", "required (>= 1) for controller '{}'"
-                  .format(entry["kind"]))
-        design = _design(cfg, off, N)
-        qp = gp = None
-        if not lqr:
-            qp = condense(cfg.plant, design, off["em"])
-        if entry["kind"] != "MPC":
-            gamma = off["T"] if qp is None else feasible_set(qp)
-            gp = governor.GovernorProblem(gamma, off["spec"].R_eps)
+        N = entry["N"] if entry["N"] is not None else cfg.N
+        design, qp = _controller(cfg, off, entry["kind"], N)
+        gp = None if entry["kind"] == "MPC" else _governor(off, qp)
         sc = Scenario(cfg.plant, off["spec"], design, entry["kind"],
                       cfg.x0, cfg.r, cfg.budget)
         log = None
@@ -467,7 +465,7 @@ def cmd_compare(cfg, out_dir, quiet=False):
     slugs = ["{}_{}".format(i, re.sub(r"[^a-z0-9]+", "_",
                                       entry["kind"].lower()).strip("_"))
              for i, entry in enumerate(controllers)]
-    rows = [_compare_one(cfg, off, entry, slug, out_dir, cfg.N)
+    rows = [_compare_one(cfg, off, entry, slug, out_dir)
             for entry, slug in zip(controllers, slugs)]
 
     table = ["{:<14} {:>4} {:>11} {:>9} {:>11} {:>11}  {}".format(
@@ -505,40 +503,25 @@ def cmd_compare(cfg, out_dir, quiet=False):
     return 0 if all(row["ok"] for row in rows) else 1
 
 
-def cmd_nstar(cfg, cap=None, quiet=False):
-    """Search the horizons 0..cap and print the smallest feasible one.
+def cmd_nstar(cfg, quiet=False):
+    """Search the horizons 0..cfg.cap and print the smallest feasible one.
 
     Unless quiet, each probed horizon is logged with its worst violation,
     in increasing order of horizon, also when no feasible horizon is found.
     """
     x0 = _require(cfg, "x0", "nstar")
     r = _require(cfg, "r", "nstar")
-    if cap is None:
-        cap = cfg.cap if cfg.cap is not None else 600
     off = _offline(cfg)
     design = _design(cfg, off, cfg.N)
     trace = []
     try:
-        n = n_star(cfg.plant, design, x0, r, cap, trace=trace)
+        n = n_star(cfg.plant, design, x0, r, cfg.cap, trace=trace)
     finally:
         if not quiet:
             for h, violation in trace:
                 print("h={:d} violation={:.6e}".format(h, violation))
     print("N* = {}".format(n))
     return 0
-
-
-def _tolerance(text):
-    """The value of --tol: a finite float >= 0. A NaN tolerance would fail
-    every membership audit and an infinite one pass them all."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = np.nan
-    if not 0.0 <= tol < np.inf:
-        raise argparse.ArgumentTypeError(
-            "must be a finite number >= 0, got {!r}".format(text))
-    return tol
 
 
 def main(argv=None):
@@ -562,27 +545,20 @@ def main(argv=None):
     # a verb takes only the options it reads: a misplaced one exits 2
     for verb in ("sets", "simulate", "compare"):
         verbs[verb].add_argument("--out", default=None,
-                                 help="output directory (default: config "
-                                      "'out' field, else the working "
-                                      "directory)")
-    verbs["simulate"].add_argument("--tol", type=_tolerance, default=1e-7,
-                                   help="membership tolerance for invariant "
-                                        "audits")
-    verbs["nstar"].add_argument("--cap", type=int, default=None,
-                                help="largest horizon the search may probe")
+                                 help="output directory (default: the "
+                                      "working directory)")
     args = parser.parse_args(argv)
 
     try:
         cfg = ScenarioConfig.from_file(args.config)
         if args.command == "nstar":
-            return cmd_nstar(cfg, cap=args.cap, quiet=args.quiet)
-        out_dir = args.out or cfg.out or "."
+            return cmd_nstar(cfg, quiet=args.quiet)
+        out_dir = args.out or "."
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "sets":
             return cmd_sets(cfg, out_dir, quiet=args.quiet)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, tol=args.tol,
-                                quiet=args.quiet)
+            return cmd_simulate(cfg, out_dir, quiet=args.quiet)
         return cmd_compare(cfg, out_dir, quiet=args.quiet)
     except (ValueError, RuntimeError, OSError) as err:
         print("error: {}".format(err), file=sys.stderr)

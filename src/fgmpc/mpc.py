@@ -42,7 +42,7 @@ def check_integer(value, name):
     return int(value)
 
 
-def _vector(value, name, size):
+def check_vector(value, name, size):
     """value as a finite float vector of the given size, or ValueError."""
     vec = np.asarray(value, dtype=float).ravel()
     if vec.size != size:
@@ -321,8 +321,8 @@ def ocp_feasible(plant, design, x, v, horizon):
     horizon = check_integer(horizon, "horizon")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    x = _vector(x, "x", plant.n_x)
-    v = _vector(v, "v", plant.n_z)
+    x = check_vector(x, "x", plant.n_x)
+    v = check_vector(v, "v", plant.n_z)
     ok, _, _ = _oracle(plant, design, horizon).feasible(horizon, x, v)
     return ok
 
@@ -349,8 +349,8 @@ def n_star(plant, design, x0, r, cap, trace=None):
     cap = check_integer(cap, "cap")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    x0 = _vector(x0, "x0", plant.n_x)
-    r = _vector(r, "r", plant.n_z)
+    x0 = check_vector(x0, "x0", plant.n_x)
+    r = check_vector(r, "r", plant.n_z)
     em = equilibrium_basis(plant)
     u_pad = em.G_u @ r
     oracle = _HorizonOracle(plant, design, 1)  # as deep as the probes

@@ -107,17 +107,16 @@ class LtiPlant:
 
 
 class EquilibriumMap:
-    """Basis (G_x, G_u, G_z) of the equilibrium family, with G_z = I.
+    """Basis (G_x, G_u) of the equilibrium family, with G_z = I.
 
     For every reference v: x_bar = G_x v and u_bar = G_u v satisfy
     x_bar = A x_bar + B u_bar and E x_bar + F u_bar = v.
     """
 
-    def __init__(self, G_x, G_u, G_z):
+    def __init__(self, G_x, G_u):
         self.G_x = np.atleast_2d(np.asarray(G_x, dtype=float))
         self.G_u = np.atleast_2d(np.asarray(G_u, dtype=float))
-        self.G_z = np.atleast_2d(np.asarray(G_z, dtype=float))
-        for M in (self.G_x, self.G_u, self.G_z):
+        for M in (self.G_x, self.G_u):
             M.setflags(write=False)
 
     @property
@@ -172,7 +171,7 @@ def equilibrium_basis(plant):
             "the steady-state tracking-output map G_z is singular; "
             "references cannot be mapped one-to-one to equilibria")
     Gz_inv = np.linalg.inv(G_z)
-    return EquilibriumMap(G_x @ Gz_inv, G_u @ Gz_inv, np.eye(n_z))
+    return EquilibriumMap(G_x @ Gz_inv, G_u @ Gz_inv)
 
 
 def steady_state_ref_set(plant, em, Y, eps):

@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from fgmpc import governor
-from fgmpc.mpc import OcpInfeasibleError, check_integer, condense, \
-    feasible_set, mpc_feedback
+from fgmpc.mpc import OcpInfeasibleError, check_integer, check_vector, \
+    condense, feasible_set, mpc_feedback
 from fgmpc.plant import equilibrium_basis
 from fgmpc.polytope import write_csv
 
@@ -57,14 +57,8 @@ class Scenario:
         self.spec = spec
         self.design = design
         self.kind = kind
-        self.x0 = np.asarray(x0, dtype=float).ravel()
-        if self.x0.size != plant.n_x:
-            raise ValueError("x0 has size {} but the plant has {} states"
-                             .format(self.x0.size, plant.n_x))
-        self.r = np.asarray(r, dtype=float).ravel()
-        if self.r.size != plant.n_z:
-            raise ValueError("r has size {} but the plant tracks {} outputs"
-                             .format(self.r.size, plant.n_z))
+        self.x0 = check_vector(x0, "x0", plant.n_x)
+        self.r = check_vector(r, "r", plant.n_z)
         self.budget = check_integer(budget, "step budget")
         if self.budget < 1:
             raise ValueError("step budget must be at least 1")

@@ -207,13 +207,11 @@ def test_without_drift_compares_the_pairs_that_did_not_drift():
     assert bench_pairs.MIN_CLEAN_PAIRS == 5
 
 
-def test_main_reports_verdicts_without_drifted_pairs(tmp_path, monkeypatch):
-    """Two trees whose runs agree but whose host readings differ by more
-    than DRIFT in every pair: the full verdict is "within", the one
-    without drifted pairs "unresolved", and so are the top-level flags."""
-    monkeypatch.setattr(bench_pairs, "PAIRS", 3)
+def bench_trees(tmp_path, parent_cal, change_cal):
+    """A parent and a change tree, each a fake_tree with a BENCHMARK.json
+    whose one end-to-end metric is op_s."""
     trees = []
-    for side, cal in (("parent", "0.04 -> 0.04"), ("change", "0.06 -> 0.06")):
+    for side, cal in (("parent", parent_cal), ("change", change_cal)):
         root = fake_tree(tmp_path / side, cal, 0.0)
         os.makedirs(os.path.join(root, "src", "fgmpc"))
         with open(os.path.join(root, "BENCHMARK.json"), "w") as fh:
@@ -221,9 +219,19 @@ def test_main_reports_verdicts_without_drifted_pairs(tmp_path, monkeypatch):
                                        "better": "lower", "bound": 0.25}]},
                       fh)
         trees.append(root)
+    return trees
+
+
+def test_main_reports_verdicts_without_drifted_pairs(tmp_path, monkeypatch):
+    """Two trees whose runs agree but whose host readings differ by more
+    than DRIFT in every pair: the full verdict is "within", the one
+    without drifted pairs "unresolved", and so are the top-level flags."""
+    monkeypatch.setattr(bench_pairs, "PAIRS", 3)
+    trees = bench_trees(tmp_path, "0.04 -> 0.04", "0.06 -> 0.06")
     out = tmp_path / "bench.json"
     assert bench_pairs.main(trees + ["--workload", "long_horizon", "--seed",
-                                     "3", "--out", str(out)]) == 0
+                                     "3", "--claim", "long_horizon:op_s",
+                                     "--out", str(out)]) == 0
     with open(out) as fh:
         report = json.load(fh)
     entry = report["pairs"]["long_horizon"]
@@ -233,3 +241,32 @@ def test_main_reports_verdicts_without_drifted_pairs(tmp_path, monkeypatch):
                                               "verdict": "unresolved"}
     assert report["no_regression"] is True
     assert report["no_regression_without_drift"] is False
+    # equal runs: the change wins no pair, so the claim is not met
+    assert report["claim"]["workload"] == "long_horizon"
+    assert report["claim"]["metric"] == "op_s"
+    assert report["claim"]["wins"] == 0 and report["claim"]["met"] is False
+
+
+@pytest.mark.parametrize("claim, message", [
+    ("governed_loop:op_s", "--claim workload 'governed_loop' is not a "
+                           "--workload: long_horizon"),
+    ("long_horizon:wall_s", "--claim metric 'wall_s' is not an end-to-end "
+                            "metric of BENCHMARK.json: op_s"),
+    ("long_horizon", "--claim must be WORKLOAD:METRIC, got 'long_horizon'"),
+])
+def test_main_refuses_a_bad_claim_before_any_run(tmp_path, monkeypatch,
+                                                 capsys, claim, message):
+    """A claim on a workload that is not run, on a metric that is not in
+    BENCHMARK.json, or without a colon is a usage error (exit 2) before
+    the first run, and writes no report."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    trees = bench_trees(tmp_path, "0.04 -> 0.04", "0.04 -> 0.04")
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(trees + ["--workload", "long_horizon", "--seed",
+                                  "3", "--claim", claim, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith("error: " + message)
+    assert not out.exists()

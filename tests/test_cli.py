@@ -37,6 +37,9 @@ def write_config(tmp_path, cfg, name="config.json"):
 def test_config_rejects_unknown_field():
     with pytest.raises(ConfigError, match="'horizon'.*unknown"):
         ScenarioConfig(fig2_config(horizon=3))
+    # the output directory is --out alone
+    with pytest.raises(ConfigError, match="'out'.*unknown"):
+        ScenarioConfig(fig2_config(out="results"))
     with pytest.raises(ConfigError, match="'plant.G'.*unknown"):
         bad = fig2_config()
         bad["plant"]["G"] = [[1.0]]
@@ -125,16 +128,11 @@ def test_sets_and_simulate_exit_nonzero_on_non_finite(tmp_path, capsys):
                  str(tmp_path / "sim"), "--quiet"]) == 1
     assert "'x0': must be finite" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sim")
-    # a bad audit tolerance is refused by name before any set is built
     path = write_config(tmp_path, fig2_config(
-        kind="MPC+FG", x0=[-0.9], r=[0.7], budget=20))
-    for tol in ("nan", "inf", "-1"):
-        with pytest.raises(SystemExit) as exit_:
-            main(["simulate", "--config", path, "--out",
-                  str(tmp_path / "sim"), "--tol", tol, "--quiet"])
-        assert exit_.value.code == 2
-        assert "argument --tol: must be a finite number >= 0, got '{}'" \
-            .format(tol) in capsys.readouterr().err
+        kind="MPC+FG", x0=[-0.9], r=[float("-inf")], budget=20))
+    assert main(["simulate", "--config", path, "--out",
+                 str(tmp_path / "sim"), "--quiet"]) == 1
+    assert "'r': must be finite" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sim")
 
 
@@ -392,10 +390,39 @@ def test_nstar_scan_log(tmp_path, capsys):
 
 
 def test_nstar_cap_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, fig2_config(x0=[-0.9], r=[0.5]))
-    code = main(["nstar", "--config", cfg, "--cap", "1", "--quiet"])
+    """Config 'cap' bounds nstar's search; a config without one gets 600."""
+    cfg = write_config(tmp_path, fig2_config(x0=[-0.9], r=[0.5], cap=1))
+    code = main(["nstar", "--config", cfg, "--quiet"])
     assert code == 1
-    assert "no feasible horizon" in capsys.readouterr().err
+    assert "no feasible horizon <= 1" in capsys.readouterr().err
+    assert ScenarioConfig(fig2_config()).cap == 600
+
+
+@pytest.mark.parametrize("kind", ["MPC", "MPC+FG"])
+@pytest.mark.parametrize("N", [None, 0])
+def test_simulate_and_compare_share_the_horizon_rule(tmp_path, capsys,
+                                                     kind, N):
+    """An MPC kind with no N or N = 0 is refused with one message, by
+    simulate (exit 1) and by compare (an error row, exit 1)."""
+    message = "config field 'N': required (>= 1) for controller '{}'" \
+        .format(kind)
+    cfg = fig2_config(kind=kind, x0=[-0.2], r=[0.5], budget=10,
+                      controllers=[{"kind": kind},
+                                   {"kind": "MPC+CG(LQR)"}])
+    if N is None:
+        del cfg["N"]
+    else:
+        cfg["N"] = N
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out",
+                 str(tmp_path / "sim"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: {}\n".format(message)
+    assert os.listdir(tmp_path / "sim") == []
+    assert main(["compare", "--config", path, "--out",
+                 str(tmp_path / "cmp"), "--quiet"]) == 1
+    rows = (tmp_path / "cmp" / "compare.txt").read_text().splitlines()
+    assert rows[1].endswith("  error: {}".format(message))
+    assert rows[2].endswith("  ok")
 
 
 def test_sets_exits_1_at_a_give_up_limit(tmp_path, capsys, monkeypatch):
@@ -413,16 +440,17 @@ def test_sets_exits_1_at_a_give_up_limit(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("verb, flag, value", [
     ("sets", "--tol", "5"), ("sets", "--cap", "3"),
-    ("simulate", "--cap", "3"),
+    ("simulate", "--tol", "5"), ("simulate", "--cap", "3"),
     ("compare", "--tol", "5"), ("compare", "--cap", "3"),
-    ("nstar", "--out", "D"), ("nstar", "--tol", "5"),
+    ("nstar", "--out", "D"), ("nstar", "--tol", "5"), ("nstar", "--cap", "3"),
 ])
 def test_option_of_another_verb_exits_2(tmp_path, capsys, verb, flag,
                                         value):
     """Each verb accepts only the options it reads: --out on sets,
-    simulate and compare, --tol on simulate and --cap on nstar. Any other
-    is refused by argparse with exit 2 before the config is read, and
-    creates no directory."""
+    simulate and compare. The audit tolerance and nstar's cap are no
+    options (the cap is config 'cap'). Any other option is refused by
+    argparse with exit 2 before the config is read, and creates no
+    directory."""
     cfg = write_config(tmp_path, fig2_config(x0=[-0.9], r=[0.5]))
     if value == "D":
         value = str(tmp_path / "D")
@@ -434,11 +462,19 @@ def test_option_of_another_verb_exits_2(tmp_path, capsys, verb, flag,
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
-def test_nstar_creates_no_output_directory(tmp_path, capsys):
-    """nstar writes no file, so the config's 'out' directory is not
-    created for it."""
-    cfg = write_config(tmp_path, fig2_config(x0=[-0.9], r=[0.5],
-                                             out=str(tmp_path / "out")))
-    assert main(["nstar", "--config", cfg, "--cap", "40", "--quiet"]) == 0
-    assert "N* = " in capsys.readouterr().out
-    assert not os.path.exists(tmp_path / "out")
+def test_readme_usage_lines_parse(tmp_path, monkeypatch, capsys):
+    """Each `fgmpc ...` line of the README's usage block passes argparse:
+    run on a config that does not exist, it exits 1, never 2."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        usage = [line.split("#")[0].split() for line in fh
+                 if line.startswith("fgmpc ")]
+    assert sorted(words[1] for words in usage) == \
+        ["compare", "nstar", "sets", "simulate"]
+    monkeypatch.chdir(tmp_path)
+    for words in usage:
+        argv = words[1:]
+        argv[argv.index("--config") + 1] = "missing.json"
+        assert main(argv) == 1, words
+        assert "missing.json" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

@@ -82,9 +82,8 @@ def test_equilibrium_basis_double_integrator():
     em = equilibrium_basis(p)
     np.testing.assert_allclose(em.G_x, [[1.0], [0.0]], atol=1e-12)
     np.testing.assert_allclose(em.G_u, [[0.0]], atol=1e-12)
-    np.testing.assert_allclose(em.G_z, [[1.0]], atol=1e-12)
     Z = equilibrium_matrix(p)
-    G = np.vstack([em.G_x, em.G_u, em.G_z])
+    G = np.vstack([em.G_x, em.G_u, np.eye(1)])  # normalized: G_z = I
     assert np.max(np.abs(Z @ G)) <= 1e-10
 
 
@@ -122,9 +121,8 @@ def test_equilibrium_kernel_property_random():
         except ValueError:
             continue  # randomly degenerate tracking map
         Z = equilibrium_matrix(p)
-        G = np.vstack([em.G_x, em.G_u, em.G_z])
+        G = np.vstack([em.G_x, em.G_u, np.eye(1)])  # normalized: G_z = I
         assert np.max(np.abs(Z @ G)) <= 1e-10, trial
-        np.testing.assert_allclose(em.G_z, np.eye(1), atol=1e-12)
         # equilibrium is a fixed point and tracks exactly
         v = rng.normal(size=1)
         xn, _, z = p.step(em.x_bar(v), em.u_bar(v))

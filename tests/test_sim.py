@@ -33,10 +33,16 @@ def test_scenario_validation(fig2):
         make_scenario(fig2, 2, "LQR", [0.0], [0.0], 10)
     with pytest.raises(ValueError, match="at least 1"):
         make_scenario(fig2, 2, "MPC", [0.0], [0.0], 0)
-    with pytest.raises(ValueError, match="states"):
+    with pytest.raises(ValueError, match="expected x0 of size 1, got size 2"):
         make_scenario(fig2, 2, "MPC", [0.0, 0.0], [0.0], 10)
-    with pytest.raises(ValueError, match="tracks"):
+    with pytest.raises(ValueError, match="expected r of size 1, got size 2"):
         make_scenario(fig2, 2, "MPC", [0.0], [0.0, 1.0], 10)
+    # a non-finite start or reference is refused by name, before any QP
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            make_scenario(fig2, 2, "MPC", [bad], [0.0], 10)
+        with pytest.raises(ValueError, match="^r must be finite$"):
+            make_scenario(fig2, 2, "MPC+FG", [0.0], [bad], 10)
 
 
 @pytest.mark.parametrize("budget", [2.5, 3.0, True, "3", None])

@@ -32,7 +32,10 @@ the sides is marked.
 The claim (``--claim WORKLOAD:METRIC``) is met when the change wins at
 least nine of the ten pairs, ties counting for neither side, the medians
 differ by more than the parent's interquartile range, and no larger
-share of the workload's operations fails than at the parent.
+share of the workload's operations fails than at the parent. A claim
+whose workload is not among the ``--workload`` ones, or whose metric is
+not an end-to-end metric of the parent's ``BENCHMARK.json``, is refused
+as a usage error before the first run.
 
 The line count of ``src/fgmpc/*.py`` in each tree, as ``wc -l`` gives
 it, is recorded and printed beside the runs.
@@ -95,7 +98,23 @@ def parse_args(argv):
     p.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
     p.add_argument("--change", default="", help="one line on the change")
     p.add_argument("--out", required=True)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
+        args.metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    if args.claim is not None:
+        workload, colon, name = args.claim.partition(":")
+        if not colon:
+            p.error("--claim must be WORKLOAD:METRIC, got {!r}".format(
+                args.claim))
+        if workload not in args.workload:
+            p.error("--claim workload {!r} is not a --workload: {}".format(
+                workload, ", ".join(args.workload)))
+        if name not in args.metrics:
+            p.error("--claim metric {!r} is not an end-to-end metric of "
+                    "BENCHMARK.json: {}".format(name,
+                                                ", ".join(args.metrics)))
+        args.claim = (workload, name)
+    return args
 
 
 def run_once(tree, workload, seed, trace=0):
@@ -241,8 +260,7 @@ def without_drift(parent, change, drifted, better, bound):
 
 def main(argv=None):
     args = parse_args(argv)
-    with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
-        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    metrics = args.metrics
     sides = {"parent": args.parent, "change": args.change_tree}
     report = {"change": args.change,
               "host": "{} CPUs, {} {}, Python {}".format(
@@ -317,7 +335,7 @@ def main(argv=None):
         report["no_regression_without_drift"], ", ".join(
             "{} {}".format(k, v) for k, v in clean.items())), flush=True)
     if args.claim:
-        workload, name = args.claim.split(":")
+        workload, name = args.claim
         m = report["pairs"][workload][name]
         sign = 1.0 if metrics[name]["better"] == "lower" else -1.0
         gap = sign * (m["parent"]["median"] - m["change"]["median"])
