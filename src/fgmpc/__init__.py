@@ -14,8 +14,8 @@ from fgmpc.mpc import CondensedQp, FeasibleSet, OcpDesign, \
 from fgmpc.plant import ConstraintSpec, EquilibriumMap, LtiPlant, \
     equilibrium_basis, steady_state_ref_set
 from fgmpc.polytope import HPolyhedron
-from fgmpc.sim import KINDS, Scenario, SimulationError, TrajectoryLog, \
-    Verdict, audit_invariants, metrics, run_closed_loop, \
+from fgmpc.sim import KINDS, Offline, Scenario, SimulationError, \
+    TrajectoryLog, Verdict, audit_invariants, metrics, run_closed_loop, \
     write_trajectory_csv
 from fgmpc.solver import LimitError, LpProblem, QpProblem, SolveStatus, \
     Status, min_violation, solve_lp, solve_qp, support_value
@@ -37,6 +37,7 @@ __all__ = [
     "LtiPlant",
     "OcpDesign",
     "OcpInfeasibleError",
+    "Offline",
     "QpProblem",
     "RiccatiSolution",
     "RoaError",

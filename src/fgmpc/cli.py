@@ -18,13 +18,11 @@ import sys
 import numpy as np
 
 from fgmpc import governor
-from fgmpc.mpc import FeasibleSet, OcpDesign, condense, feasible_set, \
-    n_star
-from fgmpc.plant import ConstraintSpec, LtiPlant, equilibrium_basis
+from fgmpc.mpc import condense, feasible_set, n_star
+from fgmpc.plant import LtiPlant
 from fgmpc.polytope import HPolyhedron, write_atomic, write_csv
-from fgmpc.sim import KINDS, Scenario, SimulationError, audit_invariants, \
-    metrics, run_closed_loop, write_trajectory_csv
-from fgmpc.synthesis import solve_dare, terminal_set
+from fgmpc.sim import KINDS, Offline, Scenario, audit_invariants, metrics, \
+    run_closed_loop, write_trajectory_csv
 
 _TOP_KEYS = ("plant", "Y", "eps", "eps_terminal", "Q", "R", "N", "kind",
              "controllers", "x0", "r", "budget", "cap", "slices")
@@ -262,39 +260,27 @@ def _require(cfg, field, command):
 
 
 def _offline(cfg):
-    plant = cfg.plant
-    em = equilibrium_basis(plant)
-    spec = ConstraintSpec(plant, em, cfg.Y, cfg.eps)
-    rs = solve_dare(plant.A, plant.B, cfg.Q, cfg.R)
-    T = terminal_set(plant, em, rs, cfg.Y, cfg.eps_terminal)
-    return {"em": em, "spec": spec, "rs": rs, "T": T}
+    return Offline(cfg.plant, cfg.Y, cfg.eps, cfg.Q, cfg.R,
+                   cfg.eps_terminal)
 
 
-def _design(cfg, off, N):
-    """The OcpDesign of horizon N. The command governor and nstar read
-    only K and T of it, so they may pass an N of None or 0: it gets the
-    placeholder horizon 1."""
-    return OcpDesign(max(N or 1, 1), cfg.Q, cfg.R, off["rs"].P,
-                     off["rs"].K, off["T"], cfg.Y)
-
-
-def _controller(cfg, off, kind, N):
+def _controller(off, kind, N):
     """The (design, qp) of one controller kind. The command governor
     reads only K and T, so it needs no N and gets the placeholder design
-    and no QP; every MPC kind needs N >= 1 and gets its condensed QP."""
+    (N = 1) and no QP; every MPC kind needs N >= 1 and its condensed QP."""
     if kind == "MPC+CG(LQR)":
-        return _design(cfg, off, None), None
+        return off.design(1), None
     if N is None or N < 1:
         _fail("N", "required (>= 1) for controller '{}'".format(kind))
-    design = _design(cfg, off, N)
-    return design, condense(cfg.plant, design, off["em"])
+    design = off.design(N)
+    return design, condense(off.plant, design, off.em)
 
 
 def _governor(off, qp):
     """GovernorProblem over T when there is no qp (the command governor),
     over Gamma_N of qp otherwise."""
-    gamma = off["T"] if qp is None else feasible_set(qp)
-    return governor.GovernorProblem(gamma, off["spec"].R_eps)
+    gamma = off.T if qp is None else feasible_set(qp)
+    return governor.GovernorProblem(gamma, off.spec.R_eps)
 
 
 def _format_value(value):
@@ -341,18 +327,15 @@ def cmd_sets(cfg, out_dir, quiet=False):
     them as .hrep files plus CSV boundary samples for plotting."""
     N = _require(cfg, "N", "sets")
     off = _offline(cfg)
-    plant, spec = cfg.plant, off["spec"]
-    if N == 0:
-        gamma = FeasibleSet.from_terminal(off["T"])
-    else:
-        qp = condense(plant, _design(cfg, off, N), off["em"])
-        gamma = feasible_set(qp)
+    plant, spec = cfg.plant, off.spec
+    gamma = off.T if N == 0 else \
+        feasible_set(condense(plant, off.design(N), off.em))
     gp = governor.GovernorProblem(gamma, spec.R_eps)
     roa_set = governor.roa(gp)
 
     # compute every export before touching the filesystem
     exports = {
-        "T.hrep": off["T"].set_xv,
+        "T.hrep": off.T.set_xv,
         "GammaN.hrep": gamma.set_xv,
         "Lambda.hrep": gp.Lambda,
         "Reps.hrep": spec.R_eps,
@@ -394,12 +377,12 @@ def cmd_simulate(cfg, out_dir, quiet=False):
     budget = _require(cfg, "budget", "simulate")
 
     off = _offline(cfg)
-    design, qp = _controller(cfg, off, kind, cfg.N)
+    design, qp = _controller(off, kind, cfg.N)
     gp = _governor(off, qp)
-    sc = Scenario(cfg.plant, off["spec"], design, kind, x0, r, budget)
+    sc = Scenario(cfg.plant, off.spec, design, kind, x0, r, budget)
     log = run_closed_loop(sc, qp=qp, gp=gp)
 
-    target = governor.r_star(off["spec"].R_eps, sc.r)
+    target = governor.r_star(off.spec.R_eps, sc.r)
     report = metrics(log, target, cfg.Y)
     verdicts = audit_invariants(log, gp, cfg.Y)
 
@@ -424,9 +407,9 @@ def _compare_one(cfg, off, entry, slug, out_dir):
     """Build, run, and time one controller variant; never raises."""
     try:
         N = entry["N"] if entry["N"] is not None else cfg.N
-        design, qp = _controller(cfg, off, entry["kind"], N)
+        design, qp = _controller(off, entry["kind"], N)
         gp = None if entry["kind"] == "MPC" else _governor(off, qp)
-        sc = Scenario(cfg.plant, off["spec"], design, entry["kind"],
+        sc = Scenario(cfg.plant, off.spec, design, entry["kind"],
                       cfg.x0, cfg.r, cfg.budget)
         log = None
         taves, tmaxes = [], []
@@ -435,7 +418,7 @@ def _compare_one(cfg, off, entry, slug, out_dir):
             total = log.t_fg + log.t_mpc
             taves.append(float(np.mean(total)))
             tmaxes.append(float(np.max(total)))
-        target = governor.r_star(off["spec"].R_eps, sc.r)
+        target = governor.r_star(off.spec.R_eps, sc.r)
         report = metrics(log, target, cfg.Y)
         write_trajectory_csv(log, os.path.join(
             out_dir, "trajectory_{}.csv".format(slug)))
@@ -511,8 +494,7 @@ def cmd_nstar(cfg, quiet=False):
     """
     x0 = _require(cfg, "x0", "nstar")
     r = _require(cfg, "r", "nstar")
-    off = _offline(cfg)
-    design = _design(cfg, off, cfg.N)
+    design = _offline(cfg).design(1)  # n_star reads only its T and Y
     trace = []
     try:
         n = n_star(cfg.plant, design, x0, r, cfg.cap, trace=trace)

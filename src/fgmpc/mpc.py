@@ -119,12 +119,6 @@ class FeasibleSet:
         self.set_xv = set_xv
         self.N = N
 
-    @classmethod
-    def from_terminal(cls, T):
-        """Horizon-0 convention: with no moves left, feasibility is exactly
-        terminal-set membership."""
-        return cls(T.set_xv, 0)
-
 
 def _lag_blocks(lags, h):
     """The (h p) x (h q) matrix whose block (i, j) is lags[i - j + 1] for

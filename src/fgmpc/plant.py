@@ -189,8 +189,6 @@ class ConstraintSpec:
     strictly steady-state admissible reference set R_eps."""
 
     def __init__(self, plant, em, Y, eps):
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie strictly between 0 and 1")
         if Y.dim != plant.n_y:
             raise ValueError("Y has dimension {} but the plant has {} "
                              "constrained outputs".format(Y.dim, plant.n_y))

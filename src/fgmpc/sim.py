@@ -1,5 +1,5 @@
-"""Closed-loop simulation of plant + MPC (+ governor), metric extraction,
-and invariant auditing.
+"""The offline pieces of one plant, closed-loop simulation of plant + MPC
+(+ governor), metric extraction, and invariant auditing.
 
 One simulation is one sequential loop: at step k the governor picks the
 auxiliary reference v_k (or v_k = r for plain MPC), the controller maps
@@ -18,14 +18,16 @@ import time
 import numpy as np
 
 from fgmpc import governor
-from fgmpc.mpc import OcpInfeasibleError, check_integer, check_vector, \
-    condense, feasible_set, mpc_feedback
-from fgmpc.plant import equilibrium_basis
+from fgmpc.mpc import OcpDesign, OcpInfeasibleError, check_integer, \
+    check_vector, mpc_feedback
+from fgmpc.plant import ConstraintSpec, equilibrium_basis
 from fgmpc.polytope import write_csv
+from fgmpc.synthesis import solve_dare, terminal_set
 
 KINDS = ("MPC", "MPC+FG", "MPC+CG(LQR)")
 CONV_TOL = 1e-3  # terminal state-tracking tolerance of the audit
 V_TOL = 1e-8  # reference-convergence tolerance of metrics and the audit
+AUDIT_TOL = 1e-7  # membership and output tolerance of the audit
 
 Verdict = collections.namedtuple("Verdict", ["name", "passed",
                                              "first_failure"])
@@ -39,6 +41,29 @@ class SimulationError(RuntimeError):
         self.cause = str(cause)
         super().__init__("closed loop aborted at step {}: {}".format(
             self.step, self.cause))
+
+
+class Offline:
+    """The offline pieces every controller of one plant shares, built once
+    in this order: the equilibrium map em, the constraint spec (with
+    R_eps) at eps, the Riccati solution rs of Q and R, and the terminal set
+    T at eps_terminal (eps when None). design(N): the horizon-N OcpDesign."""
+
+    def __init__(self, plant, Y, eps, Q, R, eps_terminal=None):
+        self.plant = plant
+        self.Y = Y
+        self.eps = eps
+        self.Q = Q
+        self.R = R
+        self.eps_terminal = eps if eps_terminal is None else eps_terminal
+        self.em = equilibrium_basis(plant)
+        self.spec = ConstraintSpec(plant, self.em, Y, eps)
+        self.rs = solve_dare(plant.A, plant.B, Q, R)
+        self.T = terminal_set(plant, self.em, self.rs, Y, self.eps_terminal)
+
+    def design(self, N):
+        return OcpDesign(N, self.Q, self.R, self.rs.P, self.rs.K, self.T,
+                         self.Y)
 
 
 class Scenario:
@@ -102,23 +127,21 @@ def run_closed_loop(sc, qp=None, gp=None):
 
     qp is the condensed OCP of "MPC" and "MPC+FG"; gp is
     GovernorProblem(Gamma_N, R_eps) for "MPC+FG" and GovernorProblem(T,
-    R_eps) for "MPC+CG(LQR)", which pairs it with the LQR law. Each is
-    built here when not supplied; prebuilt ones spare repeating the
-    offline set construction across runs. Each solver warm-starts from
-    its own previous solve's factors. A failed solve raises
-    SimulationError with the step index; at step 0 that means the initial
-    condition is outside the governed region of attraction (governed
-    kinds) or outside Gamma_N (plain MPC).
+    R_eps) for "MPC+CG(LQR)", which pairs it with the LQR law. A kind
+    that needs one of them and is not given it raises ValueError before
+    any step. Each solver warm-starts from its own previous solve's
+    factors. A failed solve raises SimulationError with the step index;
+    at step 0 that means the initial condition is outside the governed
+    region of attraction (governed kinds) or outside Gamma_N (plain MPC).
     """
     plant = sc.plant
     governed, lqr = sc.kind != "MPC", sc.kind == "MPC+CG(LQR)"
+    if not lqr and qp is None:
+        raise ValueError("controller kind {!r} needs qp".format(sc.kind))
+    if governed and gp is None:
+        raise ValueError("controller kind {!r} needs gp".format(sc.kind))
     if lqr:
         em = equilibrium_basis(plant)
-    elif qp is None:
-        qp = condense(plant, sc.design)
-    if governed and gp is None:
-        gamma = sc.design.T if lqr else feasible_set(qp)
-        gp = governor.GovernorProblem(gamma, sc.spec.R_eps)
 
     n = sc.budget
     X = np.empty((n, plant.n_x))
@@ -233,29 +256,30 @@ def metrics(log, r_star, Y):
     }
 
 
-def audit_invariants(log, gp, Y, tol=1e-7):
+def audit_invariants(log, gp, Y):
     """Safety, stability, and convergence verdicts for a governed log.
 
     gp has Lambda over Gamma_N for "MPC" and "MPC+FG", over T for
     "MPC+CG(LQR)". Returns five Verdict rows: (a) joint membership
-    (x_k, v_k) in Lambda, (b) output admissibility y_k in Y, (c) Lyapunov
-    value non-increasing, (d) v constant at the projected reference after
-    its convergence step, (e) final state within CONV_TOL of the commanded
-    equilibrium. A plain-MPC log with fixed v in R_eps passes the same
-    audit, since Lambda and Gamma_N have identical slices there.
+    (x_k, v_k) in Lambda and (b) output admissibility y_k in Y, both to
+    AUDIT_TOL, (c) Lyapunov value non-increasing, (d) v constant at the
+    projected reference after its convergence step, (e) final state within
+    CONV_TOL of the commanded equilibrium. A plain-MPC log with fixed v in
+    R_eps passes the same audit, since Lambda and Gamma_N have identical
+    slices there.
     """
     verdicts = []
 
     fail = None
     for k in range(log.n_steps):
         w = np.concatenate([log.x[k], log.v[k]])
-        if not gp.Lambda.contains_point(w, tol=tol):
+        if not gp.Lambda.contains_point(w, tol=AUDIT_TOL):
             fail = k
             break
     verdicts.append(Verdict("joint_membership", fail is None, fail))
 
     resid = log.y @ Y.A.T - Y.b
-    bad = np.nonzero(np.max(resid, axis=1) > tol)[0]
+    bad = np.nonzero(np.max(resid, axis=1) > AUDIT_TOL)[0]
     fail = int(bad[0]) if bad.size else None
     verdicts.append(Verdict("output_admissible", fail is None, fail))
 

@@ -6,17 +6,6 @@ import pytest
 import systems
 
 
-def governor_stack(bundle, N):
-    from fgmpc.governor import GovernorProblem
-    from fgmpc.mpc import condense, feasible_set
-
-    qp = condense(bundle["plant"], systems.make_design(bundle, N),
-                  bundle["em"])
-    gamma = feasible_set(qp)
-    gp = GovernorProblem(gamma, bundle["spec"].R_eps)
-    return {"qp": qp, "gamma": gamma, "gp": gp}
-
-
 @pytest.fixture(scope="session")
 def fig2():
     return systems.fig2_bundle()
@@ -24,12 +13,12 @@ def fig2():
 
 @pytest.fixture(scope="session")
 def fig2_gov(fig2):
-    return governor_stack(fig2, 2)
+    return systems.governor_stack(fig2, 2)
 
 
 @pytest.fixture(scope="session")
 def y1_gov(y1):
-    return governor_stack(y1, 10)
+    return systems.governor_stack(y1, 10)
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from fgmpc.plant import ConstraintSpec, LtiPlant, equilibrium_basis
+from fgmpc.plant import LtiPlant
 from fgmpc.polytope import HPolyhedron
-from fgmpc.synthesis import solve_dare, terminal_set
+from fgmpc.sim import Offline
 
 
 def double_integrator_plant(ts=0.1):
@@ -24,25 +24,12 @@ def scalar_integrator_plant():
                     D=[[0.0], [1.0]], E=[[1.0]], F=[[0.0]], ts=1.0)
 
 
-def build_bundle(plant, Y, eps, Q, R, eps_terminal=None):
-    """Everything a scenario needs: equilibrium map, constraint spec,
-    Riccati solution, and terminal set."""
-    em = equilibrium_basis(plant)
-    spec = ConstraintSpec(plant, em, Y, eps)
-    rs = solve_dare(plant.A, plant.B, Q, R)
-    T = terminal_set(plant, em, rs, Y,
-                     eps if eps_terminal is None else eps_terminal)
-    return {"plant": plant, "em": em, "spec": spec, "rs": rs, "T": T,
-            "Y": Y, "eps": eps, "Q": np.atleast_2d(np.asarray(Q, float)),
-            "R": np.atleast_2d(np.asarray(R, float))}
-
-
 def fig2_bundle():
     """Scalar integrator micro-system: |x| <= 1, |u| <= 0.25, eps = 0.2
     for the reference set, terminal set built at eps = 0.05."""
     plant = scalar_integrator_plant()
     Y = HPolyhedron.from_box([-1.0, -0.25], [1.0, 0.25])
-    return build_bundle(plant, Y, 0.2, [[1.0]], [[1.0]], eps_terminal=0.05)
+    return Offline(plant, Y, 0.2, [[1.0]], [[1.0]], eps_terminal=0.05)
 
 
 def y_box(index):
@@ -56,49 +43,52 @@ def y_box(index):
 
 def y1_bundle():
     """Double integrator with the tight position/velocity/input box."""
-    return build_bundle(double_integrator_plant(), y_box(1), 0.01,
-                        np.eye(2), [[1.0]])
+    return Offline(double_integrator_plant(), y_box(1), 0.01,
+                   np.eye(2), [[1.0]])
 
 
 def y2_bundle():
-    return build_bundle(double_integrator_plant(), y_box(2), 0.01,
-                        np.eye(2), [[1.0]])
+    return Offline(double_integrator_plant(), y_box(2), 0.01,
+                   np.eye(2), [[1.0]])
 
 
 def y3_bundle():
     """Comparison setup: wide position range, aggressive state weight."""
-    return build_bundle(double_integrator_plant(), y_box(3), 0.01,
-                        100.0 * np.eye(2), [[1.0]])
+    return Offline(double_integrator_plant(), y_box(3), 0.01,
+                   100.0 * np.eye(2), [[1.0]])
+
+
+def governor_stack(off, N):
+    """The horizon-N design of off, its condensed QP, Gamma_N and the
+    feasibility governor's problem."""
+    from fgmpc.governor import GovernorProblem
+    from fgmpc.mpc import condense, feasible_set
+
+    design = off.design(N)
+    qp = condense(off.plant, design, off.em)
+    gamma = feasible_set(qp)
+    return {"off": off, "design": design, "qp": qp, "gamma": gamma,
+            "gp": GovernorProblem(gamma, off.spec.R_eps)}
 
 
 def wide_box_stack():
     """The wide-box double integrator of the governed-loop benchmark:
-    terminal set from unit weights, controller with Q = 100 I, N = 10,
-    and its Gamma_N, Lambda and governed region of attraction."""
+    terminal set from unit weights (nom), controller with Q = 100 I,
+    N = 10, and its Gamma_N, Lambda and governed region of attraction."""
     from fgmpc.governor import GovernorProblem, roa
     from fgmpc.mpc import OcpDesign, condense, feasible_set
+    from fgmpc.synthesis import solve_dare
 
     plant = double_integrator_plant()
-    em = equilibrium_basis(plant)
-    Y = y_box(3)
-    spec = ConstraintSpec(plant, em, Y, 0.01)
+    nom = Offline(plant, y_box(3), 0.01, np.eye(2), [[1.0]])
     rs_ctrl = solve_dare(plant.A, plant.B, 100.0 * np.eye(2), [[1.0]])
-    rs_nom = solve_dare(plant.A, plant.B, np.eye(2), [[1.0]])
-    T = terminal_set(plant, em, rs_nom, Y, 0.01)
     design = OcpDesign(10, 100.0 * np.eye(2), [[1.0]], rs_ctrl.P,
-                       rs_ctrl.K, T, Y)
-    qp = condense(plant, design, em)
+                       rs_ctrl.K, nom.T, nom.Y)
+    qp = condense(plant, design, nom.em)
     gamma = feasible_set(qp)
-    gp = GovernorProblem(gamma, spec.R_eps)
-    return {"plant": plant, "spec": spec, "design": design, "qp": qp,
-            "gamma": gamma, "gp": gp, "roa": roa(gp)}
-
-
-def make_design(bundle, N):
-    from fgmpc.mpc import OcpDesign
-
-    return OcpDesign(N, bundle["Q"], bundle["R"], bundle["rs"].P,
-                     bundle["rs"].K, bundle["T"], bundle["Y"])
+    gp = GovernorProblem(gamma, nom.spec.R_eps)
+    return {"nom": nom, "design": design, "qp": qp, "gamma": gamma,
+            "gp": gp, "roa": roa(gp)}
 
 
 def sample_in_polytope(P, rng, count, attempts=200_000):

@@ -18,6 +18,7 @@ criterion, each printing a single summary line with its measured values.
    conditions.
 """
 
+import functools
 import json
 import re
 import time
@@ -28,33 +29,21 @@ import pytest
 import oracles
 import systems
 from fgmpc import cli, governor
-from fgmpc.mpc import FeasibleSet, OcpDesign, OcpInfeasibleError, condense, \
+from fgmpc.mpc import OcpDesign, OcpInfeasibleError, condense, \
     feasible_set, mpc_feedback, ocp_feasible
-from fgmpc.plant import ConstraintSpec, equilibrium_basis
 from fgmpc.polytope import HPolyhedron
 from fgmpc.sim import Scenario, audit_invariants, metrics, run_closed_loop
 from fgmpc.solver import LpProblem, QpProblem, Status, solve_lp, solve_qp, \
     support_value
-from fgmpc.synthesis import solve_dare, terminal_set
 
-_CACHE = {}
-
-
+@functools.cache
 def _y1_stack():
     """Horizon-10 stack for the tight-box double integrator, built once.
 
     Criterion 2 charges the construction against its runtime budget, so it
     calls the builder directly; later criteria reuse the cached result.
     """
-    if "y1" not in _CACHE:
-        bundle = systems.y1_bundle()
-        design = systems.make_design(bundle, 10)
-        qp = condense(bundle["plant"], design, bundle["em"])
-        gamma = feasible_set(qp)
-        gp = governor.GovernorProblem(gamma, bundle["spec"].R_eps)
-        _CACHE["y1"] = {"bundle": bundle, "design": design, "qp": qp,
-                        "gamma": gamma, "gp": gp}
-    return _CACHE["y1"]
+    return systems.governor_stack(systems.y1_bundle(), 10)
 
 
 def _interior_points(P, rng, count):
@@ -78,8 +67,8 @@ def _interior_points(P, rng, count):
 def test_criterion_1_grid_oracle_and_reference_interval():
     t0 = time.perf_counter()
     bundle = systems.fig2_bundle()
-    plant, em = bundle["plant"], bundle["em"]
-    design = systems.make_design(bundle, 2)
+    plant, em = bundle.plant, bundle.em
+    design = bundle.design(2)
     qp = condense(plant, design, em)
     G = feasible_set(qp).set_xv
     norms = np.linalg.norm(G.A, axis=1)
@@ -99,7 +88,7 @@ def test_criterion_1_grid_oracle_and_reference_interval():
 
     # the admissible reference interval: [-0.8, 0.8] up to roundoff in
     # the equilibrium-map solve
-    R = bundle["spec"].R_eps
+    R = bundle.spec.R_eps
     _, hi, _ = support_value(np.array([1.0]), R.A, R.b)
     _, lo, _ = support_value(np.array([-1.0]), R.A, R.b)
     assert abs(hi - 0.8) <= 1e-12
@@ -120,7 +109,7 @@ def test_criterion_1_grid_oracle_and_reference_interval():
 def test_criterion_2_governed_tracking_beyond_plain_roa():
     t0 = time.perf_counter()
     stack = _y1_stack()
-    bundle, design = stack["bundle"], stack["design"]
+    bundle, design = stack["off"], stack["design"]
     qp, gp = stack["qp"], stack["gp"]
     x0 = np.array([-1.0, 0.0])
     r = np.array([0.75])
@@ -130,10 +119,10 @@ def test_criterion_2_governed_tracking_beyond_plain_roa():
         mpc_feedback(qp, x0, r)
 
     # (b) the governed loop runs with zero constraint violation
-    sc = Scenario(bundle["plant"], bundle["spec"], design, "MPC+FG",
+    sc = Scenario(bundle.plant, bundle.spec, design, "MPC+FG",
                   x0, r, 400)
     log = run_closed_loop(sc, qp=qp, gp=gp)
-    residual = float(np.max(log.y @ bundle["Y"].A.T - bundle["Y"].b))
+    residual = float(np.max(log.y @ bundle.Y.A.T - bundle.Y.b))
     assert residual <= 1e-8
 
     # (c) the auxiliary reference reaches the target exactly and holds
@@ -158,13 +147,12 @@ def test_criterion_2_governed_tracking_beyond_plain_roa():
 def test_criterion_3_terminal_and_horizon_nesting(fig2, y2):
     stack = _y1_stack()
     assert stack["gamma"].set_xv.contains_set(
-        stack["bundle"]["T"].set_xv, tol=1e-7)
+        stack["off"].T.set_xv, tol=1e-7)
 
     for bundle in (fig2, y2):
-        prev = FeasibleSet.from_terminal(bundle["T"]).set_xv
+        prev = bundle.T.set_xv
         for N in range(1, 5):
-            qp = condense(bundle["plant"], systems.make_design(bundle, N),
-                          bundle["em"])
+            qp = condense(bundle.plant, bundle.design(N), bundle.em)
             cur = feasible_set(qp).set_xv
             assert cur.contains_set(prev, tol=1e-7), \
                 "horizon-{} set does not contain horizon-{}".format(N, N - 1)
@@ -211,7 +199,7 @@ def test_criterion_4_minimal_horizon_via_cli(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def wide_range_comparison():
+def wide_range_comparison(wide_gov):
     """Controller comparison on the wide-range double integrator.
 
     One terminal set, synthesised from the nominal unit weights, is shared
@@ -220,23 +208,14 @@ def wide_range_comparison():
     with that same set, since it needs a gain whose invariant set it
     constrains to.
     """
-    plant = systems.double_integrator_plant()
-    em = equilibrium_basis(plant)
-    Y = systems.y_box(3)
-    spec = ConstraintSpec(plant, em, Y, 0.01)
-    Q = 100.0 * np.eye(2)
-    R = [[1.0]]
-    rs_ctrl = solve_dare(plant.A, plant.B, Q, R)
-    rs_nom = solve_dare(plant.A, plant.B, np.eye(2), [[1.0]])
-    T = terminal_set(plant, em, rs_nom, Y, 0.01)
+    nom, d10 = wide_gov["nom"], wide_gov["design"]
+    qp10, gp = wide_gov["qp"], wide_gov["gp"]
+    plant, spec, Y = nom.plant, nom.spec, nom.Y
     x0 = np.array([-17.0, 0.0])
     r = np.array([4.0])
 
-    d10 = OcpDesign(10, Q, R, rs_ctrl.P, rs_ctrl.K, T, Y)
-    qp10 = condense(plant, d10, em)
-    gp = governor.GovernorProblem(feasible_set(qp10), spec.R_eps)
-    d236 = OcpDesign(236, Q, R, rs_ctrl.P, rs_ctrl.K, T, Y)
-    qp236 = condense(plant, d236, em)
+    d236 = OcpDesign(236, d10.Q, d10.R, d10.P, d10.K, nom.T, Y)
+    qp236 = condense(plant, d236, nom.em)
 
     tic = time.perf_counter()
     mpc_feedback(qp236, x0, r)
@@ -246,9 +225,9 @@ def wide_range_comparison():
         Scenario(plant, spec, d236, "MPC", x0, r, 300), qp=qp236)
     log_fg = run_closed_loop(
         Scenario(plant, spec, d10, "MPC+FG", x0, r, 470), qp=qp10, gp=gp)
-    d_cg = OcpDesign(10, np.eye(2), [[1.0]], rs_nom.P, rs_nom.K, T, Y)
     log_cg = run_closed_loop(
-        Scenario(plant, spec, d_cg, "MPC+CG(LQR)", x0, r, 600))
+        Scenario(plant, spec, nom.design(10), "MPC+CG(LQR)", x0, r, 600),
+        gp=governor.GovernorProblem(nom.T, spec.R_eps))
 
     return {"Y": Y, "r": r, "cold": cold, "log_mpc": log_mpc,
             "log_fg": log_fg, "log_cg": log_cg}
@@ -290,39 +269,39 @@ def test_criterion_7_property_audits(fig2, fig2_gov, y1, y2, y3):
     roa_set = governor.roa(gp)
     _, hi, _ = support_value(np.array([1.0]), roa_set.A, roa_set.b)
     _, lo, _ = support_value(np.array([-1.0]), roa_set.A, roa_set.b)
-    design = systems.make_design(fig2, 2)
+    design = fig2.design(2)
     required = ("joint_membership", "output_admissible",
                 "lyapunov_decrease", "reference_convergence")
     rng = np.random.default_rng(29)
     for run in range(50):
         x0 = rng.uniform(-lo + 1e-6, hi - 1e-6, size=1)
         r = rng.uniform(-2.0, 2.0, size=1)
-        sc = Scenario(fig2["plant"], fig2["spec"], design, "MPC+FG",
+        sc = Scenario(fig2.plant, fig2.spec, design, "MPC+FG",
                       x0, r, 100)
         log = run_closed_loop(sc, qp=qp, gp=gp)
         verdicts = {v.name: v for v in audit_invariants(log, gp,
-                                                        fig2["Y"])}
+                                                        fig2.Y)}
         for name in required:
             assert verdicts[name].passed, (run, name, verdicts[name])
 
     # (d): 1000-sample invariance/admissibility audit of each terminal set
     rng = np.random.default_rng(31)
     for bundle in (fig2, y1, y2, y3):
-        plant, em, K = bundle["plant"], bundle["em"], bundle["rs"].K
-        T = bundle["T"].set_xv
+        plant, em, K = bundle.plant, bundle.em, bundle.rs.K
+        T = bundle.T.set_xv
         W = _interior_points(T, rng, 1000)
         X, V = W[:, :plant.n_x], W[:, plant.n_x:]
         U = V @ em.G_u.T - (X - V @ em.G_x.T) @ K.T
         W_next = np.hstack([X @ plant.A.T + U @ plant.B.T, V])
         assert float(np.max(W_next @ T.A.T - T.b)) <= 1e-7
         Y_out = X @ plant.C.T + U @ plant.D.T
-        assert float(np.max(Y_out @ bundle["Y"].A.T - bundle["Y"].b)) \
+        assert float(np.max(Y_out @ bundle.Y.A.T - bundle.Y.b)) \
             <= 1e-9
 
     # (e): Riccati residual and closed-loop spectral radius
     for bundle in (fig2, y1, y2, y3):
-        A, B = bundle["plant"].A, bundle["plant"].B
-        Q, R, rs = bundle["Q"], bundle["R"], bundle["rs"]
+        A, B = bundle.plant.A, bundle.plant.B
+        Q, R, rs = bundle.Q, bundle.R, bundle.rs
         gain = np.linalg.solve(R + B.T @ rs.P @ B, B.T @ rs.P @ A)
         resid = A.T @ rs.P @ A - rs.P - A.T @ rs.P @ B @ gain + Q
         assert float(np.max(np.abs(resid))) <= 1e-8

@@ -8,9 +8,12 @@ import stat
 import numpy as np
 import pytest
 
-from fgmpc import cli, sim, solver
+from fgmpc import cli, mpc, solver
 from fgmpc.cli import ConfigError, ScenarioConfig, cmd_simulate, main
+from fgmpc.governor import GovernorProblem
 from fgmpc.polytope import HPolyhedron
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def fig2_config(**overrides):
@@ -143,6 +146,16 @@ def test_config_json_syntax_diagnostic(tmp_path):
         ScenarioConfig.from_file(str(path))
 
 
+def assert_library_sets(out, T, gamma, gp):
+    """The exported T, Gamma_N and Lambda are bit for bit the sets the
+    library builds."""
+    for name, P in (("T.hrep", T.set_xv), ("GammaN.hrep", gamma.set_xv),
+                    ("Lambda.hrep", gp.Lambda)):
+        read = HPolyhedron.read(str(out / name))
+        assert np.array_equal(read.A, P.A), name
+        assert np.array_equal(read.b, P.b), name
+
+
 def test_sets_exports_and_roundtrip(tmp_path, fig2, fig2_gov):
     cfg = write_config(tmp_path, fig2_config())
     out = tmp_path / "sets"
@@ -155,6 +168,7 @@ def test_sets_exports_and_roundtrip(tmp_path, fig2, fig2_gov):
     built = fig2_gov["gamma"].set_xv
     assert gamma.contains_set(built, tol=1e-7)
     assert built.contains_set(gamma, tol=1e-7)
+    assert_library_sets(out, fig2.T, fig2_gov["gamma"], fig2_gov["gp"])
     reps = HPolyhedron.read(str(out / "Reps.hrep"))
     assert reps.contains_point([0.8]) and not reps.contains_point([0.81])
     with open(out / "GammaN_boundary.csv", newline="") as fh:
@@ -182,7 +196,7 @@ def test_sets_slices(tmp_path):
         assert len(rows) == 3  # 1-D slice: two boundary endpoints
 
 
-def test_sets_horizon_zero_equals_terminal(tmp_path):
+def test_sets_horizon_zero_equals_terminal(tmp_path, fig2):
     out0 = tmp_path / "n0"
     cfg = write_config(tmp_path, fig2_config(N=0))
     assert main(["sets", "--config", cfg, "--out", str(out0),
@@ -191,6 +205,8 @@ def test_sets_horizon_zero_equals_terminal(tmp_path):
     gamma = HPolyhedron.read(str(out0 / "GammaN.hrep"))
     assert T.contains_set(gamma, tol=1e-9)
     assert gamma.contains_set(T, tol=1e-9)
+    assert_library_sets(out0, fig2.T, fig2.T,
+                        GovernorProblem(fig2.T, fig2.spec.R_eps))
 
 
 def test_simulate_governed_run(tmp_path):
@@ -214,7 +230,7 @@ def test_simulate_command_governor_builds_only_its_gp(tmp_path,
     it runs and is audited on GovernorProblem(T, R_eps) alone."""
     def unexpected(*args, **kwargs):
         raise AssertionError("a command-governor run needs no Gamma_N")
-    for module in (cli, sim):
+    for module in (cli, mpc):
         monkeypatch.setattr(module, "condense", unexpected)
         monkeypatch.setattr(module, "feasible_set", unexpected)
     cfg = write_config(tmp_path, fig2_config(
@@ -465,8 +481,7 @@ def test_option_of_another_verb_exits_2(tmp_path, capsys, verb, flag,
 def test_readme_usage_lines_parse(tmp_path, monkeypatch, capsys):
     """Each `fgmpc ...` line of the README's usage block passes argparse:
     run on a config that does not exist, it exits 1, never 2."""
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
+    with open(README) as fh:
         usage = [line.split("#")[0].split() for line in fh
                  if line.startswith("fgmpc ")]
     assert sorted(words[1] for words in usage) == \
@@ -478,3 +493,11 @@ def test_readme_usage_lines_parse(tmp_path, monkeypatch, capsys):
         assert main(argv) == 1, words
         assert "missing.json" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's python block runs as written and prints its report."""
+    with open(README) as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -4,18 +4,10 @@ rows that the governed loop relies on."""
 import numpy as np
 import pytest
 
-import systems
 from oracles import highs_support, irredundant_rows
 
 from fgmpc.governor import r_star
-from fgmpc.mpc import condense, feasible_set
 from fgmpc.sim import Scenario, run_closed_loop
-
-
-@pytest.fixture(scope="module")
-def y1_gamma(y1):
-    qp = condense(y1["plant"], systems.make_design(y1, 10), y1["em"])
-    return qp, feasible_set(qp).set_xv
 
 
 @pytest.mark.parametrize("case", ["y1", "wide"])
@@ -26,11 +18,8 @@ def test_feasible_set_matches_highs_in_3d(case, request):
     of Gamma_N and of the lifted polytope agree in 200 random
     directions."""
     pytest.importorskip("scipy")
-    if case == "y1":
-        qp, gamma = request.getfixturevalue("y1_gamma")
-    else:
-        stack = request.getfixturevalue("wide_gov")
-        qp, gamma = stack["qp"], stack["gamma"].set_xv
+    stack = request.getfixturevalue(case + "_gov")
+    qp, gamma = stack["qp"], stack["gamma"].set_xv
     lifted = np.hstack([qp.M, qp.L])
     n_mu = qp.M.shape[1]
     assert gamma.dim == 3
@@ -58,11 +47,11 @@ def test_wide_box_sets_keep_exact_zeros(wide_gov):
         tiny = np.abs(P.A) < 1e-9
         assert np.all(P.A[tiny] == 0.0)
         assert np.count_nonzero(tiny)
-    spec = wide_gov["spec"]
+    nom = wide_gov["nom"]
     for target in (25.0, -25.0):
         r = np.array([target])
-        v_star = r_star(spec.R_eps, r)
-        sc = Scenario(wide_gov["plant"], spec, wide_gov["design"], "MPC+FG",
+        v_star = r_star(nom.spec.R_eps, r)
+        sc = Scenario(nom.plant, nom.spec, wide_gov["design"], "MPC+FG",
                       np.zeros(2), r, 300)
         log = run_closed_loop(sc, qp=wide_gov["qp"], gp=wide_gov["gp"])
         exact = np.nonzero(np.all(log.v == v_star, axis=1))[0]

@@ -14,7 +14,7 @@ from fgmpc.polytope import HPolyhedron
 
 def test_lambda_joint_set(fig2, fig2_gov):
     gp = fig2_gov["gp"]
-    R_eps = fig2["spec"].R_eps
+    R_eps = fig2.spec.R_eps
     assert gp.n_x == 1 and gp.n_v == 1
     assert fig2_gov["gamma"].set_xv.contains_set(gp.Lambda, tol=1e-9)
     # v-range of Lambda stays inside R_eps, and x-slices match Gamma's
@@ -29,14 +29,14 @@ def test_lambda_joint_set(fig2, fig2_gov):
 
 
 def test_fg_step_no_interference_at_equilibrium(fig2, fig2_gov):
-    em, gp = fig2["em"], fig2_gov["gp"]
+    em, gp = fig2.em, fig2_gov["gp"]
     for r in (0.5, -0.7, 0.0):
         v, _ = fg_step(gp, em.x_bar([r]), [r])
         np.testing.assert_allclose(v, [r], atol=1e-8)
 
 
 def test_fg_step_projects_unreachable_reference(fig2, fig2_gov):
-    em, gp = fig2["em"], fig2_gov["gp"]
+    em, gp = fig2.em, fig2_gov["gp"]
     # target beyond R_eps from the matching equilibrium: result is the
     # projection r* onto R_eps
     v, _ = fg_step(gp, em.x_bar([0.8]), [2.0])
@@ -123,8 +123,8 @@ def test_fg_step_warm_start_from_its_record(y1_gov):
 
 
 def test_cg_step_equilibrium_and_empty_slice(fig2):
-    em, T = fig2["em"], fig2["T"]
-    gp_T = GovernorProblem(T, fig2["spec"].R_eps)
+    em, T = fig2.em, fig2.T
+    gp_T = GovernorProblem(T, fig2.spec.R_eps)
     for r in (0.4, -0.6):
         v, _ = fg_step(gp_T, em.x_bar([r]), [r])
         np.testing.assert_allclose(v, [r], atol=1e-8)
@@ -133,8 +133,8 @@ def test_cg_step_equilibrium_and_empty_slice(fig2):
 
 
 def test_cg_never_closer_than_fg(fig2, fig2_gov):
-    T, gp = fig2["T"], fig2_gov["gp"]
-    gp_T = GovernorProblem(T, fig2["spec"].R_eps)
+    T, gp = fig2.T, fig2_gov["gp"]
+    gp_T = GovernorProblem(T, fig2.spec.R_eps)
     rng = np.random.default_rng(17)
     W = systems.sample_in_polytope(T.set_xv, rng, 60)
     for w in W:
@@ -145,7 +145,7 @@ def test_cg_never_closer_than_fg(fig2, fig2_gov):
 
 
 def test_r_star_projection(fig2):
-    R_eps = fig2["spec"].R_eps
+    R_eps = fig2.spec.R_eps
     np.testing.assert_allclose(r_star(R_eps, [2.0]), [0.8], atol=1e-9)
     np.testing.assert_allclose(r_star(R_eps, [-2.0]), [-0.8], atol=1e-9)
     np.testing.assert_allclose(r_star(R_eps, [0.5]), [0.5], atol=1e-9)
@@ -181,7 +181,7 @@ def test_roa_sampled_membership(fig2_gov):
 
 
 def test_governor_problem_validation(fig2):
-    R_eps = fig2["spec"].R_eps
+    R_eps = fig2.spec.R_eps
     with pytest.raises(ValueError, match="state"):
         GovernorProblem(R_eps, R_eps)
     # empty reference set flags the ROA as empty at projection time

@@ -7,11 +7,10 @@ import re
 import numpy as np
 import pytest
 
-import systems
 from test_solver import assert_bit_equal, assert_close, batch_factors
 
 from fgmpc import mpc, solver
-from fgmpc.mpc import (CondensedQp, FeasibleSet, OcpDesign,
+from fgmpc.mpc import (CondensedQp, OcpDesign,
                        OcpInfeasibleError, condense, feasible_set,
                        mpc_feedback, n_star, ocp_feasible)
 from fgmpc.plant import equilibrium_basis
@@ -55,20 +54,20 @@ def rollout_residuals(plant, design, mu, x, v):
 
 
 def test_condense_scalar_n1_by_hand(fig2):
-    plant, em, rs = fig2["plant"], fig2["em"], fig2["rs"]
-    design = systems.make_design(fig2, 1)
+    plant, em, rs = fig2.plant, fig2.em, fig2.rs
+    design = fig2.design(1)
     qp = condense(plant, design, em)
     P = rs.P[0, 0]
     # quadratic coefficient R + B'PB (doubled by the 0.5 mu'H mu form)
     np.testing.assert_allclose(qp.H, [[2.0 * (1.0 + P)]], atol=1e-12)
     # linear map: 2 B'PA on x, -2 (B'P G_x + R G_u) on v
     np.testing.assert_allclose(qp.W, [[2.0 * P, -2.0 * P]], atol=1e-12)
-    assert qp.M.shape == (fig2["Y"].nrows + fig2["T"].nrows, 1)
+    assert qp.M.shape == (fig2.Y.nrows + fig2.T.nrows, 1)
 
 
 def test_condense_equilibrium_is_unconstrained_minimum(y1):
-    plant, em = y1["plant"], y1["em"]
-    design = systems.make_design(y1, 5)
+    plant, em = y1.plant, y1.em
+    design = y1.design(5)
     qp = condense(plant, design, em)
     for v in ([0.3], [-0.7]):
         mu = np.tile(em.u_bar(v), design.N)
@@ -80,8 +79,8 @@ def test_condense_equilibrium_is_unconstrained_minimum(y1):
 
 
 def test_condense_matches_rollout(y1):
-    plant, em = y1["plant"], y1["em"]
-    design = systems.make_design(y1, 4)
+    plant, em = y1.plant, y1.em
+    design = y1.design(4)
     qp = condense(plant, design, em)
     rng = np.random.default_rng(7)
     for _ in range(40):
@@ -141,13 +140,13 @@ def lag_blocks_by_loop(lags, h):
 def test_stacked_rows_equal_the_block_loop(monkeypatch, y3):
     """assemble and condense place the lag blocks by one fancy index; the
     block loops they replaced give the same bits, up to N = 236."""
-    plant, em = y3["plant"], y3["em"]
-    oracle = mpc._HorizonOracle(plant, systems.make_design(y3, 1), 236)
+    plant, em = y3.plant, y3.em
+    oracle = mpc._HorizonOracle(plant, y3.design(1), 236)
     for h in (1, 2, 7, 116, 236):
         for new, old in zip(oracle.assemble(h), assemble_by_blocks(oracle, h)):
             assert np.array_equal(new, old), h
     for N in (1, 10, 116):
-        design = systems.make_design(y3, N)
+        design = y3.design(N)
         stacked = condense(plant, design, em)
         with monkeypatch.context() as m:
             m.setattr(mpc, "_lag_blocks", lag_blocks_by_loop)
@@ -162,8 +161,8 @@ def test_grown_oracle_rows_equal_a_full_depth_build(monkeypatch, y3):
     twice its depth or to the horizon, and assembles the same (M, L, b)
     bits as one built at depth 400. n_star's oracle grows only as deep as
     its probes reach: 64 for the search that ends at N* = 55."""
-    plant = y3["plant"]
-    design = systems.make_design(y3, 1)
+    plant = y3.plant
+    design = y3.design(1)
     full = mpc._HorizonOracle(plant, design, 400)
     grown = mpc._HorizonOracle(plant, design, 1)
     depths = []
@@ -192,8 +191,8 @@ def test_horizon_rows_match_a_stepped_plant(y3):
     """M mu + L theta of horizon h are the rows Y.A y_i (i < h) and
     T_x x_h + T_v v of the plant stepped forward under mu from x, and b
     repeats Y.b per step before T.c."""
-    plant = y3["plant"]
-    design = systems.make_design(y3, 1)
+    plant = y3.plant
+    design = y3.design(1)
     Y, T = design.Y, design.T
     oracle = mpc._HorizonOracle(plant, design, 116)
     rng = np.random.default_rng(29)
@@ -219,30 +218,30 @@ def test_horizon_rows_match_a_stepped_plant(y3):
 
 
 def test_design_validation(fig2, y1):
-    T, Y = fig2["T"], fig2["Y"]
-    rs = fig2["rs"]
+    T, Y = fig2.T, fig2.Y
+    rs = fig2.rs
     with pytest.raises(ValueError, match="at least 1"):
         OcpDesign(0, [[1.0]], [[1.0]], rs.P, rs.K, T, Y)
     with pytest.raises(ValueError, match="positive definite"):
         OcpDesign(2, [[1.0]], [[0.0]], rs.P, rs.K, T, Y)
     with pytest.raises(ValueError, match="columns"):
         OcpDesign(2, [[1.0]], [[1.0]], rs.P, np.ones((1, 2)), T, Y)
-    rs2 = y1["rs"]
+    rs2 = y1.rs
     with pytest.raises(ValueError, match="symmetric"):
         OcpDesign(2, [[1.0, 0.3], [0.0, 1.0]], [[1.0]], rs2.P, rs2.K,
-                  y1["T"], y1["Y"])
+                  y1.T, y1.Y)
 
 
 def test_condensed_qp_immutable(fig2):
-    qp = condense(fig2["plant"], systems.make_design(fig2, 2), fig2["em"])
+    qp = condense(fig2.plant, fig2.design(2), fig2.em)
     for arr in (qp.H, qp.W, qp.M, qp.L, qp.b):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
 def test_feedback_equilibrium(y1):
-    plant, em = y1["plant"], y1["em"]
-    design = systems.make_design(y1, 5)
+    plant, em = y1.plant, y1.em
+    design = y1.design(5)
     qp = condense(plant, design, em)
     v = np.array([0.4])
     u, st = mpc_feedback(qp, em.x_bar(v), v)
@@ -252,8 +251,8 @@ def test_feedback_equilibrium(y1):
 
 
 def test_feedback_matches_lqr_in_the_interior(fig2):
-    plant, em, rs = fig2["plant"], fig2["em"], fig2["rs"]
-    design = systems.make_design(fig2, 3)
+    plant, em, rs = fig2.plant, fig2.em, fig2.rs
+    design = fig2.design(3)
     qp = condense(plant, design, em)
     L_v = em.G_u + rs.K @ em.G_x
     for x, v in ((np.array([0.05]), np.array([0.0])),
@@ -263,21 +262,21 @@ def test_feedback_matches_lqr_in_the_interior(fig2):
 
 
 def test_feedback_infeasible_y1(y1):
-    plant, em = y1["plant"], y1["em"]
-    qp = condense(plant, systems.make_design(y1, 10), em)
+    plant, em = y1.plant, y1.em
+    qp = condense(plant, y1.design(10), em)
     with pytest.raises(OcpInfeasibleError, match="OCP infeasible"):
         mpc_feedback(qp, [-1.0, 0.0], [0.75])
 
 
 def test_feedback_input_validation(fig2):
-    qp = condense(fig2["plant"], systems.make_design(fig2, 2), fig2["em"])
+    qp = condense(fig2.plant, fig2.design(2), fig2.em)
     with pytest.raises(ValueError, match="size"):
         mpc_feedback(qp, [0.0, 0.0], [0.0])
 
 
 def test_feasible_set_gamma2_grid_oracle(fig2):
-    plant, em = fig2["plant"], fig2["em"]
-    design = systems.make_design(fig2, 2)
+    plant, em = fig2.plant, fig2.em
+    design = fig2.design(2)
     qp = condense(plant, design, em)
     gamma2 = feasible_set(qp)
     assert gamma2.N == 2 and gamma2.set_xv.dim == 2
@@ -296,34 +295,32 @@ def test_feasible_set_gamma2_grid_oracle(fig2):
 
 
 def test_feasible_set_contains_terminal(fig2):
-    design = systems.make_design(fig2, 2)
-    qp = condense(fig2["plant"], design, fig2["em"])
+    design = fig2.design(2)
+    qp = condense(fig2.plant, design, fig2.em)
     gamma2 = feasible_set(qp)
-    assert gamma2.set_xv.contains_set(fig2["T"].set_xv, tol=1e-7)
+    assert gamma2.set_xv.contains_set(fig2.T.set_xv, tol=1e-7)
 
 
 def test_feasible_set_nesting(fig2):
-    plant, em, T = fig2["plant"], fig2["em"], fig2["T"]
-    sets = [FeasibleSet.from_terminal(T)]
+    plant, em, T = fig2.plant, fig2.em, fig2.T
+    sets = [T.set_xv]
     for N in (1, 2, 3, 4):
-        sets.append(feasible_set(condense(
-            plant, systems.make_design(fig2, N), em)))
-    assert sets[0].set_xv is T.set_xv
+        sets.append(feasible_set(condense(plant, fig2.design(N), em)).set_xv)
     for inner, outer in zip(sets[:-1], sets[1:]):
-        assert outer.set_xv.contains_set(inner.set_xv, tol=1e-7)
+        assert outer.contains_set(inner, tol=1e-7)
 
 
 def test_ocp_feasible_equilibrium_any_horizon(fig2):
-    plant, em = fig2["plant"], fig2["em"]
-    design = systems.make_design(fig2, 2)
+    plant, em = fig2.plant, fig2.em
+    design = fig2.design(2)
     v = np.array([0.5])
     for horizon in (0, 1, 3, 7):
         assert ocp_feasible(plant, design, em.x_bar(v), v, horizon)
 
 
 def test_ocp_feasible_outside_state_bounds(fig2):
-    plant = fig2["plant"]
-    design = systems.make_design(fig2, 2)
+    plant = fig2.plant
+    design = fig2.design(2)
     for horizon in range(6):
         assert not ocp_feasible(plant, design, [5.0], [0.0], horizon)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -334,7 +331,7 @@ def test_ocp_feasible_builds_rows_once_per_problem(monkeypatch, fig2):
     """Repeated queries on one (plant, design, horizon) build one oracle
     and assemble its rows once; a new design or horizon builds again, and
     the answers match those of a fresh oracle."""
-    plant, em = fig2["plant"], fig2["em"]
+    plant, em = fig2.plant, fig2.em
     built, assembled = [], []
     real_init = mpc._HorizonOracle.__init__
     real_assemble = mpc._HorizonOracle.assemble
@@ -349,12 +346,12 @@ def test_ocp_feasible_builds_rows_once_per_problem(monkeypatch, fig2):
 
     monkeypatch.setattr(mpc._HorizonOracle, "__init__", init)
     monkeypatch.setattr(mpc._HorizonOracle, "assemble", assemble)
-    design = systems.make_design(fig2, 2)
+    design = fig2.design(2)
     grid = [(x, v) for x in (-1.0, -0.2, 0.4, 1.1) for v in (-0.5, 0.0, 0.7)]
     first = [ocp_feasible(plant, design, [x], [v], 2) for x, v in grid]
     assert built == [2] and assembled == [2]
     assert any(first) and not all(first)
-    other = systems.make_design(fig2, 2)
+    other = fig2.design(2)
     again = [ocp_feasible(plant, other, [x], [v], 2) for x, v in grid]
     assert again == first and built == [2, 2]
     ocp_feasible(plant, other, em.x_bar([0.5]), [0.5], 3)
@@ -362,8 +359,8 @@ def test_ocp_feasible_builds_rows_once_per_problem(monkeypatch, fig2):
 
 
 def test_n_star_trivial_and_boundary(fig2):
-    plant, em = fig2["plant"], fig2["em"]
-    design = systems.make_design(fig2, 2)
+    plant, em = fig2.plant, fig2.em
+    design = fig2.design(2)
     v = np.array([0.5])
     assert n_star(plant, design, em.x_bar(v), v, 10) == 0
 
@@ -383,8 +380,8 @@ def test_n_star_trivial_and_boundary(fig2):
 
 
 def test_n_star_monotone_trace(fig2):
-    plant = fig2["plant"]
-    design = systems.make_design(fig2, 2)
+    plant = fig2.plant
+    design = fig2.design(2)
     trace = []
     n = n_star(plant, design, [-0.95], [0.6], 40, trace=trace)
     viols = [t for _, t in trace]
@@ -405,8 +402,8 @@ def test_n_star_monotone_trace(fig2):
 
 def test_n_star_probe_count_long_horizon(y3):
     # N* well above the probe bound, so one LP per horizon would fail it
-    plant = y3["plant"]
-    design = systems.make_design(y3, 1)
+    plant = y3.plant
+    design = y3.design(1)
     x0, v = [-2.0, 0.0], [1.0]
     trace = []
     n = n_star(plant, design, x0, v, 400, trace=trace)
@@ -417,8 +414,8 @@ def test_n_star_probe_count_long_horizon(y3):
 
 
 def test_n_star_cap_error(fig2):
-    plant = fig2["plant"]
-    design = systems.make_design(fig2, 2)
+    plant = fig2.plant
+    design = fig2.design(2)
     with pytest.raises(RuntimeError, match="no feasible horizon"):
         n_star(plant, design, [5.0], [0.0], 6)
     # N* = 5 here, so a cap of N* - 1 leaves no feasible horizon
@@ -442,11 +439,11 @@ def no_lp(*args, **kwargs):
 def test_ocp_feasible_rejects_bad_points(monkeypatch, fig2, x, v, message):
     """A NaN state used to read as infeasible, and a point of the wrong
     size failed inside numpy; each raises ValueError before any LP."""
-    design = systems.make_design(fig2, 2)
+    design = fig2.design(2)
     monkeypatch.setattr(mpc, "min_violation", no_lp)
     for horizon in (0, 2):
         with pytest.raises(ValueError, match=message):
-            ocp_feasible(fig2["plant"], design, x, v, horizon)
+            ocp_feasible(fig2.plant, design, x, v, horizon)
 
 
 @pytest.mark.parametrize("x0, r, message", [
@@ -456,21 +453,21 @@ def test_ocp_feasible_rejects_bad_points(monkeypatch, fig2, x, v, message):
     ([0.0], [0.1, 0.2], "expected r of size 1, got size 2")])
 def test_n_star_rejects_bad_points(monkeypatch, fig2, x0, r, message):
     """A NaN state used to end in "no feasible horizon <= cap"."""
-    design = systems.make_design(fig2, 2)
+    design = fig2.design(2)
     monkeypatch.setattr(mpc, "min_violation", no_lp)
     with pytest.raises(ValueError, match=message):
-        n_star(fig2["plant"], design, x0, r, 10)
+        n_star(fig2.plant, design, x0, r, 10)
 
 
 @pytest.mark.parametrize("cap", [True, 4.5, 4.0, "4"])
 def test_n_star_rejects_a_cap_that_is_not_an_integer(monkeypatch, fig2, cap):
     """cap=True used to end in "no feasible horizon <= True", and 4.5 in a
     TypeError inside numpy."""
-    design = systems.make_design(fig2, 2)
+    design = fig2.design(2)
     monkeypatch.setattr(mpc, "min_violation", no_lp)
     with pytest.raises(ValueError, match="cap must be an integer, got "
                        + re.escape(repr(cap))):
-        n_star(fig2["plant"], design, [-0.95], [0.6], cap)
+        n_star(fig2.plant, design, [-0.95], [0.6], cap)
 
 
 @pytest.mark.parametrize("horizon", [True, 2.5, 2.0, "2"])
@@ -478,26 +475,26 @@ def test_ocp_feasible_rejects_a_horizon_that_is_not_an_integer(
         monkeypatch, fig2, horizon):
     """horizon=2.5 used to fail with a TypeError inside numpy, and True
     with a numpy broadcast ValueError."""
-    design = systems.make_design(fig2, 2)
+    design = fig2.design(2)
     monkeypatch.setattr(mpc, "min_violation", no_lp)
     with pytest.raises(ValueError, match="horizon must be an integer, got "
                        + re.escape(repr(horizon))):
-        ocp_feasible(fig2["plant"], design, [0.0], [0.1], horizon)
+        ocp_feasible(fig2.plant, design, [0.0], [0.1], horizon)
 
 
 @pytest.mark.parametrize("N", [True, 2.5, 2.0, "2"])
 def test_design_rejects_a_horizon_that_is_not_an_integer(fig2, N):
     """OcpDesign(2.5, ...) used to get N = 2 in silence, and True N = 1."""
-    rs = fig2["rs"]
+    rs = fig2.rs
     with pytest.raises(ValueError, match="horizon N must be an integer, got "
                        + re.escape(repr(N))):
-        OcpDesign(N, [[1.0]], [[1.0]], rs.P, rs.K, fig2["T"], fig2["Y"])
+        OcpDesign(N, [[1.0]], [[1.0]], rs.P, rs.K, fig2.T, fig2.Y)
 
 
 def test_horizons_accept_numpy_integers(fig2):
-    plant, rs = fig2["plant"], fig2["rs"]
-    design = OcpDesign(np.int64(2), [[1.0]], [[1.0]], rs.P, rs.K, fig2["T"],
-                       fig2["Y"])
+    plant, rs = fig2.plant, fig2.rs
+    design = OcpDesign(np.int64(2), [[1.0]], [[1.0]], rs.P, rs.K, fig2.T,
+                       fig2.Y)
     assert design.N == 2 and type(design.N) is int
     assert n_star(plant, design, [-0.95], [0.6], np.int32(10)) == 5
     assert ocp_feasible(plant, design, [-0.95], [0.6], np.int64(5))
@@ -505,11 +502,11 @@ def test_horizons_accept_numpy_integers(fig2):
 
 
 def test_closed_loop_recursive_feasibility_and_convergence(fig2):
-    plant, em = fig2["plant"], fig2["em"]
-    design = systems.make_design(fig2, 3)
+    plant, em = fig2.plant, fig2.em
+    design = fig2.design(3)
     qp = condense(plant, design, em)
     gamma = feasible_set(qp)
-    Y = fig2["Y"]
+    Y = fig2.Y
     v = np.array([0.1])
     x = np.array([-0.9])
     assert gamma.set_xv.contains_point(np.concatenate([x, v]))
@@ -528,7 +525,7 @@ def test_closed_loop_recursive_feasibility_and_convergence(fig2):
 def test_mpc_feedback_rejects_non_finite_input(y3, x, v):
     """A NaN state or an infinite reference raises ValueError instead of
     returning u = [nan] as optimal."""
-    qp = condense(y3["plant"], systems.make_design(y3, 5), y3["em"])
+    qp = condense(y3.plant, y3.design(5), y3.em)
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="must be finite"):
         mpc_feedback(qp, x, v)
@@ -542,8 +539,8 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
     against 581). The step's result does not depend on the path beyond
     rounding: the same active set, and an input within 1e-9 of the cold
     one."""
-    plant = y3["plant"]
-    qp = condense(plant, systems.make_design(y3, 40), y3["em"])
+    plant = y3.plant
+    qp = condense(plant, y3.design(40), y3.em)
     x, v = np.array([-0.6, 0.0]), np.array([0.5])
     warm, hot, cold = None, 0, 0
     for _ in range(150):
@@ -573,8 +570,8 @@ def test_hot_start_iterations_and_drops_pinned(monkeypatch, y3):
         return real(J, R, Rinv, q, k)
 
     monkeypatch.setattr(solver, "_drop_constraint", counted)
-    plant = y3["plant"]
-    qp = condense(plant, systems.make_design(y3, 40), y3["em"])
+    plant = y3.plant
+    qp = condense(plant, y3.design(40), y3.em)
     x, warm, iterations = np.array([-1.8, 0.0]), None, 0
     for _ in range(30):
         u, st = mpc_feedback(qp, x, [0.0], warm_start=warm)
@@ -593,8 +590,8 @@ def test_kept_factors_mpc_loop_matches_reference_and_cold_solves(y3):
     largest entry of each. At every step a solve warm-started from the
     step's own factors repeats its bits in 0 iterations, the property
     that makes the loop deterministic."""
-    plant = y3["plant"]
-    qp = condense(plant, systems.make_design(y3, 40), y3["em"])
+    plant = y3.plant
+    qp = condense(plant, y3.design(40), y3.em)
     x, v = np.array([-0.6, 0.0]), np.array([0.5])
     record, warm_steps = None, 0
     for _ in range(150):

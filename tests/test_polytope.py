@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-import systems
 from oracles import (convex_hull_2d, enumerate_vertices, highs_support,
                      hull_to_hrep, irredundant_rows, random_bounded_polytope)
 
@@ -305,7 +304,7 @@ def test_project_pass_through_facets_are_sound(n, seed):
 def test_feasible_set_support_lp_count(y2, support_lps):
     """One feasible_set on y2, N = 5: 239 hull LPs for 80 facets, and no
     redundancy LP after the hull."""
-    qp = condense(y2["plant"], systems.make_design(y2, 5), y2["em"])
+    qp = condense(y2.plant, y2.design(5), y2.em)
     feasible_set(qp)
     assert len(support_lps) <= 245
 
@@ -313,14 +312,14 @@ def test_feasible_set_support_lp_count(y2, support_lps):
 def test_feasible_set_support_lp_count_y1(y1, support_lps):
     """One feasible_set on y1, N = 10: 146 hull LPs for 48 facets, and no
     redundancy LP after the hull."""
-    qp = condense(y1["plant"], systems.make_design(y1, 10), y1["em"])
+    qp = condense(y1.plant, y1.design(10), y1.em)
     feasible_set(qp)
     assert len(support_lps) <= 150
 
 
 def test_feasible_set_support_lp_count_y1_long_horizon(y1, support_lps):
     """One feasible_set on y1, N = 30: 180 hull LPs for 66 facets."""
-    qp = condense(y1["plant"], systems.make_design(y1, 30), y1["em"])
+    qp = condense(y1.plant, y1.design(30), y1.em)
     feasible_set(qp)
     assert len(support_lps) <= 185
 
@@ -328,8 +327,8 @@ def test_feasible_set_support_lp_count_y1_long_horizon(y1, support_lps):
 def test_roa_support_lp_count_y1(y1, support_lps):
     """The ROA of y1 at N = 5: 63 hull LPs for 30 facets."""
     gp = GovernorProblem(feasible_set(condense(
-        y1["plant"], systems.make_design(y1, 5), y1["em"])),
-        y1["spec"].R_eps)
+        y1.plant, y1.design(5), y1.em)),
+        y1.spec.R_eps)
     del support_lps[:]
     assert roa(gp).nrows == 30
     assert len(support_lps) <= 65

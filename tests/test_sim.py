@@ -3,6 +3,7 @@ against hand-built logs, fault injection, and randomized governed runs."""
 
 import collections
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -16,10 +17,9 @@ from fgmpc.sim import (Scenario, SimulationError, TrajectoryLog,
                        write_trajectory_csv)
 
 
-def make_scenario(bundle, N, kind, x0, r, budget, **kw):
-    return Scenario(bundle["plant"], bundle["spec"],
-                    systems.make_design(bundle, N), kind, x0, r, budget,
-                    **kw)
+def make_scenario(bundle, N, kind, x0, r, budget):
+    return Scenario(bundle.plant, bundle.spec, bundle.design(N), kind, x0,
+                    r, budget)
 
 
 @pytest.fixture(scope="module")
@@ -58,26 +58,26 @@ def test_scenario_accepts_numpy_integer_budget(fig2):
 
 
 def test_equilibrium_run_is_constant(fig2, fig2_gov):
-    em = fig2["em"]
+    em = fig2.em
     sc = make_scenario(fig2, 2, "MPC+FG", em.x_bar([0.5]), [0.5], 30)
     log = run_closed_loop(sc, qp=fig2_gov["qp"], gp=fig2_gov["gp"])
     np.testing.assert_allclose(log.v, 0.5, atol=1e-8)
     np.testing.assert_allclose(log.x, 0.5, atol=1e-8)
     np.testing.assert_allclose(log.u, 0.0, atol=1e-8)
-    rep = metrics(log, [0.5], fig2["Y"])
+    rep = metrics(log, [0.5], fig2.Y)
     assert rep["rise_time_steps"] == 0
     assert rep["v_convergence_step"] == 0
     assert rep["max_output_residual"] < 0.0
     assert all(vd.passed for vd in
-               audit_invariants(log, fig2_gov["gp"], fig2["Y"]))
+               audit_invariants(log, fig2_gov["gp"], fig2.Y))
 
 
 def test_log_is_internally_consistent(fig2, fig2_gov):
-    plant = fig2["plant"]
+    plant = fig2.plant
     sc = make_scenario(fig2, 2, "MPC+FG", [-0.9], [0.7], 50)
     log = run_closed_loop(sc, qp=fig2_gov["qp"], gp=fig2_gov["gp"])
     assert log.n_steps == 50
-    assert metrics(log, [0.7], fig2["Y"])["max_output_residual"] <= 1e-8
+    assert metrics(log, [0.7], fig2.Y)["max_output_residual"] <= 1e-8
     for arr in (log.u, log.y, log.z, log.v, log.V, log.t_fg, log.t_mpc):
         assert arr.shape[0] == 50
     # logged outputs match recomputation from (x_k, u_k), and the state
@@ -140,7 +140,7 @@ def test_fault_injection_fails_output_audit(fig2, fig2_gov):
     tampered = TrajectoryLog(sc, log.x, log.u, y_bad, log.z, log.v, log.V,
                              log.t_fg, log.t_mpc, log.x_final)
     verdicts = {vd.name: vd for vd in
-                audit_invariants(tampered, fig2_gov["gp"], fig2["Y"])}
+                audit_invariants(tampered, fig2_gov["gp"], fig2.Y)}
     assert not verdicts["output_admissible"].passed
     assert verdicts["output_admissible"].first_failure == 7
     assert verdicts["joint_membership"].passed
@@ -149,11 +149,11 @@ def test_fault_injection_fails_output_audit(fig2, fig2_gov):
 
 def test_command_governor_run_converges(fig2, fig2_gov):
     sc = make_scenario(fig2, 2, "MPC+CG(LQR)", [-0.2], [0.6], 200)
-    log = run_closed_loop(sc)
+    log = run_closed_loop(sc, gp=GovernorProblem(fig2.T, fig2.spec.R_eps))
     np.testing.assert_allclose(log.v[-1], [0.6], atol=1e-8)
     assert np.linalg.norm(log.x_final - 0.6) <= 1e-3
     assert all(vd.passed for vd in
-               audit_invariants(log, fig2_gov["gp"], fig2["Y"]))
+               audit_invariants(log, fig2_gov["gp"], fig2.Y))
 
 
 def test_governed_runs_from_random_starts(fig2, fig2_gov):
@@ -169,7 +169,7 @@ def test_governed_runs_from_random_starts(fig2, fig2_gov):
         r = rng.uniform(-2.0, 2.0, size=1)
         sc = make_scenario(fig2, 2, "MPC+FG", x0, r, 80)
         log = run_closed_loop(sc, qp=fig2_gov["qp"], gp=gp)
-        for vd in audit_invariants(log, gp, fig2["Y"]):
+        for vd in audit_invariants(log, gp, fig2.Y):
             assert vd.passed, (vd, x0, r)
 
 
@@ -178,13 +178,13 @@ def test_y1_governed_run(y1, y1_gov, y1_log):
     assert abs(log.v[0, 0] - 0.75) > 1e-3  # the governor interferes early
     np.testing.assert_allclose(log.v[-1], [0.75], atol=1e-8)
     assert np.linalg.norm(log.x_final - [0.75, 0.0]) <= 1e-3
-    assert metrics(log, [0.75], y1["Y"])["max_output_residual"] <= 1e-8
-    for vd in audit_invariants(log, y1_gov["gp"], y1["Y"]):
+    assert metrics(log, [0.75], y1.Y)["max_output_residual"] <= 1e-8
+    for vd in audit_invariants(log, y1_gov["gp"], y1.Y):
         assert vd.passed, vd
 
 
 def test_metrics_report_fields(y1, y1_log):
-    rep = metrics(y1_log, [0.75], y1["Y"])
+    rep = metrics(y1_log, [0.75], y1.Y)
     assert rep["kind"] == "MPC+FG"
     assert rep["steps"] == 400
     assert 0 < rep["rise_time_steps"] < 400
@@ -242,11 +242,8 @@ def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
 
 def test_command_governor_loop_uses_the_gp_it_is_given(monkeypatch, fig2):
     """An MPC+CG(LQR) loop given GovernorProblem(T, R_eps) factorizes no
-    Hessian and equals bit for bit the loop that builds that gp itself;
-    the latter factorizes the command-governor Hessian once, before the
-    loop (one cholesky and two inv: J and the kept inverse of the
-    Hessian), and the one other inv is the equilibrium map of the LQR law.
-    No step solves with a Hessian. Every step matches to 1e-9 a cold solve
+    Hessian: the one inv is the equilibrium map of the LQR law, and no
+    step solves with a Hessian. Every step matches to 1e-9 a cold solve
     of the command-governor QP over the rows of T and R_eps, built here
     without the governor module."""
     sc = make_scenario(fig2, 2, "MPC+CG(LQR)", [-0.2], [0.6], 100)
@@ -256,14 +253,27 @@ def test_command_governor_loop_uses_the_gp_it_is_given(monkeypatch, fig2):
     log = run_closed_loop(sc, gp=gp_T)
     assert log.n_steps == 100
     assert calls["cholesky"] == 0 and calls["inv"] == 1
-    built = run_closed_loop(sc)
-    assert calls["cholesky"] == 1 and calls["inv"] == 1 + 3
     assert calls["solve"] == 0
-    for name in ("x", "u", "v", "V", "x_final"):
-        assert np.array_equal(getattr(built, name), getattr(log, name))
     A_v = np.vstack([T.T_v, R_eps.A])
     for x, v in zip(log.x, log.v):
         rhs = np.concatenate([T.c - T.T_x @ x, R_eps.b])
         st = solve_qp(QpProblem(2.0 * np.eye(A_v.shape[1]), -2.0 * sc.r,
                                 A_v, rhs))
         np.testing.assert_allclose(st.x, v, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind, given, missing", [
+    ("MPC", None, "qp"), ("MPC+FG", "qp", "gp"), ("MPC+CG(LQR)", None, "gp")])
+def test_run_closed_loop_refuses_a_missing_piece(monkeypatch, fig2,
+                                                 fig2_gov, kind, given,
+                                                 missing):
+    """run_closed_loop builds no controller: a kind run without the qp or
+    gp it needs raises ValueError naming both, before any step."""
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no step may run")
+    monkeypatch.setattr(type(fig2.plant), "step", unexpected)
+    sc = make_scenario(fig2, 2, kind, [-0.2], [0.6], 10)
+    kwargs = {given: fig2_gov[given]} if given else {}
+    with pytest.raises(ValueError, match=r"^controller kind '{}' needs {}$"
+                       .format(re.escape(kind), missing)):
+        run_closed_loop(sc, **kwargs)

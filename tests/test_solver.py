@@ -17,7 +17,6 @@ import pytest
 import fgmpc.polytope
 import fgmpc.solver
 import fgmpc.synthesis
-import systems
 from oracles import random_bounded_polytope
 
 from fgmpc.mpc import n_star
@@ -213,9 +212,9 @@ def test_give_up_limits_are_not_parameters(func, params):
      lambda b: HPolyhedron(*random_bounded_polytope(
          np.random.default_rng(8), 4, 12)).project([0, 1])),
     (fgmpc.synthesis, "_DARE_CAP", 2, 2,
-     lambda b: solve_dare(b["plant"].A, b["plant"].B, [[1.0]], [[1.0]])),
+     lambda b: solve_dare(b.plant.A, b.plant.B, [[1.0]], [[1.0]])),
     (fgmpc.synthesis, "_TERMINAL_CAP", 0, 0,
-     lambda b: terminal_set(b["plant"], b["em"], b["rs"], b["Y"], 0.05))],
+     lambda b: terminal_set(b.plant, b.em, b.rs, b.Y, 0.05))],
     ids=["lp", "qp", "projection", "dare", "terminal_set"])
 def test_every_give_up_limit_raises_limit_error(monkeypatch, fig2, module,
                                                 limit, value, cap, call):
@@ -649,7 +648,7 @@ def test_n_star_pivots_pinned_on_a_long_horizon(monkeypatch, y3):
 
     monkeypatch.setattr(fgmpc.solver, "_pivot", counted)
     trace = []
-    n = n_star(y3["plant"], systems.make_design(y3, 1), [-2.0, 0.0], [1.0],
+    n = n_star(y3.plant, y3.design(1), [-2.0, 0.0], [1.0],
                400, trace=trace)
     assert n == 55
     assert counts["pivots"] == 434

@@ -151,7 +151,7 @@ def test_dare_matches_scipy():
 
 
 def test_terminal_set_fig2_structure(fig2):
-    T = fig2["T"]
+    T = fig2.T
     assert T.set_xv.dim == 2
     assert T.T_x.shape[1] == 1 and T.T_v.shape[1] == 1
     assert 0 <= T.t_star < 500
@@ -161,8 +161,8 @@ def test_terminal_set_fig2_structure(fig2):
 
 
 def test_terminal_set_invariance_and_admissibility(fig2):
-    plant, em, rs, T = (fig2[k] for k in ("plant", "em", "rs", "T"))
-    Y = fig2["Y"]
+    plant, em, rs, T = fig2.plant, fig2.em, fig2.rs, fig2.T
+    Y = fig2.Y
     A_cl = plant.A - plant.B @ rs.K
     L_v = em.G_u + rs.K @ em.G_x
     rng = np.random.default_rng(21)
@@ -179,8 +179,8 @@ def test_terminal_set_invariance_and_admissibility(fig2):
 
 
 def test_terminal_set_gridding_oracle(fig2):
-    plant, em, rs, T = (fig2[k] for k in ("plant", "em", "rs", "T"))
-    Y = fig2["Y"]
+    plant, em, rs, T = fig2.plant, fig2.em, fig2.rs, fig2.T
+    Y = fig2.Y
     K, eps = rs.K, 0.05
     L_v = em.G_u + K @ em.G_x
     A_aug = np.block([[plant.A - plant.B @ K, plant.B @ L_v],
@@ -220,8 +220,8 @@ def test_terminal_set_eps_nesting():
 
 
 def test_terminal_set_sigma_strictly_inside(fig2):
-    plant, em, T = fig2["plant"], fig2["em"], fig2["T"]
-    R_eps = steady_state_ref_set(plant, em, fig2["Y"], 0.05)
+    plant, em, T = fig2.plant, fig2.em, fig2.T
+    R_eps = steady_state_ref_set(plant, em, fig2.Y, 0.05)
     for v in np.linspace(-0.9, 0.9, 25):
         if not R_eps.contains_point([v]):
             continue
@@ -244,22 +244,22 @@ def test_terminal_set_support_lp_count(y1, support_lps):
     """T on y1 (82 rows, t* = 30): one LP per row of each new layer and
     one final prune, 268 support LPs. Re-pruning the whole set after
     every layer took 1,698."""
-    plant, em, rs, Y = (y1[k] for k in ("plant", "em", "rs", "Y"))
-    T = terminal_set(plant, em, rs, Y, y1["eps"])
+    plant, em, rs, Y = y1.plant, y1.em, y1.rs, y1.Y
+    T = terminal_set(plant, em, rs, Y, y1.eps)
     assert (T.nrows, T.t_star) == (82, 30)
     assert len(support_lps) <= 300
 
 
 def test_terminal_set_layer_cap(monkeypatch, y1):
-    plant, em, rs, Y = (y1[k] for k in ("plant", "em", "rs", "Y"))
-    assert y1["T"].t_star >= 1
+    plant, em, rs, Y = y1.plant, y1.em, y1.rs, y1.Y
+    assert y1.T.t_star >= 1
     # capping the iteration one layer before determination must raise
-    cap = y1["T"].t_star
+    cap = y1.T.t_star
     monkeypatch.setattr(synthesis, "_TERMINAL_CAP", cap)
     with pytest.raises(LimitError, match=r"^terminal set of \d+ rows in 3 "
                        r"dimensions gave up at its cap of {} "
                        r"\(_TERMINAL_CAP\)$".format(cap)) as err:
-        terminal_set(plant, em, rs, Y, y1["eps"])
+        terminal_set(plant, em, rs, Y, y1.eps)
     assert (err.value.limit, err.value.cap) == ("_TERMINAL_CAP", cap)
 
 
@@ -267,7 +267,7 @@ def terminal_layers(bundle, eps, count):
     """The steady-state rows and the output layers 0..count-1 of the
     reference-augmented loop, straight from the definitions, unpruned.
     Vacuous zero rows are left out."""
-    plant, em, rs, Y = (bundle[k] for k in ("plant", "em", "rs", "Y"))
+    plant, em, rs, Y = bundle.plant, bundle.em, bundle.rs, bundle.Y
     K = rs.K
     n_x, n_v = plant.n_x, em.n_v
     L_v = em.G_u + K @ em.G_x
@@ -300,7 +300,7 @@ def test_terminal_set_matches_highs_oracle(name, eps, request):
     t*, and minimal."""
     pytest.importorskip("scipy")
     bundle = request.getfixturevalue(name)
-    T = bundle["T"]
+    T = bundle.T
     t = T.t_star
     A, b = T.set_xv.A, T.set_xv.b
     ss, layers = terminal_layers(bundle, eps, t + 2)
