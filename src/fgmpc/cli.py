@@ -266,14 +266,14 @@ def _offline(cfg):
 
 def _controller(off, kind, N):
     """The (design, qp) of one controller kind. The command governor
-    reads only K and T, so it needs no N and gets the placeholder design
-    (N = 1) and no QP; every MPC kind needs N >= 1 and its condensed QP."""
+    reads only T (its set, em and K): it needs no N and no QP, and gets
+    T on the placeholder design (N = 1). MPC kinds need N >= 1 and a QP."""
     if kind == "MPC+CG(LQR)":
         return off.design(1), None
     if N is None or N < 1:
         _fail("N", "required (>= 1) for controller '{}'".format(kind))
     design = off.design(N)
-    return design, condense(off.plant, design, off.em)
+    return design, condense(off.plant, design)
 
 
 def _governor(off, qp):
@@ -329,7 +329,7 @@ def cmd_sets(cfg, out_dir, quiet=False):
     off = _offline(cfg)
     plant, spec = cfg.plant, off.spec
     gamma = off.T if N == 0 else \
-        feasible_set(condense(plant, off.design(N), off.em))
+        feasible_set(condense(plant, off.design(N)))
     gp = governor.GovernorProblem(gamma, spec.R_eps)
     roa_set = governor.roa(gp)
 
@@ -422,7 +422,8 @@ def _compare_one(cfg, off, entry, slug, out_dir):
         report = metrics(log, target, cfg.Y)
         write_trajectory_csv(log, os.path.join(
             out_dir, "trajectory_{}.csv".format(slug)))
-        return {"slug": slug, "kind": entry["kind"], "N": N, "ok": True,
+        return {"slug": slug, "kind": entry["kind"],
+                "N": None if qp is None else qp.N, "ok": True,
                 "rise_steps": report["rise_time_steps"],
                 "rise_s": report["rise_time_seconds"],
                 "tave_s": statistics.median(taves),

@@ -23,7 +23,6 @@ import numbers
 
 import numpy as np
 
-from fgmpc.plant import equilibrium_basis
 from fgmpc.polytope import HPolyhedron
 from fgmpc.solver import TOL, QpProblem, Status, check_weight, \
     min_violation, solve_qp
@@ -139,18 +138,18 @@ def condense(plant, design, em=None):
     i = 0..N-1 first, terminal block last, so the data is bit-reproducible.
     The stacked prediction Su and the output rows are block lower
     triangular in per-lag blocks computed once; each is placed by one
-    fancy index (_lag_blocks).
+    fancy index (_lag_blocks). The equilibrium map is the terminal set's,
+    design.T.em; an em passed in must be that object, or ValueError.
     """
-    if em is None:
-        em = equilibrium_basis(plant)
     N = design.N
-    n_x, n_u, n_v = plant.n_x, plant.n_u, em.n_v
     T, Y = design.T, design.Y
+    if em is not None and em is not T.em:
+        raise ValueError("em must be the terminal set's equilibrium map")
+    em = T.em
+    n_x, n_u, n_v = plant.n_x, plant.n_u, em.n_v
     if T.n_x != n_x:
         raise ValueError("terminal set is over a {}-dimensional state, the "
                          "plant has {}".format(T.n_x, n_x))
-    if T.T_v.shape[1] != n_v:
-        raise ValueError("terminal set reference dimension mismatch")
     if Y.dim != plant.n_y:
         raise ValueError("Y has dimension {} but the plant has {} "
                          "constrained outputs".format(Y.dim, plant.n_y))
@@ -345,8 +344,7 @@ def n_star(plant, design, x0, r, cap, trace=None):
         raise ValueError("cap must be at least 1")
     x0 = check_vector(x0, "x0", plant.n_x)
     r = check_vector(r, "r", plant.n_z)
-    em = equilibrium_basis(plant)
-    u_pad = em.G_u @ r
+    u_pad = design.T.em.G_u @ r
     oracle = _HorizonOracle(plant, design, 1)  # as deep as the probes
     probes = []
 

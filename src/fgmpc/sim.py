@@ -71,7 +71,7 @@ class Scenario:
 
     kind selects the controller: "MPC" tracks v = r directly, "MPC+FG"
     filters r through the feasibility governor, "MPC+CG(LQR)" pairs the
-    command governor over the terminal set with the LQR law.
+    command governor over the terminal set with that set's own law.
     """
 
     def __init__(self, plant, spec, design, kind, x0, r, budget):
@@ -127,7 +127,7 @@ def run_closed_loop(sc, qp=None, gp=None):
 
     qp is the condensed OCP of "MPC" and "MPC+FG"; gp is
     GovernorProblem(Gamma_N, R_eps) for "MPC+FG" and GovernorProblem(T,
-    R_eps) for "MPC+CG(LQR)", which pairs it with the LQR law. A kind
+    R_eps) for "MPC+CG(LQR)", which pairs it with T's own law. A kind
     that needs one of them and is not given it raises ValueError before
     any step. Each solver warm-starts from its own previous solve's
     factors. A failed solve raises SimulationError with the step index;
@@ -140,8 +140,7 @@ def run_closed_loop(sc, qp=None, gp=None):
         raise ValueError("controller kind {!r} needs qp".format(sc.kind))
     if governed and gp is None:
         raise ValueError("controller kind {!r} needs gp".format(sc.kind))
-    if lqr:
-        em = equilibrium_basis(plant)
+    em, K = sc.design.T.em, sc.design.T.K  # the law T is invariant under
 
     n = sc.budget
     X = np.empty((n, plant.n_x))
@@ -156,7 +155,6 @@ def run_closed_loop(sc, qp=None, gp=None):
     x = sc.x0.copy()
     r = sc.r
     fg_factors = mpc_factors = None  # each solver's next warm start
-    K = sc.design.K
     for k in range(n):
         v = r
         if governed:
@@ -300,7 +298,7 @@ def audit_invariants(log, gp, Y):
         verdicts.append(Verdict("reference_convergence", fail is None,
                                 fail))
 
-    em = equilibrium_basis(log.scenario.plant)
+    em = log.scenario.design.T.em
     err = float(np.linalg.norm(log.x_final - em.x_bar(target)))
     verdicts.append(Verdict("terminal_tracking", err <= CONV_TOL, None))
     return verdicts

@@ -59,8 +59,8 @@ class SolveStatus:
     value : float or None
         Optimal objective value (max c'x for LPs, min 0.5x'Hx + f'x for QPs).
     active_set : list of int
-        Indices of constraints active at the optimizer, in increasing
-        order.
+        QP only: indices of constraints active at the optimizer, in
+        increasing order; empty for LPs.
     lam : numpy.ndarray or None
         Inequality multipliers (length m, zero off the active set). For LPs
         these are the duals of the maximization problem, so b'lam == value
@@ -387,19 +387,18 @@ def _set_objective(T, basis, nonbasic, a):
     T[-1, -1] = -(cost_b @ T[:-1, -1])
 
 
-def _optimum(T, basis, nonbasic, c, A, b, pivots):
-    """The OPTIMAL SolveStatus of an optimal phase-2 tableau. The duals
-    are read off the reduced costs of the nonbasic slacks (a basic slack
-    has dual 0)."""
-    m, n = A.shape
+def _optimum(T, basis, nonbasic, c, m, pivots):
+    """The OPTIMAL SolveStatus of an optimal phase-2 tableau of m rows.
+    The duals are read off the reduced costs of the nonbasic slacks (a
+    basic slack has dual 0)."""
+    n = c.size
     x, _ = _extract(T, basis, n)
     lam = np.zeros(m)
     slack_cols = (nonbasic > n).nonzero()[0]
     lam[nonbasic[slack_cols] - (n + 1)] = T[-1, slack_cols]
     lam[np.abs(lam) < TOL] = 0.0
-    active = [int(i) for i in np.nonzero(np.abs(A @ x - b) <= 1e-7)[0]]
-    return SolveStatus(Status.OPTIMAL, x=x, value=float(c @ x),
-                       active_set=active, lam=lam, iterations=pivots)
+    return SolveStatus(Status.OPTIMAL, x=x, value=float(c @ x), lam=lam,
+                       iterations=pivots)
 
 
 def solve_lp(problem):
@@ -460,8 +459,8 @@ class SupportLp:
         outcome, pivots = self._run(c)
         if outcome != "optimal":
             return SolveStatus(Status(outcome), iterations=pivots)
-        return _optimum(self._T, self._basis, self._nonbasic, c, self.A,
-                        self.b, pivots)
+        return _optimum(self._T, self._basis, self._nonbasic, c,
+                        self.b.size, pivots)
 
 
 def support_value(a, A, b, stop_above=None):

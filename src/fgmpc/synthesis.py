@@ -82,13 +82,16 @@ class TerminalSet:
     """Invariant, output-admissible polytope {(x, v) : T_x x + T_v v <= c}.
 
     t_star is the number of forward constraint layers needed for finite
-    determination.
+    determination. It is invariant under its own law, u = em.u_bar(v) -
+    K (x - em.x_bar(v)), and keeps that law's em and K.
     """
 
-    def __init__(self, set_xv, n_x, t_star):
+    def __init__(self, set_xv, n_x, t_star, em, K):
         self.set_xv = set_xv
         self.n_x = n_x
         self.t_star = t_star
+        self.em = em
+        self.K = K
 
     @property
     def T_x(self):
@@ -150,7 +153,7 @@ def terminal_set(plant, em, rs, Y, eps):
                 if not HPolyhedron(layer.A[i:i + 1], layer.b[i:i + 1])
                 .contains_set(current)]
         if not cuts:
-            return TerminalSet(current.remove_redundancy(), n_x, t)
+            return TerminalSet(current.remove_redundancy(), n_x, t, em, K)
         current = current.intersect(HPolyhedron(layer.A[cuts],
                                                  layer.b[cuts]))
         power = power @ A_cl

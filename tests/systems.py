@@ -65,7 +65,7 @@ def governor_stack(off, N):
     from fgmpc.mpc import condense, feasible_set
 
     design = off.design(N)
-    qp = condense(off.plant, design, off.em)
+    qp = condense(off.plant, design)
     gamma = feasible_set(qp)
     return {"off": off, "design": design, "qp": qp, "gamma": gamma,
             "gp": GovernorProblem(gamma, off.spec.R_eps)}
@@ -84,7 +84,7 @@ def wide_box_stack():
     rs_ctrl = solve_dare(plant.A, plant.B, 100.0 * np.eye(2), [[1.0]])
     design = OcpDesign(10, 100.0 * np.eye(2), [[1.0]], rs_ctrl.P,
                        rs_ctrl.K, nom.T, nom.Y)
-    qp = condense(plant, design, nom.em)
+    qp = condense(plant, design)
     gamma = feasible_set(qp)
     gp = GovernorProblem(gamma, nom.spec.R_eps)
     return {"nom": nom, "design": design, "qp": qp, "gamma": gamma,

@@ -67,9 +67,9 @@ def _interior_points(P, rng, count):
 def test_criterion_1_grid_oracle_and_reference_interval():
     t0 = time.perf_counter()
     bundle = systems.fig2_bundle()
-    plant, em = bundle.plant, bundle.em
+    plant = bundle.plant
     design = bundle.design(2)
-    qp = condense(plant, design, em)
+    qp = condense(plant, design)
     G = feasible_set(qp).set_xv
     norms = np.linalg.norm(G.A, axis=1)
 
@@ -152,7 +152,7 @@ def test_criterion_3_terminal_and_horizon_nesting(fig2, y2):
     for bundle in (fig2, y2):
         prev = bundle.T.set_xv
         for N in range(1, 5):
-            qp = condense(bundle.plant, bundle.design(N), bundle.em)
+            qp = condense(bundle.plant, bundle.design(N))
             cur = feasible_set(qp).set_xv
             assert cur.contains_set(prev, tol=1e-7), \
                 "horizon-{} set does not contain horizon-{}".format(N, N - 1)
@@ -215,7 +215,7 @@ def wide_range_comparison(wide_gov):
     r = np.array([4.0])
 
     d236 = OcpDesign(236, d10.Q, d10.R, d10.P, d10.K, nom.T, Y)
-    qp236 = condense(plant, d236, nom.em)
+    qp236 = condense(plant, d236)
 
     tic = time.perf_counter()
     mpc_feedback(qp236, x0, r)

@@ -4,11 +4,12 @@ import csv
 import json
 import os
 import stat
+import sys
 
 import numpy as np
 import pytest
 
-from fgmpc import cli, mpc, solver
+from fgmpc import cli, mpc, plant, solver
 from fgmpc.cli import ConfigError, ScenarioConfig, cmd_simulate, main
 from fgmpc.governor import GovernorProblem
 from fgmpc.polytope import HPolyhedron
@@ -35,6 +36,11 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def run_verb(verb, config, out):
+    """The exit code of a quiet run of verb on config, writing to out."""
+    return main([verb, "--config", config, "--out", str(out), "--quiet"])
 
 
 def test_config_rejects_unknown_field():
@@ -122,19 +128,16 @@ def test_sets_and_simulate_exit_nonzero_on_non_finite(tmp_path, capsys):
     cfg = fig2_config()
     cfg["plant"]["ts"] = float("inf")
     path = write_config(tmp_path, cfg)
-    assert main(["sets", "--config", path, "--out",
-                 str(tmp_path / "sets"), "--quiet"]) == 1
+    assert run_verb("sets", path, tmp_path / "sets") == 1
     assert "'plant.ts': must be finite" in capsys.readouterr().err
     path = write_config(tmp_path, fig2_config(
         kind="MPC+FG", x0=[float("nan")], r=[0.2], budget=5))
-    assert main(["simulate", "--config", path, "--out",
-                 str(tmp_path / "sim"), "--quiet"]) == 1
+    assert run_verb("simulate", path, tmp_path / "sim") == 1
     assert "'x0': must be finite" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sim")
     path = write_config(tmp_path, fig2_config(
         kind="MPC+FG", x0=[-0.9], r=[float("-inf")], budget=20))
-    assert main(["simulate", "--config", path, "--out",
-                 str(tmp_path / "sim"), "--quiet"]) == 1
+    assert run_verb("simulate", path, tmp_path / "sim") == 1
     assert "'r': must be finite" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sim")
 
@@ -159,8 +162,7 @@ def assert_library_sets(out, T, gamma, gp):
 def test_sets_exports_and_roundtrip(tmp_path, fig2, fig2_gov):
     cfg = write_config(tmp_path, fig2_config())
     out = tmp_path / "sets"
-    assert main(["sets", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 0
+    assert run_verb("sets", cfg, out) == 0
     names = {"T.hrep", "GammaN.hrep", "Lambda.hrep", "Reps.hrep",
              "RoaFG.hrep", "GammaN_boundary.csv"}
     assert names <= set(os.listdir(out))
@@ -186,8 +188,7 @@ def test_sets_exports_and_roundtrip(tmp_path, fig2, fig2_gov):
 def test_sets_slices(tmp_path):
     cfg = write_config(tmp_path, fig2_config(slices=[-0.5, 0.0, 0.5]))
     out = tmp_path / "sets"
-    assert main(["sets", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 0
+    assert run_verb("sets", cfg, out) == 0
     for tag in ("-0.5", "0", "0.5"):
         path = out / "GammaN_slice_v{}.csv".format(tag)
         with open(path, newline="") as fh:
@@ -199,8 +200,7 @@ def test_sets_slices(tmp_path):
 def test_sets_horizon_zero_equals_terminal(tmp_path, fig2):
     out0 = tmp_path / "n0"
     cfg = write_config(tmp_path, fig2_config(N=0))
-    assert main(["sets", "--config", cfg, "--out", str(out0),
-                 "--quiet"]) == 0
+    assert run_verb("sets", cfg, out0) == 0
     T = HPolyhedron.read(str(out0 / "T.hrep"))
     gamma = HPolyhedron.read(str(out0 / "GammaN.hrep"))
     assert T.contains_set(gamma, tol=1e-9)
@@ -213,8 +213,7 @@ def test_simulate_governed_run(tmp_path):
     cfg = write_config(tmp_path, fig2_config(
         kind="MPC+FG", x0=[-0.9], r=[0.7], budget=60))
     out = tmp_path / "run"
-    assert main(["simulate", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 0
+    assert run_verb("simulate", cfg, out) == 0
     text = (out / "metrics.txt").read_text()
     assert "audit_overall=pass" in text
     assert "kind=MPC+FG" in text
@@ -222,6 +221,15 @@ def test_simulate_governed_run(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 61
     assert rows[0][0] == "k"
+
+
+def assert_audits_pass(out):
+    """metrics.txt in out holds the five audits and the overall verdict,
+    all passed."""
+    audits = [line for line in (out / "metrics.txt").read_text().split()
+              if line.startswith("audit_")]
+    assert len(audits) == 6
+    assert all(line.endswith("=pass") for line in audits), audits
 
 
 def test_simulate_command_governor_builds_only_its_gp(tmp_path,
@@ -236,26 +244,44 @@ def test_simulate_command_governor_builds_only_its_gp(tmp_path,
     cfg = write_config(tmp_path, fig2_config(
         kind="MPC+CG(LQR)", x0=[-0.2], r=[0.6], budget=200))
     out = tmp_path / "run"
-    assert main(["simulate", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 0
-    audits = [line for line in (out / "metrics.txt").read_text().split()
-              if line.startswith("audit_")]
-    assert len(audits) == 6
-    assert all(line.endswith("=pass") for line in audits), audits
+    assert run_verb("simulate", cfg, out) == 0
+    assert_audits_pass(out)
 
 
 def test_simulate_command_governor_needs_no_horizon(tmp_path):
-    """The command governor reads only K and T from the design, so its
-    run needs no N."""
+    """The command governor reads only T from the design (its set, em
+    and K), so its run needs no N."""
     cfg = fig2_config(kind="MPC+CG(LQR)", x0=[-0.2], r=[0.6], budget=200)
     del cfg["N"]
     out = tmp_path / "run"
-    assert main(["simulate", "--config", write_config(tmp_path, cfg),
-                 "--out", str(out), "--quiet"]) == 0
-    audits = [line for line in (out / "metrics.txt").read_text().split()
-              if line.startswith("audit_")]
-    assert len(audits) == 6
-    assert all(line.endswith("=pass") for line in audits), audits
+    assert run_verb("simulate", write_config(tmp_path, cfg), out) == 0
+    assert_audits_pass(out)
+
+
+@pytest.mark.parametrize("verb, overrides", [
+    ("compare", {"controllers": [{"kind": "MPC+FG"},
+                                 {"kind": "MPC+CG(LQR)"}]}),
+    ("simulate", {"kind": "MPC+CG(LQR)"}),
+    ("nstar", {})], ids=["compare", "simulate", "nstar"])
+def test_each_verb_builds_one_equilibrium_map(tmp_path, monkeypatch, verb,
+                                              overrides):
+    """Offline builds em once per verb, counted at every fgmpc module that
+    binds equilibrium_basis; the QP, n_star, CG law and audit read T's."""
+    real = plant.equilibrium_basis
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fgmpc" \
+                and getattr(module, "equilibrium_basis", None) is real:
+            monkeypatch.setattr(module, "equilibrium_basis", counted)
+    cfg = write_config(tmp_path, fig2_config(x0=[-0.2], r=[0.6], budget=40,
+                                             **overrides))
+    assert (main(["nstar", "--config", cfg, "--quiet"]) if verb == "nstar"
+            else run_verb(verb, cfg, tmp_path / "out")) == 0
+    assert len(calls) == 1
 
 
 def test_failed_rename_keeps_existing_outputs(tmp_path, monkeypatch):
@@ -264,8 +290,7 @@ def test_failed_rename_keeps_existing_outputs(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, fig2_config(
         kind="MPC+FG", x0=[-0.9], r=[0.7], budget=20))
     out = tmp_path / "run"
-    assert main(["simulate", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 0
+    assert run_verb("simulate", cfg, out) == 0
     HPolyhedron.from_box([-1.0], [1.0]).write(str(out / "T.hrep"))
     real_replace = os.replace
     for name in ("T.hrep", "trajectory.csv", "metrics.txt"):
@@ -295,16 +320,14 @@ def test_outputs_get_the_mode_open_would_give(tmp_path):
     out = tmp_path / "run"
     umask = os.umask(0o022)
     try:
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 0
+        assert run_verb("simulate", cfg, out) == 0
         HPolyhedron.from_box([-1.0], [1.0]).write(str(out / "T.hrep"))
         names = sorted(os.listdir(out))
         assert {"T.hrep", "trajectory.csv", "metrics.txt"} <= set(names)
         for name in names:
             assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644, name
             os.chmod(out / name, 0o640)
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 0
+        assert run_verb("simulate", cfg, out) == 0
         HPolyhedron.from_box([-2.0], [2.0]).write(str(out / "T.hrep"))
         for name in names:
             assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o640, name
@@ -315,18 +338,14 @@ def test_outputs_get_the_mode_open_would_give(tmp_path):
 def test_simulate_outside_roa_exits_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path, fig2_config(
         kind="MPC+FG", x0=[5.0], r=[0.0], budget=10))
-    code = main(["simulate", "--config", cfg, "--out",
-                 str(tmp_path / "x"), "--quiet"])
-    assert code == 1
+    assert run_verb("simulate", cfg, tmp_path / "x") == 1
     assert "state outside governed ROA" in capsys.readouterr().err
 
 
 def test_simulate_plain_mpc_infeasible_start(tmp_path, capsys):
     cfg = write_config(tmp_path, fig2_config(
         kind="MPC", x0=[-0.95], r=[0.8], budget=10))
-    code = main(["simulate", "--config", cfg, "--out",
-                 str(tmp_path / "x"), "--quiet"])
-    assert code == 1
+    assert run_verb("simulate", cfg, tmp_path / "x") == 1
     assert "aborted at step 0" in capsys.readouterr().err
 
 
@@ -335,8 +354,7 @@ def test_compare_two_kinds(tmp_path):
         controllers=[{"kind": "MPC+FG"}, {"kind": "MPC+CG(LQR)"}],
         x0=[-0.2], r=[0.5], budget=40))
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 0
+    assert run_verb("compare", cfg, out) == 0
     table = (out / "compare.txt").read_text()
     assert table.count("  ok") == 2
     assert os.path.exists(out / "trajectory_0_mpc_fg.csv")
@@ -347,14 +365,17 @@ def test_compare_two_kinds(tmp_path):
     assert len(rows) == 41
 
 
-def test_compare_command_governor_needs_no_horizon(tmp_path):
+@pytest.mark.parametrize("top_n", [None, 2],
+                         ids=["top-level-N-absent", "top-level-N-2"])
+def test_compare_command_governor_needs_no_horizon(tmp_path, top_n):
+    """A CG entry builds no QP: its N column is "-", top-level N or not."""
     cfg = fig2_config(controllers=[{"kind": "MPC+FG", "N": 2},
                                    {"kind": "MPC+CG(LQR)"}],
-                      x0=[-0.2], r=[0.5], budget=40)
-    del cfg["N"]
+                      x0=[-0.2], r=[0.5], budget=40, N=top_n)
+    if top_n is None:
+        del cfg["N"]
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", write_config(tmp_path, cfg),
-                 "--out", str(out), "--quiet"]) == 0
+    assert run_verb("compare", write_config(tmp_path, cfg), out) == 0
     rows = (out / "compare.txt").read_text().splitlines()
     assert rows[1].split()[:2] == ["MPC+FG", "2"]
     assert rows[2].split()[:2] == ["MPC+CG(LQR)", "-"]
@@ -366,8 +387,7 @@ def test_compare_identical_kinds_match(tmp_path):
         controllers=[{"kind": "MPC+FG"}, {"kind": "MPC+FG"}],
         x0=[-0.9], r=[0.7], budget=30))
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 0
+    assert run_verb("compare", cfg, out) == 0
     with open(out / "compare_z.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     data = np.array([[float(c) for c in row] for row in rows[1:]])
@@ -380,8 +400,7 @@ def test_compare_reports_per_variant_errors(tmp_path):
         controllers=[{"kind": "MPC+FG"}, {"kind": "MPC"}],
         x0=[-0.95], r=[0.8], budget=30))
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", cfg, "--out", str(out),
-                 "--quiet"]) == 1
+    assert run_verb("compare", cfg, out) == 1
     table = (out / "compare.txt").read_text()
     assert table.count("  ok") == 1
     assert "error: closed loop aborted at step 0" in table
@@ -430,12 +449,10 @@ def test_simulate_and_compare_share_the_horizon_rule(tmp_path, capsys,
     else:
         cfg["N"] = N
     path = write_config(tmp_path, cfg)
-    assert main(["simulate", "--config", path, "--out",
-                 str(tmp_path / "sim"), "--quiet"]) == 1
+    assert run_verb("simulate", path, tmp_path / "sim") == 1
     assert capsys.readouterr().err == "error: {}\n".format(message)
     assert os.listdir(tmp_path / "sim") == []
-    assert main(["compare", "--config", path, "--out",
-                 str(tmp_path / "cmp"), "--quiet"]) == 1
+    assert run_verb("compare", path, tmp_path / "cmp") == 1
     rows = (tmp_path / "cmp" / "compare.txt").read_text().splitlines()
     assert rows[1].endswith("  error: {}".format(message))
     assert rows[2].endswith("  ok")

@@ -10,9 +10,8 @@ import pytest
 from test_solver import assert_bit_equal, assert_close, batch_factors
 
 from fgmpc import mpc, solver
-from fgmpc.mpc import (CondensedQp, OcpDesign,
-                       OcpInfeasibleError, condense, feasible_set,
-                       mpc_feedback, n_star, ocp_feasible)
+from fgmpc.mpc import (OcpDesign, OcpInfeasibleError, condense,
+                       feasible_set, mpc_feedback, n_star, ocp_feasible)
 from fgmpc.plant import equilibrium_basis
 
 
@@ -54,9 +53,9 @@ def rollout_residuals(plant, design, mu, x, v):
 
 
 def test_condense_scalar_n1_by_hand(fig2):
-    plant, em, rs = fig2.plant, fig2.em, fig2.rs
+    plant, rs = fig2.plant, fig2.rs
     design = fig2.design(1)
-    qp = condense(plant, design, em)
+    qp = condense(plant, design)
     P = rs.P[0, 0]
     # quadratic coefficient R + B'PB (doubled by the 0.5 mu'H mu form)
     np.testing.assert_allclose(qp.H, [[2.0 * (1.0 + P)]], atol=1e-12)
@@ -68,7 +67,7 @@ def test_condense_scalar_n1_by_hand(fig2):
 def test_condense_equilibrium_is_unconstrained_minimum(y1):
     plant, em = y1.plant, y1.em
     design = y1.design(5)
-    qp = condense(plant, design, em)
+    qp = condense(plant, design)
     for v in ([0.3], [-0.7]):
         mu = np.tile(em.u_bar(v), design.N)
         theta = np.concatenate([em.x_bar(v), v])
@@ -81,7 +80,7 @@ def test_condense_equilibrium_is_unconstrained_minimum(y1):
 def test_condense_matches_rollout(y1):
     plant, em = y1.plant, y1.em
     design = y1.design(4)
-    qp = condense(plant, design, em)
+    qp = condense(plant, design)
     rng = np.random.default_rng(7)
     for _ in range(40):
         x = rng.uniform(-1.0, 1.0, size=2)
@@ -140,17 +139,17 @@ def lag_blocks_by_loop(lags, h):
 def test_stacked_rows_equal_the_block_loop(monkeypatch, y3):
     """assemble and condense place the lag blocks by one fancy index; the
     block loops they replaced give the same bits, up to N = 236."""
-    plant, em = y3.plant, y3.em
+    plant = y3.plant
     oracle = mpc._HorizonOracle(plant, y3.design(1), 236)
     for h in (1, 2, 7, 116, 236):
         for new, old in zip(oracle.assemble(h), assemble_by_blocks(oracle, h)):
             assert np.array_equal(new, old), h
     for N in (1, 10, 116):
         design = y3.design(N)
-        stacked = condense(plant, design, em)
+        stacked = condense(plant, design)
         with monkeypatch.context() as m:
             m.setattr(mpc, "_lag_blocks", lag_blocks_by_loop)
-            looped = condense(plant, design, em)
+            looped = condense(plant, design)
         for name in ("H", "W", "M", "L", "b"):
             assert np.array_equal(getattr(stacked, name),
                                   getattr(looped, name)), (N, name)
@@ -230,10 +229,13 @@ def test_design_validation(fig2, y1):
     with pytest.raises(ValueError, match="symmetric"):
         OcpDesign(2, [[1.0, 0.3], [0.0, 1.0]], [[1.0]], rs2.P, rs2.K,
                   y1.T, y1.Y)
+    # condense takes em only as T's own, not an equal map built again
+    with pytest.raises(ValueError, match="terminal set's equilibrium map"):
+        condense(fig2.plant, fig2.design(2), equilibrium_basis(fig2.plant))
 
 
 def test_condensed_qp_immutable(fig2):
-    qp = condense(fig2.plant, fig2.design(2), fig2.em)
+    qp = condense(fig2.plant, fig2.design(2))
     for arr in (qp.H, qp.W, qp.M, qp.L, qp.b):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -242,7 +244,7 @@ def test_condensed_qp_immutable(fig2):
 def test_feedback_equilibrium(y1):
     plant, em = y1.plant, y1.em
     design = y1.design(5)
-    qp = condense(plant, design, em)
+    qp = condense(plant, design)
     v = np.array([0.4])
     u, st = mpc_feedback(qp, em.x_bar(v), v)
     np.testing.assert_allclose(u, em.u_bar(v), atol=1e-8)
@@ -253,7 +255,7 @@ def test_feedback_equilibrium(y1):
 def test_feedback_matches_lqr_in_the_interior(fig2):
     plant, em, rs = fig2.plant, fig2.em, fig2.rs
     design = fig2.design(3)
-    qp = condense(plant, design, em)
+    qp = condense(plant, design)
     L_v = em.G_u + rs.K @ em.G_x
     for x, v in ((np.array([0.05]), np.array([0.0])),
                  (np.array([0.35]), np.array([0.3]))):
@@ -262,22 +264,20 @@ def test_feedback_matches_lqr_in_the_interior(fig2):
 
 
 def test_feedback_infeasible_y1(y1):
-    plant, em = y1.plant, y1.em
-    qp = condense(plant, y1.design(10), em)
+    qp = condense(y1.plant, y1.design(10))
     with pytest.raises(OcpInfeasibleError, match="OCP infeasible"):
         mpc_feedback(qp, [-1.0, 0.0], [0.75])
 
 
 def test_feedback_input_validation(fig2):
-    qp = condense(fig2.plant, fig2.design(2), fig2.em)
+    qp = condense(fig2.plant, fig2.design(2))
     with pytest.raises(ValueError, match="size"):
         mpc_feedback(qp, [0.0, 0.0], [0.0])
 
 
 def test_feasible_set_gamma2_grid_oracle(fig2):
-    plant, em = fig2.plant, fig2.em
-    design = fig2.design(2)
-    qp = condense(plant, design, em)
+    plant, design = fig2.plant, fig2.design(2)
+    qp = condense(plant, design)
     gamma2 = feasible_set(qp)
     assert gamma2.N == 2 and gamma2.set_xv.dim == 2
 
@@ -296,16 +296,16 @@ def test_feasible_set_gamma2_grid_oracle(fig2):
 
 def test_feasible_set_contains_terminal(fig2):
     design = fig2.design(2)
-    qp = condense(fig2.plant, design, fig2.em)
+    qp = condense(fig2.plant, design)
     gamma2 = feasible_set(qp)
     assert gamma2.set_xv.contains_set(fig2.T.set_xv, tol=1e-7)
 
 
 def test_feasible_set_nesting(fig2):
-    plant, em, T = fig2.plant, fig2.em, fig2.T
+    plant, T = fig2.plant, fig2.T
     sets = [T.set_xv]
     for N in (1, 2, 3, 4):
-        sets.append(feasible_set(condense(plant, fig2.design(N), em)).set_xv)
+        sets.append(feasible_set(condense(plant, fig2.design(N))).set_xv)
     for inner, outer in zip(sets[:-1], sets[1:]):
         assert outer.contains_set(inner, tol=1e-7)
 
@@ -504,7 +504,7 @@ def test_horizons_accept_numpy_integers(fig2):
 def test_closed_loop_recursive_feasibility_and_convergence(fig2):
     plant, em = fig2.plant, fig2.em
     design = fig2.design(3)
-    qp = condense(plant, design, em)
+    qp = condense(plant, design)
     gamma = feasible_set(qp)
     Y = fig2.Y
     v = np.array([0.1])
@@ -525,7 +525,7 @@ def test_closed_loop_recursive_feasibility_and_convergence(fig2):
 def test_mpc_feedback_rejects_non_finite_input(y3, x, v):
     """A NaN state or an infinite reference raises ValueError instead of
     returning u = [nan] as optimal."""
-    qp = condense(y3.plant, y3.design(5), y3.em)
+    qp = condense(y3.plant, y3.design(5))
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="must be finite"):
         mpc_feedback(qp, x, v)
@@ -540,7 +540,7 @@ def test_hot_started_mpc_loop_cuts_qp_iterations(y3):
     rounding: the same active set, and an input within 1e-9 of the cold
     one."""
     plant = y3.plant
-    qp = condense(plant, y3.design(40), y3.em)
+    qp = condense(plant, y3.design(40))
     x, v = np.array([-0.6, 0.0]), np.array([0.5])
     warm, hot, cold = None, 0, 0
     for _ in range(150):
@@ -571,7 +571,7 @@ def test_hot_start_iterations_and_drops_pinned(monkeypatch, y3):
 
     monkeypatch.setattr(solver, "_drop_constraint", counted)
     plant = y3.plant
-    qp = condense(plant, y3.design(40), y3.em)
+    qp = condense(plant, y3.design(40))
     x, warm, iterations = np.array([-1.8, 0.0]), None, 0
     for _ in range(30):
         u, st = mpc_feedback(qp, x, [0.0], warm_start=warm)
@@ -591,7 +591,7 @@ def test_kept_factors_mpc_loop_matches_reference_and_cold_solves(y3):
     step's own factors repeats its bits in 0 iterations, the property
     that makes the loop deterministic."""
     plant = y3.plant
-    qp = condense(plant, y3.design(40), y3.em)
+    qp = condense(plant, y3.design(40))
     x, v = np.array([-0.6, 0.0]), np.array([0.5])
     record, warm_steps = None, 0
     for _ in range(150):

@@ -3,28 +3,11 @@
 import numpy as np
 import pytest
 
+from systems import double_integrator_plant, scalar_integrator_plant
+
 from fgmpc.plant import (ConstraintSpec, LtiPlant, equilibrium_basis,
                          steady_state_ref_set)
 from fgmpc.polytope import HPolyhedron
-
-
-def double_integrator(ts=0.1):
-    """Position/velocity chain with position tracking; y = (x1, x2, u)."""
-    return LtiPlant(
-        A=[[1.0, ts], [0.0, 1.0]],
-        B=[[0.0], [ts]],
-        C=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
-        D=[[0.0], [0.0], [1.0]],
-        E=[[1.0, 0.0]],
-        F=[[0.0]],
-        ts=ts,
-    )
-
-
-def scalar_integrator():
-    """x+ = x + u with y = (x, u) and z = x."""
-    return LtiPlant(A=[[1.0]], B=[[1.0]], C=[[1.0], [0.0]],
-                    D=[[0.0], [1.0]], E=[[1.0]], F=[[0.0]], ts=1.0)
 
 
 def equilibrium_matrix(plant):
@@ -36,7 +19,7 @@ def equilibrium_matrix(plant):
 
 
 def test_dimensions_and_validation():
-    p = double_integrator()
+    p = double_integrator_plant()
     assert (p.n_x, p.n_u, p.n_y, p.n_z) == (2, 1, 3, 1)
     with pytest.raises(ValueError):
         LtiPlant(A=[[1.0, 0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
@@ -68,7 +51,7 @@ def test_stabilizable_despite_uncontrollable_stable_mode():
 
 
 def test_step_values():
-    p = double_integrator()
+    p = double_integrator_plant()
     xn, y, z = p.step([0.0, 0.0], [1.0])
     np.testing.assert_allclose(xn, [0.0, 0.1])
     np.testing.assert_allclose(y, [0.0, 0.0, 1.0])
@@ -78,7 +61,7 @@ def test_step_values():
 
 
 def test_equilibrium_basis_double_integrator():
-    p = double_integrator()
+    p = double_integrator_plant()
     em = equilibrium_basis(p)
     np.testing.assert_allclose(em.G_x, [[1.0], [0.0]], atol=1e-12)
     np.testing.assert_allclose(em.G_u, [[0.0]], atol=1e-12)
@@ -88,7 +71,7 @@ def test_equilibrium_basis_double_integrator():
 
 
 def test_equilibrium_basis_scalar_integrator():
-    em = equilibrium_basis(scalar_integrator())
+    em = equilibrium_basis(scalar_integrator_plant())
     np.testing.assert_allclose(em.G_x, [[1.0]], atol=1e-12)
     np.testing.assert_allclose(em.G_u, [[0.0]], atol=1e-12)
 
@@ -132,7 +115,7 @@ def test_equilibrium_kernel_property_random():
 
 def test_equilibrium_gz_singular():
     # tracking output identically zero: kernel exists but G_z = 0
-    p = double_integrator()
+    p = double_integrator_plant()
     broken = LtiPlant(A=p.A, B=p.B, C=p.C, D=p.D, E=[[0.0, 0.0]], F=[[0.0]])
     with pytest.raises(ValueError, match="singular|one-to-one"):
         equilibrium_basis(broken)
@@ -148,7 +131,7 @@ def test_equilibrium_dimension_mismatch():
 
 
 def test_steady_state_ref_set_y1():
-    p = double_integrator()
+    p = double_integrator_plant()
     em = equilibrium_basis(p)
     Y1 = HPolyhedron.from_box([-1, -0.25, -0.25], [1, 0.25, 0.25])
     R = steady_state_ref_set(p, em, Y1, 0.01)
@@ -158,7 +141,7 @@ def test_steady_state_ref_set_y1():
 
 
 def test_steady_state_ref_set_scalar_eps02():
-    p = scalar_integrator()
+    p = scalar_integrator_plant()
     em = equilibrium_basis(p)
     Y = HPolyhedron.from_box([-1.0, -0.25], [1.0, 0.25])
     R = steady_state_ref_set(p, em, Y, 0.2)
@@ -167,7 +150,7 @@ def test_steady_state_ref_set_scalar_eps02():
 
 
 def test_steady_state_ref_set_shrinks_to_zero():
-    p = scalar_integrator()
+    p = scalar_integrator_plant()
     em = equilibrium_basis(p)
     Y = HPolyhedron.from_box([-1.0, -0.25], [1.0, 0.25])
     R = steady_state_ref_set(p, em, Y, 0.999)
@@ -179,7 +162,7 @@ def test_steady_state_ref_set_shrinks_to_zero():
 
 
 def test_ref_sets_nested_in_eps():
-    p = double_integrator()
+    p = double_integrator_plant()
     em = equilibrium_basis(p)
     Y1 = HPolyhedron.from_box([-1, -0.25, -0.25], [1, 0.25, 0.25])
     tighter = steady_state_ref_set(p, em, Y1, 0.3)
@@ -189,7 +172,7 @@ def test_ref_sets_nested_in_eps():
 
 
 def test_ref_set_interior_margin():
-    p = double_integrator()
+    p = double_integrator_plant()
     em = equilibrium_basis(p)
     Y1 = HPolyhedron.from_box([-1, -0.25, -0.25], [1, 0.25, 0.25])
     eps = 0.1
@@ -207,7 +190,7 @@ def test_ref_set_interior_margin():
 
 
 def test_constraint_spec():
-    p = double_integrator()
+    p = double_integrator_plant()
     em = equilibrium_basis(p)
     Y1 = HPolyhedron.from_box([-1, -0.25, -0.25], [1, 0.25, 0.25])
     spec = ConstraintSpec(p, em, Y1, 0.01)

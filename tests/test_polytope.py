@@ -304,7 +304,7 @@ def test_project_pass_through_facets_are_sound(n, seed):
 def test_feasible_set_support_lp_count(y2, support_lps):
     """One feasible_set on y2, N = 5: 239 hull LPs for 80 facets, and no
     redundancy LP after the hull."""
-    qp = condense(y2.plant, y2.design(5), y2.em)
+    qp = condense(y2.plant, y2.design(5))
     feasible_set(qp)
     assert len(support_lps) <= 245
 
@@ -312,23 +312,22 @@ def test_feasible_set_support_lp_count(y2, support_lps):
 def test_feasible_set_support_lp_count_y1(y1, support_lps):
     """One feasible_set on y1, N = 10: 146 hull LPs for 48 facets, and no
     redundancy LP after the hull."""
-    qp = condense(y1.plant, y1.design(10), y1.em)
+    qp = condense(y1.plant, y1.design(10))
     feasible_set(qp)
     assert len(support_lps) <= 150
 
 
 def test_feasible_set_support_lp_count_y1_long_horizon(y1, support_lps):
     """One feasible_set on y1, N = 30: 180 hull LPs for 66 facets."""
-    qp = condense(y1.plant, y1.design(30), y1.em)
+    qp = condense(y1.plant, y1.design(30))
     feasible_set(qp)
     assert len(support_lps) <= 185
 
 
 def test_roa_support_lp_count_y1(y1, support_lps):
     """The ROA of y1 at N = 5: 63 hull LPs for 30 facets."""
-    gp = GovernorProblem(feasible_set(condense(
-        y1.plant, y1.design(5), y1.em)),
-        y1.spec.R_eps)
+    gp = GovernorProblem(feasible_set(condense(y1.plant, y1.design(5))),
+                         y1.spec.R_eps)
     del support_lps[:]
     assert roa(gp).nrows == 30
     assert len(support_lps) <= 65

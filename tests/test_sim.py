@@ -242,7 +242,7 @@ def test_governed_loop_reuses_the_qp_factors(monkeypatch, fig2, fig2_gov):
 
 def test_command_governor_loop_uses_the_gp_it_is_given(monkeypatch, fig2):
     """An MPC+CG(LQR) loop given GovernorProblem(T, R_eps) factorizes no
-    Hessian: the one inv is the equilibrium map of the LQR law, and no
+    Hessian and inverts nothing: its law reads em and K from T, and no
     step solves with a Hessian. Every step matches to 1e-9 a cold solve
     of the command-governor QP over the rows of T and R_eps, built here
     without the governor module."""
@@ -252,7 +252,7 @@ def test_command_governor_loop_uses_the_gp_it_is_given(monkeypatch, fig2):
     calls = count_factorizations(monkeypatch)
     log = run_closed_loop(sc, gp=gp_T)
     assert log.n_steps == 100
-    assert calls["cholesky"] == 0 and calls["inv"] == 1
+    assert calls["cholesky"] == 0 and calls["inv"] == 0
     assert calls["solve"] == 0
     A_v = np.vstack([T.T_v, R_eps.A])
     for x, v in zip(log.x, log.v):
@@ -260,6 +260,25 @@ def test_command_governor_loop_uses_the_gp_it_is_given(monkeypatch, fig2):
         st = solve_qp(QpProblem(2.0 * np.eye(A_v.shape[1]), -2.0 * sc.r,
                                 A_v, rhs))
         np.testing.assert_allclose(st.x, v, atol=1e-9)
+
+
+def test_command_governor_steers_with_the_law_of_its_terminal_set(
+        wide_gov):
+    """T is invariant only under the law it was built for. Given the
+    Q = 100 I design, whose K is not T's, a CG run still steers with T's
+    em and K: it equals the run given the nominal design bit for bit and
+    passes every audit (with the design's K it left the ROA at step 3)."""
+    nom = wide_gov["nom"]
+    assert not np.array_equal(wide_gov["design"].K, nom.rs.K)
+    gp = GovernorProblem(nom.T, nom.spec.R_eps)
+    a, b = (run_closed_loop(Scenario(nom.plant, nom.spec, design,
+                                     "MPC+CG(LQR)", [-5.0, 0.0], [4.0], 300),
+                            gp=gp)
+            for design in (wide_gov["design"], nom.design(10)))
+    for name in ("x", "u", "y", "z", "v", "V", "x_final"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for vd in audit_invariants(a, gp, nom.Y):
+        assert vd.passed, vd
 
 
 @pytest.mark.parametrize("kind, given, missing", [

@@ -324,6 +324,30 @@ def degenerate_lp(rng):
     return rng.normal(size=n), A, b
 
 
+def tall_lp(rng):
+    """An LP with m >= 20 n rows: a bounded one (box plus cuts), one whose
+    rows all recede along x1 (unbounded for c1 > 0), or random or integer
+    rows with right-hand sides of either sign, often infeasible."""
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(20 * n, 30 * n + 1))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return random_bounded_lp(rng, n, m - 2 * n)
+    c = rng.normal(size=n)
+    if kind == 1:
+        A = rng.normal(size=(m, n))
+        A[:, 0] = -np.abs(A[:, 0])
+        b = rng.normal(size=m)
+        c[0] = abs(c[0]) + 0.1
+    elif kind == 2:
+        A = rng.normal(size=(m, n))
+        b = rng.normal(size=m) + 1.0
+    else:
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-1, 3, size=m).astype(float)
+    return c, A, b
+
+
 def highs_min_violation(A, b):
     """min t over {(x, t) : A x - t <= b, t >= -1} by HiGHS; the polyhedron
     {A x <= b} is non-empty iff the minimum is <= 0. The bound on t keeps
@@ -357,12 +381,20 @@ def highs_lp(c, A, b):
     return Status.OPTIMAL, -primal.fun
 
 
-@pytest.mark.parametrize("seed", [5, 6])
-def test_lp_engine_matches_highs(seed):
+@pytest.mark.parametrize("generator, seed, trials", [
+    (degenerate_lp, 5, 300), (degenerate_lp, 6, 300), (tall_lp, 8, 60),
+    (tall_lp, 9, 60)], ids=["5", "6", "tall-8", "tall-9"])
+def test_lp_engine_matches_highs(generator, seed, trials):
+    """solve_lp, support_value and min_violation agree with HiGHS on small,
+    often degenerate LPs and on tall ones (m >= 20 n), in all 3 statuses."""
     rng = np.random.default_rng(seed)
-    for trial in range(300):
-        c, A, b = degenerate_lp(rng)
+    statuses = set()
+    for trial in range(trials):
+        c, A, b = generator(rng)
+        if generator is tall_lp:
+            assert A.shape[0] >= 20 * A.shape[1]
         status, value = highs_lp(c, A, b)
+        statuses.add(status)
         res = solve_lp(LpProblem(c, A, b))
         assert res.status is status, trial
         out, val, _ = support_value(c, A, b)
@@ -381,6 +413,7 @@ def test_lp_engine_matches_highs(seed):
             assert abs(t - t_ref) <= 1e-7 * (1.0 + t_ref), trial
         else:
             assert out in ("feasible", "optimal") and t <= TOL, trial
+    assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -503,59 +536,6 @@ def test_lp_free_variable_passes_through_zero():
     assert res.status is Status.OPTIMAL and res.iterations == 3
     np.testing.assert_allclose(res.x, [-3.0, 4.0], atol=1e-12)
     check_lp_kkt(c, A, b, res)
-
-
-def tall_lp(rng):
-    """An LP with m >= 20 n rows: a bounded one (box plus cuts), one whose
-    rows all recede along x1 (unbounded for c1 > 0), or random or integer
-    rows with right-hand sides of either sign, often infeasible."""
-    n = int(rng.integers(1, 6))
-    m = int(rng.integers(20 * n, 30 * n + 1))
-    kind = int(rng.integers(0, 4))
-    if kind == 0:
-        return random_bounded_lp(rng, n, m - 2 * n)
-    c = rng.normal(size=n)
-    if kind == 1:
-        A = rng.normal(size=(m, n))
-        A[:, 0] = -np.abs(A[:, 0])
-        b = rng.normal(size=m)
-        c[0] = abs(c[0]) + 0.1
-    elif kind == 2:
-        A = rng.normal(size=(m, n))
-        b = rng.normal(size=m) + 1.0
-    else:
-        A = rng.integers(-2, 3, size=(m, n)).astype(float)
-        b = rng.integers(-1, 3, size=m).astype(float)
-    return c, A, b
-
-
-@pytest.mark.parametrize("seed", [8, 9])
-def test_tall_lp_engine_matches_highs(seed):
-    rng = np.random.default_rng(seed)
-    statuses = set()
-    for trial in range(60):
-        c, A, b = tall_lp(rng)
-        assert A.shape[0] >= 20 * A.shape[1]
-        status, value = highs_lp(c, A, b)
-        statuses.add(status)
-        res = solve_lp(LpProblem(c, A, b))
-        assert res.status is status, trial
-        out, val, _ = support_value(c, A, b)
-        assert out == status.value, trial
-        if status is Status.OPTIMAL:
-            tol = 1e-7 * (1.0 + abs(value))
-            assert abs(res.value - value) <= tol, trial
-            assert abs(val - value) <= tol, trial
-            check_lp_kkt(c, A, b, res)
-        t_ref = highs_min_violation(A, b)
-        t, x, out = min_violation(A, b)
-        assert np.max(A @ x - b) <= t + 1e-9, trial
-        if t_ref > 1e-9:
-            assert out == "optimal", trial
-            assert abs(t - t_ref) <= 1e-7 * (1.0 + t_ref), trial
-        else:
-            assert out in ("feasible", "optimal") and t <= TOL, trial
-    assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED}
 
 
 def test_min_violation_memory_is_the_short_tableau():

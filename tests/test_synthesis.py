@@ -238,6 +238,7 @@ def test_terminal_set_deadbeat_determination():
     Y = HPolyhedron.from_box([-1.0, -0.5], [1.0, 0.5])
     T = terminal_set(plant, em, rs, Y, 0.1)
     assert T.t_star <= 1
+    assert T.em is em and T.K is rs.K  # the law T is invariant under
 
 
 def test_terminal_set_support_lp_count(y1, support_lps):
